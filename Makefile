@@ -1,5 +1,5 @@
 .PHONY: all build typecheck test bench examples doc clean check-race check-fault \
-	profile-smoke compare-smoke report-smoke perf-gate save-baseline \
+	profile-smoke report-smoke perf-gate \
 	policy-race-smoke granularity-smoke serve-smoke metrics-smoke slo-smoke
 
 all: build
@@ -58,29 +58,17 @@ check-race:
 check-fault:
 	timeout 900 dune exec bin/rpb.exe -- faults --seed 42 --deadline 30 --json FAULT_report.json
 
-# Statistical no-false-positive check: two fresh runs of the same binary
-# must compare clean — `rpb compare` only flags a configuration when the
-# change clears a noise-widened band AND a permutation test over the
-# per-repeat samples agrees (exit 3 = flagged regression).
-compare-smoke:
-	dune exec bin/rpb.exe -- bench sort --scale 0 --repeats 5 --threads 4 --json BENCH_smoke_a.json
-	dune exec bin/rpb.exe -- bench sort --scale 0 --repeats 5 --threads 4 --json BENCH_smoke_b.json
-	dune exec bin/rpb.exe -- compare BENCH_smoke_a.json BENCH_smoke_b.json --json COMPARE_smoke.json
-
-# CI perf-gate job: fresh per-repeat samples for every benchmark, compared
-# against the committed baseline store (bench/baselines/).  The committed
-# baselines come from a different machine class, so the gate runs with a
-# 1.0 (i.e. 2x) flat threshold and only catches gross regressions — the
-# tight same-machine trajectory is compare-smoke's job.  The compare's exit
-# status (3 = flagged regression) is captured, the dashboard + markdown
-# digest are built regardless, and the status is re-raised at the end — so
-# a failing gate still ships the report that explains the failure.
+# CI perf-gate job: a same-machine A/B of the repo benchmark (bench/perf,
+# declared in BENCHMARK.json) between PERF_BASE and the working tree.
+# scripts/perf_gate.sh checks PERF_BASE out into a temporary git worktree,
+# runs every workload at seeds 1-3 on both sides (alternating which side
+# goes first) into PERF_gate/{base,head}, and lets `perf.exe agree` judge
+# each end-to-end metric against its BENCHMARK.json bound.  Exit 3 = a
+# metric differs with the head on the worse side; 4 = a wrong output.
+# About 11 minutes on a 2-core host.
+PERF_BASE ?= HEAD
 perf-gate:
-	dune exec bin/rpb.exe -- bench all --scale 0 --repeats 5 --threads 4 --seq --json BENCH_gate.json
-	status=0; \
-	dune exec bin/rpb.exe -- compare bench/baselines BENCH_gate.json --threshold 1.0 --json COMPARE_gate.json || status=$$?; \
-	dune exec bin/rpb.exe -- report BENCH_gate.json COMPARE_gate.json -o REPORT_perf_gate.html --md REPORT_perf_gate.md; \
-	exit $$status
+	sh scripts/perf_gate.sh $(PERF_BASE)
 
 # CI policy-race job: the named scheduling policies raced head-to-head on
 # one benchmark from each end of the registry's fear spectrum (sort is the
@@ -198,14 +186,11 @@ slo-smoke:
 	  -o REPORT_slo.html --md REPORT_slo.md
 	grep -q 'SLO & error budget' REPORT_slo.md
 
-# Refresh the committed baseline store from this machine (then commit the
-# changed bench/baselines/*.json).
-save-baseline:
-	dune exec bin/rpb.exe -- bench all --scale 0 --repeats 5 --threads 4 --seq --save-baseline
-
 # One unified dashboard out of freshly generated artifacts (bench + profile).
+# fig4 times every benchmark sequentially, on 1 worker and on P workers,
+# which is what the speedup-curve section draws.
 report-smoke:
-	dune exec bin/rpb.exe -- bench sort --scale 0 --repeats 3 --threads 4 --seq --json BENCH_report_smoke.json
+	dune exec bench/main.exe -- fig4 --scale 0 --repeats 3 --json BENCH_report_smoke.json
 	dune exec bin/rpb.exe -- profile --bench sort --threads 4 --scale 0 --json PROFILE_report_smoke.json
 	dune exec bin/rpb.exe -- report BENCH_report_smoke.json PROFILE_report_smoke.json -o REPORT_smoke.html --md REPORT_smoke.md
 	test -s REPORT_smoke.html

@@ -20,10 +20,22 @@
 
 open Rpb_benchmarks
 
-let default_threads =
-  (* The container may expose a single core; we still run multiple domains so
-     every cross-domain code path is exercised. *)
-  max 4 (min 8 (Domain.recommended_domain_count ()))
+let nproc = Domain.recommended_domain_count ()
+
+(* One domain per core, and at least two so every cross-domain code path is
+   exercised even on a single core.  More domains than cores time-slice,
+   which the --json meta records as oversubscribed. *)
+let default_threads = max 2 (min 8 nproc)
+
+(* The checkout's commit, or "unknown" outside a git checkout. *)
+let git_sha () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+    let line = In_channel.input_line ic in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some sha -> sha
+    | _ -> "unknown")
 
 type config = {
   scale : int;
@@ -112,7 +124,7 @@ let table1 cfg =
         List.iter
           (fun e ->
             let input = List.hd e.Common.inputs in
-            (* smoke-flagged: one-shot runs, excluded from `rpb compare` *)
+            (* smoke-flagged: one-shot runs, kept out of the report's curves *)
             let t, ok, size =
               time_benchmark ~smoke:true pool cfg e input (`Par Mode.Unsafe)
             in
@@ -800,7 +812,10 @@ let write_json cfg which =
           ("scale", Int cfg.scale);
           ("threads", Int cfg.threads);
           ("repeats", Int cfg.repeats);
-          ("host_cores", Int (Domain.recommended_domain_count ()));
+          ("nproc", Int nproc);
+          ("oversubscribed", Bool (cfg.threads > nproc));
+          ("ocaml_version", Str Sys.ocaml_version);
+          ("git_sha", Str (git_sha ()));
           ("artifacts", List (List.map (fun a -> Str a) which));
         ]
     in
@@ -822,8 +837,12 @@ let () =
   in
   Printf.printf
     "RPB reproduction harness: scale=%d threads=%d repeats=%d (host cores: %d)\n"
-    cfg.scale cfg.threads cfg.repeats
-    (Domain.recommended_domain_count ());
+    cfg.scale cfg.threads cfg.repeats nproc;
+  if cfg.threads > nproc then
+    Printf.eprintf
+      "warning: --threads %d is more than the host's %d cores; the domains \
+       time-slice and the timings are oversubscribed\n%!"
+      cfg.threads nproc;
   List.iter
     (fun name ->
       match List.assoc_opt name (artifacts @ extra_artifacts) with

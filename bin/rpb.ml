@@ -7,8 +7,6 @@
    rpb stats --threads 4 --json stats.json --trace trace.json
    rpb check --seed 42 --json CHECK_report.json
    rpb profile --bench sort --threads 8 --json PROFILE_sort.json
-   rpb bench all --repeats 7 --json BENCH_run.json --save-baseline
-   rpb compare bench/baselines BENCH_run.json --threshold 0.1
    rpb report BENCH_run.json PROFILE_sort.json -o REPORT.html *)
 
 open Cmdliner
@@ -16,13 +14,12 @@ open Rpb_benchmarks
 
 (* Exit-code contract, uniform across subcommands (documented in the man
    page and README): 0 success; 2 usage error (bad flags, unknown
-   benchmark/policy, unreadable artifacts); 3 perf gate failed (compare
-   regression); 4 correctness/robustness violation (failed verification,
-   oracle or fault-sweep violation, loadgen lost replies or digest
-   mismatches). *)
+   benchmark/policy, unreadable artifacts); 4 correctness/robustness
+   violation (failed verification, oracle or fault-sweep violation, loadgen
+   lost replies or digest mismatches).  3 belongs to the perf gate
+   (scripts/perf_gate.sh); no subcommand returns it. *)
 let exit_ok = 0
 let exit_usage = 2
-let exit_gate = 3
 let exit_violation = 4
 
 let mode_conv =
@@ -411,202 +408,6 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ bench $ input $ mode $ threads $ scale $ seed
           $ policy_arg $ minor_heap_kb_arg $ json)
-
-(* ---- bench: measured records for the baseline store / perf trajectory ---- *)
-
-let bench_run ~name ~input ~scale ~threads ~repeats ~mode ~policy
-    ~minor_heap_kb ~with_seq ~json ~baseline_dir =
-  let names = if name = "all" then Registry.names else [ name ] in
-  let missing = List.filter (fun n -> Registry.find n = None) names in
-  if missing <> [] then begin
-    Printf.eprintf "unknown benchmark %s (try `rpb list`)\n"
-      (String.concat ", " missing);
-    exit_usage
-  end
-  else begin
-    let records = ref [] in
-    let failed = ref false in
-    let measure pool e input how =
-      let r, size = Registry.measure_entry pool ~entry:e ~input ~scale ~repeats ~how in
-      records := r :: !records;
-      if not r.Bench_json.verified then failed := true;
-      Printf.printf "%-6s input=%s (%s) %-7s threads=%d: %.4f s (median of %d)  [%s]\n"
-        r.Bench_json.bench input size r.Bench_json.mode r.Bench_json.threads
-        (Rpb_obs.Baseline.estimate_ns r /. 1e9)
-        repeats
-        (if r.Bench_json.verified then "verified" else "VERIFICATION FAILED");
-      flush stdout
-    in
-    List.iter
-      (fun n ->
-        let e = Option.get (Registry.find n) in
-        let input =
-          match input with Some i -> i | None -> List.hd e.Common.inputs
-        in
-        if with_seq then begin
-          (* The 1-worker sequential baseline never schedules, so it stays on
-             the default policy and keeps matching pre-policy baselines. *)
-          let pool = Rpb_pool.Pool.create ~num_workers:1 () in
-          Fun.protect ~finally:(fun () -> Rpb_pool.Pool.shutdown pool)
-            (fun () -> measure pool e input `Seq)
-        end;
-        let pool =
-          Rpb_pool.Pool.create ~policy ?minor_heap_kb ~num_workers:threads ()
-        in
-        Fun.protect ~finally:(fun () -> Rpb_pool.Pool.shutdown pool)
-          (fun () -> measure pool e input (`Par mode)))
-      names;
-    let records = List.rev !records in
-    (match json with
-     | None -> ()
-     | Some path ->
-       Bench_json.write_doc ~path
-         ~meta:
-           [
-             ("generator", Bench_json.Str "rpb-bench-cli");
-             ("scale", Bench_json.Int scale);
-             ("threads", Bench_json.Int threads);
-             ("repeats", Bench_json.Int repeats);
-             ("policy", Bench_json.Str policy.Rpb_pool.Pool.Policy.name);
-           ]
-         records;
-       Printf.printf "wrote %d benchmark records to %s\n"
-         (List.length records) path);
-    (match baseline_dir with
-     | None -> ()
-     | Some dir ->
-       let paths = Rpb_obs.Baseline.save ~dir records in
-       Printf.printf "baseline store updated: %s\n" (String.concat ", " paths));
-    if !failed then exit_violation else exit_ok
-  end
-
-let bench_cmd =
-  let doc =
-    "Time benchmarks with per-repeat samples (schema v3) for the perf \
-     trajectory: write a BENCH document with --json and/or merge the records \
-     into the committed baseline store with --save-baseline."
-  in
-  let bench_arg =
-    Arg.(value & pos 0 string "all"
-         & info [] ~docv:"BENCH" ~doc:"benchmark name or `all`")
-  in
-  let input =
-    Arg.(value & opt (some string) None & info [ "input"; "i" ] ~docv:"INPUT")
-  in
-  let scale = Arg.(value & opt int 0 & info [ "scale"; "s" ] ~docv:"N") in
-  let threads = Arg.(value & opt int 4 & info [ "threads"; "t" ] ~docv:"P") in
-  let repeats =
-    Arg.(value & opt int 5
-         & info [ "repeats"; "r" ] ~docv:"R"
-             ~doc:"per-repeat samples per configuration (>= 3 enables the \
-                   permutation test in `rpb compare`)")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Mode.Unsafe
-         & info [ "mode"; "m" ] ~docv:"MODE" ~doc:"unsafe | checked | sync")
-  in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ]
-             ~doc:"also time the sequential baseline (1 worker) per benchmark")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"write a Bench_json document")
-  in
-  let baseline =
-    Arg.(value & opt ~vopt:(Some "bench/baselines") (some string) None
-         & info [ "save-baseline" ] ~docv:"DIR"
-             ~doc:"merge the records into the baseline store (default \
-                   $(docv): bench/baselines)")
-  in
-  let run name input scale threads repeats mode policy minor_heap_kb seq json
-      baseline =
-    exit
-      (bench_run ~name ~input ~scale ~threads ~repeats ~mode ~policy
-         ~minor_heap_kb ~with_seq:seq ~json ~baseline_dir:baseline)
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ bench_arg $ input $ scale $ threads $ repeats $ mode
-          $ policy_arg $ minor_heap_kb_arg $ seq $ json $ baseline)
-
-(* ---- compare: noise-aware regression gate ---- *)
-
-let compare_run ~old_path ~new_path ~threshold ~alpha ~noise_mult ~seed ~json =
-  match
-    (Rpb_obs.Baseline.load old_path, Rpb_obs.Baseline.load new_path)
-  with
-  | exception Sys_error msg ->
-    Printf.eprintf "compare: %s\n" msg;
-    exit_usage
-  | exception Bench_json.Parse_error msg ->
-    Printf.eprintf "compare: parse error: %s\n" msg;
-    exit_usage
-  | baseline, current ->
-    let r =
-      Rpb_obs.Baseline.compare_records ~threshold ~alpha ~noise_mult ~seed
-        ~baseline ~current ()
-    in
-    print_string (Rpb_obs.Baseline.summary r);
-    (match json with
-     | None -> ()
-     | Some path ->
-       Rpb_obs.Baseline.write_json ~path r;
-       Printf.printf "wrote comparison document to %s\n" path);
-    if Rpb_obs.Baseline.ok r then exit_ok else exit_gate
-
-let compare_cmd =
-  let doc =
-    "Compare two benchmark runs (files or baseline directories) and classify \
-     every shared configuration as improved / unchanged / regressed.  A \
-     change is only flagged when it clears a noise-widened tolerance band \
-     AND a permutation test over the per-repeat samples finds it \
-     significant, so same-binary re-runs compare clean.  Exits 3 on \
-     regression (the CI perf-gate signal)."
-  in
-  let old_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"OLD" ~doc:"baseline: a BENCH_*.json file or a \
-                                     baseline directory")
-  in
-  let new_arg =
-    Arg.(required & pos 1 (some string) None
-         & info [] ~docv:"NEW" ~doc:"candidate run: file or directory")
-  in
-  let threshold =
-    Arg.(value & opt float 0.10
-         & info [ "threshold" ] ~docv:"FRACTION"
-             ~doc:"flat relative tolerance before noise widening (0.10 = \
-                   10%)")
-  in
-  let alpha =
-    Arg.(value & opt float 0.05
-         & info [ "alpha" ] ~docv:"A" ~doc:"permutation-test significance \
-                                            level")
-  in
-  let noise_mult =
-    Arg.(value & opt float 3.0
-         & info [ "noise-mult" ] ~docv:"K"
-             ~doc:"band widening: K * (MAD-sigma old + new) / old estimate")
-  in
-  let seed =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~docv:"N" ~doc:"permutation-test resampling seed \
-                                           (deterministic)")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"write the kind=compare document (feeds `rpb report`)")
-  in
-  let run old_path new_path threshold alpha noise_mult seed json =
-    exit
-      (compare_run ~old_path ~new_path ~threshold ~alpha ~noise_mult ~seed
-         ~json)
-  in
-  Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const run $ old_arg $ new_arg $ threshold $ alpha $ noise_mult
-          $ seed $ json)
 
 (* ---- serve / loadgen: the fault-tolerant request server ---- *)
 
@@ -1356,13 +1157,12 @@ let report_run ~files ~out ~md =
   Rpb_obs.Report.write_html ~path:out a;
   Printf.printf
     "wrote %s (%d bench record(s), %d profile(s), %d check(s), %d fault \
-     sweep(s), %d comparison(s), %d serve report(s), %d slo replay(s))\n"
+     sweep(s), %d serve report(s), %d slo replay(s))\n"
     out
     (List.length a.Rpb_obs.Report.bench)
     (List.length a.Rpb_obs.Report.profiles)
     (List.length a.Rpb_obs.Report.checks)
     (List.length a.Rpb_obs.Report.faults)
-    (List.length a.Rpb_obs.Report.compares)
     (List.length a.Rpb_obs.Report.serves)
     (List.length a.Rpb_obs.Report.slos);
   (match md with
@@ -1381,10 +1181,10 @@ let report_run ~files ~out ~md =
 
 let report_cmd =
   let doc =
-    "Merge BENCH/PROFILE/CHECK/FAULT/compare JSON artifacts into one \
-     self-contained HTML dashboard: speedup curves, the fear-spectrum \
+    "Merge BENCH/PROFILE/CHECK/FAULT/serve/slo/metrics JSON artifacts into \
+     one self-contained HTML dashboard: speedup curves, the fear-spectrum \
      overhead table, per-benchmark work/span/parallelism, correctness and \
-     fault verdicts, and the baseline trajectory."
+     fault verdicts, serving latency and error budgets."
   in
   let files =
     Arg.(non_empty & pos_all string []
@@ -1410,8 +1210,6 @@ let () =
       Cmd.Exit.info exit_usage
         ~doc:"on usage errors: unknown flags, benchmarks, policies, modes or \
               inputs, unparseable artifacts.";
-      Cmd.Exit.info exit_gate
-        ~doc:"when a comparison gate trips (perf regression).";
       Cmd.Exit.info exit_violation
         ~doc:"when a correctness, fault or robustness check is violated \
               (failed verification, lost or mismatched replies).";
@@ -1421,9 +1219,8 @@ let () =
   let code =
     Cmd.eval
       (Cmd.group info
-         [ list_cmd; patterns_cmd; run_cmd; bench_cmd; stats_cmd; check_cmd;
-           faults_cmd; profile_cmd; compare_cmd; serve_cmd; loadgen_cmd;
-           top_cmd; slo_cmd; report_cmd ])
+         [ list_cmd; patterns_cmd; run_cmd; stats_cmd; check_cmd; faults_cmd;
+           profile_cmd; serve_cmd; loadgen_cmd; top_cmd; slo_cmd; report_cmd ])
   in
   (* cmdliner reports its own usage errors as 124; fold them into the
      documented usage code so every surface agrees. *)

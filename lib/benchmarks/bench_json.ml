@@ -396,9 +396,8 @@ let record_of_json j =
     mean_ns = get_float (member "mean_ns" j);
     min_ns = get_float (member "min_ns" j);
     samples_ns =
-      (* Absent before v3: no per-repeat vector was recorded.  Consumers that
-         need samples (Baseline.compare) treat [||] as "point estimates
-         only" and fall back to the threshold band on mean/min. *)
+      (* Absent before v3: no per-repeat vector was recorded.  Consumers
+         treat [||] as "point estimates only" and fall back to mean/min. *)
       (match member_opt "samples_ns" j with
        | None | Some Null -> [||]
        | Some l -> Array.of_list (List.map get_float (get_list l)));

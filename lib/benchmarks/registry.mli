@@ -30,5 +30,5 @@ val measure_entry :
     [Pool.run], capturing per-worker scheduler counters and the per-repeat
     sample vector across the repeats.  Returns the machine-readable record
     and the input-size description.  [smoke] (default [false]) marks the
-    record as a one-shot smoke run, which [rpb compare] excludes from the
-    perf trajectory. *)
+    record as a one-shot smoke run, which [rpb report] keeps out of its
+    derived views. *)

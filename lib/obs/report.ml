@@ -2,10 +2,10 @@
 
    Merges every machine-readable artifact the harness emits — BENCH_*.json
    (benchmark records, schema v1..v3), PROFILE_*.json (work/span metrics),
-   CHECK_*.json (differential oracle), FAULT_*.json (fault sweep) and
-   compare documents — into one self-contained HTML file: no external
-   assets, inline CSS and SVG only, light and dark mode from one set of
-   custom properties.
+   CHECK_*.json (differential oracle), FAULT_*.json (fault sweep), and the
+   serve, metrics and slo documents — into one self-contained HTML file: no
+   external assets, inline CSS and SVG only, light and dark mode from one
+   set of custom properties.
 
    Chart conventions follow the repo's dashboard style contract: categorical
    series colors are assigned in fixed slot order (at most three per chart),
@@ -24,7 +24,6 @@ type artifacts = {
   profiles : Profile.report list;
   checks : J.json list;
   faults : J.json list;
-  compares : J.json list;
   serves : J.json list;
   metrics : J.json list;
   slos : J.json list;
@@ -38,7 +37,6 @@ let empty =
     profiles = [];
     checks = [];
     faults = [];
-    compares = [];
     serves = [];
     metrics = [];
     slos = [];
@@ -62,37 +60,37 @@ let add_doc acc j =
   | "profile" -> { acc with profiles = Profile.of_json j :: acc.profiles }
   | "check" -> { acc with checks = j :: acc.checks }
   | "fault" -> { acc with faults = j :: acc.faults }
-  | "compare" -> { acc with compares = j :: acc.compares }
   | "serve" -> { acc with serves = j :: acc.serves }
   | "metrics" -> { acc with metrics = j :: acc.metrics }
   | "slo" -> { acc with slos = j :: acc.slos }
   | _ -> { acc with bench = acc.bench @ J.records_of_doc j }
 
+(* A document of a kind the report has no reader for (bench/perf's "perf",
+   an old "compare") fails as a bench document; like an unparseable file,
+   it lands in errors and is skipped. *)
 let add_file acc path =
+  let skip msg = { acc with errors = (path, msg) :: acc.errors } in
   match read_file path with
-  | exception Sys_error msg -> { acc with errors = (path, msg) :: acc.errors }
+  | exception Sys_error msg -> skip msg
   | content -> (
     match J.of_string content with
-    | j ->
-      let acc = add_doc acc j in
-      { acc with sources = { path; kind = classify_doc j } :: acc.sources }
+    | j -> (
+      match add_doc acc j with
+      | acc -> { acc with sources = { path; kind = classify_doc j } :: acc.sources }
+      | exception J.Parse_error msg ->
+        skip (Printf.sprintf "kind %s: %s" (classify_doc j) msg))
     | exception J.Parse_error msg -> (
       (* Not one document — maybe a JSONL stream (the --metrics-json
          format: snapshots interleaved with slow-request profiles).  Each
          line classifies on its own; the file parses if any line does. *)
-      let docs =
-        String.split_on_char '\n' content
-        |> List.filter_map (fun line ->
-               if String.trim line = "" then None
-               else match J.of_string line with
-                 | j -> Some j
-                 | exception J.Parse_error _ -> None)
+      let add_line (acc, n) line =
+        match add_doc acc (J.of_string line) with
+        | acc -> (acc, n + 1)
+        | exception J.Parse_error _ -> (acc, n)
       in
-      match docs with
-      | [] -> { acc with errors = (path, msg) :: acc.errors }
-      | docs ->
-        let acc = List.fold_left add_doc acc docs in
-        { acc with sources = { path; kind = "jsonl" } :: acc.sources }))
+      match List.fold_left add_line (acc, 0) (String.split_on_char '\n' content) with
+      | _, 0 -> skip msg
+      | acc, _ -> { acc with sources = { path; kind = "jsonl" } :: acc.sources }))
 
 let load_files paths =
   let a = List.fold_left add_file empty paths in
@@ -101,7 +99,6 @@ let load_files paths =
     profiles = List.rev a.profiles;
     checks = List.rev a.checks;
     faults = List.rev a.faults;
-    compares = List.rev a.compares;
     serves = List.rev a.serves;
     metrics = List.rev a.metrics;
     slos = List.rev a.slos;
@@ -112,7 +109,11 @@ let load_files paths =
 (* ------------------------------------------------------------------ *)
 (* Derived views of the benchmark records.                             *)
 
-let estimate_ns = Baseline.estimate_ns
+(* Robust point estimate of one record: median of the per-repeat samples,
+   falling back to the stored mean for pre-v3 records. *)
+let estimate_ns (r : J.record) =
+  if Array.length r.J.samples_ns >= 1 then Stats.median r.J.samples_ns
+  else r.J.mean_ns
 
 (* Speedup curves, Fig. 4-style: for every (bench, input, mode, scale) with
    at least two distinct thread counts, the speedup of each thread count
@@ -150,7 +151,7 @@ let speedup_curves records =
   Hashtbl.fold (fun k rs acc -> (k, rs) :: acc) groups []
   |> List.sort compare
   |> List.filter_map (fun ((bench, input, mode, scale), rs) ->
-         (* Last record per thread count wins, matching Baseline. *)
+         (* Last record per thread count wins. *)
          let by_threads = Hashtbl.create 8 in
          List.iter
            (fun (r : J.record) -> Hashtbl.replace by_threads r.J.threads r)
@@ -287,7 +288,7 @@ let policy_races records =
   Hashtbl.fold (fun k rs acc -> (k, rs) :: acc) groups []
   |> List.sort compare
   |> List.filter_map (fun ((bench, input, mode, threads, scale), rs) ->
-         (* Last record per policy wins, matching Baseline's merge rule. *)
+         (* Last record per policy wins. *)
          let by_policy = Hashtbl.create 8 in
          List.iter
            (fun (r : J.record) -> Hashtbl.replace by_policy r.J.policy r)
@@ -530,9 +531,8 @@ let section_speedup buf records =
   if curves = [] then
     pf
       "<div class=\"card\"><p class=\"sub\">No configuration was measured \
-       at two or more thread counts — run <code>rpb bench</code> with \
-       several <code>--threads</code> values to populate this \
-       section.</p></div>"
+       at two or more thread counts — <code>bench/main.exe fig4 \
+       --json FILE</code> populates this section.</p></div>"
   else begin
     pf "<div class=\"grid-charts\">";
     List.iter
@@ -890,65 +890,6 @@ let section_policy_race buf records =
           (html_escape (fst best)) (snd best) (List.length rows))
       tiers;
     pf "</div></div>"
-  end
-
-let section_compares buf compares =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if compares <> [] then begin
-    pf "<h2>Perf trajectory: baseline comparison</h2>";
-    pf
-      "<p class=\"sub\">From <code>rpb compare</code>: each configuration \
-       against the committed baseline, flagged only when the change clears \
-       the noise-widened band and the permutation test agrees.</p>";
-    List.iter
-      (fun j ->
-        let comparisons =
-          match J.member_opt "comparisons" j with
-          | Some (J.List l) -> l
-          | _ -> []
-        in
-        pf
-          "<div class=\"card\"><table><tr><th>configuration</th><th \
-           class=\"num\">old (ms)</th><th class=\"num\">new (ms)</th><th \
-           class=\"num\">delta</th><th class=\"num\">band</th><th \
-           class=\"num\">p</th><th>verdict</th></tr>";
-        List.iter
-          (fun c ->
-            let key = J.member "key" c in
-            let verdict =
-              match J.member_opt "verdict" c with
-              | Some (J.Str s) -> s
-              | _ -> "?"
-            in
-            let badge =
-              match verdict with
-              | "regressed" -> "bad"
-              | "improved" -> "ok"
-              | _ -> "flat"
-            in
-            pf
-              "<tr><td class=\"l\">%s/%s %s t=%d s=%d</td><td \
-               class=\"num\">%s</td><td class=\"num\">%s</td><td \
-               class=\"num\">%+.1f%%</td><td class=\"num\">%.1f%%</td><td \
-               class=\"num\">%s</td><td class=\"l\"><span class=\"badge \
-               %s\">%s</span></td></tr>"
-              (html_escape (J.get_str (J.member "bench" key)))
-              (html_escape (J.get_str (J.member "input" key)))
-              (html_escape (J.get_str (J.member "mode" key)))
-              (J.get_int (J.member "threads" key))
-              (J.get_int (J.member "scale" key))
-              (ms (J.get_float (J.member "old_est_ns" c)))
-              (ms (J.get_float (J.member "new_est_ns" c)))
-              (100.0 *. J.get_float (J.member "delta" c))
-              (100.0 *. J.get_float (J.member "band" c))
-              (match J.member_opt "p_value" c with
-               | Some (J.Float p) -> Printf.sprintf "%.3f" p
-               | Some (J.Int p) -> Printf.sprintf "%d" p
-               | _ -> "-")
-              badge (html_escape verdict))
-          comparisons;
-        pf "</table></div>")
-      compares
   end
 
 (* Serving latency: kind="serve" documents from `rpb serve` (role=server)
@@ -1323,10 +1264,10 @@ let to_html a =
   pf
     "<p class=\"sub\">Unified dashboard over %d artifact file(s): %d \
      benchmark record(s), %d profile(s), %d check report(s), %d fault \
-     report(s), %d comparison(s), %d serve report(s), %d metrics \
-     snapshot(s), %d SLO replay(s).</p>"
+     report(s), %d serve report(s), %d metrics snapshot(s), %d SLO \
+     replay(s).</p>"
     (List.length a.sources) (List.length a.bench) (List.length a.profiles)
-    (List.length a.checks) (List.length a.faults) (List.length a.compares)
+    (List.length a.checks) (List.length a.faults)
     (List.length a.serves) (List.length a.metrics) (List.length a.slos);
   if a.errors <> [] then begin
     pf "<div class=\"card\">";
@@ -1339,7 +1280,6 @@ let to_html a =
       a.errors;
     pf "</div>"
   end;
-  section_compares buf a.compares;
   section_serves buf a.serves;
   section_metrics buf a.metrics;
   section_slos buf a.slos;
@@ -1364,10 +1304,10 @@ let to_markdown a =
   pf "# rpb report\n\n";
   pf
     "%d artifact file(s): %d benchmark record(s), %d profile(s), %d check \
-     report(s), %d fault report(s), %d comparison(s), %d serve report(s), \
-     %d metrics snapshot(s), %d SLO replay(s).\n\n"
+     report(s), %d fault report(s), %d serve report(s), %d metrics \
+     snapshot(s), %d SLO replay(s).\n\n"
     (List.length a.sources) (List.length a.bench) (List.length a.profiles)
-    (List.length a.checks) (List.length a.faults) (List.length a.compares)
+    (List.length a.checks) (List.length a.faults)
     (List.length a.serves) (List.length a.metrics) (List.length a.slos);
   if a.serves <> [] then begin
     pf "## Serving latency\n\n";

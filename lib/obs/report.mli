@@ -3,27 +3,26 @@
     Merges every machine-readable artifact the harness emits — [BENCH_*.json]
     benchmark documents (schema v1..v3), [PROFILE_*.json] work/span reports,
     [CHECK_*.json] differential-oracle reports, [FAULT_*.json] fault sweeps
-    and [rpb compare] documents — into one self-contained HTML page (inline
-    CSS and SVG, light/dark from one set of custom properties) or a markdown
-    digest suitable for a CI job summary.
+    and the serve, metrics and slo documents — into one self-contained HTML
+    page (inline CSS and SVG, light/dark from one set of custom properties)
+    or a markdown digest suitable for a CI job summary.
 
     The HTML carries Fig. 4-style speedup curves (measured, plus the
     burdened-DAG prediction from profiles), the Fig. 5-style fear-spectrum
     overhead table (checked/unsafe and sync/unsafe ratios), per-benchmark
     work/span/parallelism from {!Sp_dag}, correctness and fault verdict
-    tiles, and the baseline-comparison trajectory. *)
+    tiles, serving latency, live metrics and SLO error budgets. *)
 
 type source = { path : string; kind : string }
 (** One input file and the document kind it classified as:
-    ["bench" | "profile" | "check" | "fault" | "compare" | "serve" |
-    "metrics" | "slo"], or ["jsonl"] for a multi-line stream. *)
+    ["bench" | "profile" | "check" | "fault" | "serve" | "metrics" |
+    "slo"], or ["jsonl"] for a multi-line stream. *)
 
 type artifacts = {
   bench : Rpb_benchmarks.Bench_json.record list;
   profiles : Profile.report list;
   checks : Rpb_benchmarks.Bench_json.json list;
   faults : Rpb_benchmarks.Bench_json.json list;
-  compares : Rpb_benchmarks.Bench_json.json list;
   serves : Rpb_benchmarks.Bench_json.json list;
       (** [kind="serve"] documents from [rpb serve] (role [server]) and
           [rpb loadgen] (role [loadgen]) — latency percentiles and
@@ -51,9 +50,10 @@ val add_file : artifacts -> string -> artifacts
 (** Parse and classify one file.  A file that fails whole-document parsing
     is retried as JSONL — one document per line, each classified on its
     own, which is how [--metrics-json] streams (snapshots interleaved with
-    slow-request profiles) load.  I/O and parse failures land in
-    {!artifacts.errors} instead of raising, so one bad artifact never
-    sinks the report. *)
+    slow-request profiles) load.  I/O and parse failures, and documents of
+    a kind the report cannot read (bench/perf's ["perf"], for one), land in
+    {!artifacts.errors} instead of raising, so one bad artifact never sinks
+    the report. *)
 
 val load_files : string list -> artifacts
 (** {!add_file} over the list, preserving order. *)

@@ -2,12 +2,9 @@
 
    Benchmark timings on a shared container are heavy-tailed: a GC pause, a
    noisy neighbour or a scheduler hiccup can inflate a single repeat by an
-   order of magnitude.  Means (and their normal-theory intervals) are pulled
-   arbitrarily far by one such outlier; the median moves only when half the
-   samples move, and the MAD is the matching robust dispersion estimator.
-   All resampling (bootstrap, permutation) is driven by the deterministic
-   SplitMix64 stream in Rpb_prim.Rng, so every p-value and interval is
-   reproducible from its seed. *)
+   order of magnitude.  Means are pulled arbitrarily far by one such
+   outlier; the median moves only when half the samples move, and the
+   interpolated quartiles give the matching spread. *)
 
 let check_nonempty name a =
   if Array.length a = 0 then invalid_arg (name ^ ": empty sample set")
@@ -34,20 +31,6 @@ let median a =
   let s = Array.copy a in
   Array.sort compare s;
   median_sorted s
-
-let mad a =
-  check_nonempty "Stats.mad" a;
-  let m = median a in
-  median (Array.map (fun x -> Float.abs (x -. m)) a)
-
-(* 1 / Phi^{-1}(3/4): scales the MAD to estimate the standard deviation of a
-   normal distribution, the conventional way to turn the robust dispersion
-   into sigma units. *)
-let mad_sigma_scale = 1.4826
-
-let mad_sigma a = mad_sigma_scale *. mad a
-
-(* ---------- bootstrap confidence interval ---------- *)
 
 let quantile_sorted s q =
   (* Linear interpolation between closest ranks (type-7, the numpy/R
@@ -76,133 +59,3 @@ let nearest_rank ~count ~pct =
 let percentile_sorted s pct =
   check_nonempty "Stats.percentile_sorted" s;
   s.(nearest_rank ~count:(Array.length s) ~pct - 1)
-
-let bootstrap_ci ?(replicates = 1000) ?(confidence = 0.95)
-    ?(estimator = median) ~seed a =
-  check_nonempty "Stats.bootstrap_ci" a;
-  if not (confidence > 0.0 && confidence < 1.0) then
-    invalid_arg "Stats.bootstrap_ci: confidence must be in (0, 1)";
-  if replicates < 1 then
-    invalid_arg "Stats.bootstrap_ci: replicates must be positive";
-  let rng = Rpb_prim.Rng.create seed in
-  let n = Array.length a in
-  let resample = Array.make n 0.0 in
-  let estimates =
-    Array.init replicates (fun _ ->
-        for i = 0 to n - 1 do
-          resample.(i) <- a.(Rpb_prim.Rng.int rng n)
-        done;
-        estimator resample)
-  in
-  Array.sort compare estimates;
-  let alpha = 1.0 -. confidence in
-  ( quantile_sorted estimates (alpha /. 2.0),
-    quantile_sorted estimates (1.0 -. (alpha /. 2.0)) )
-
-(* ---------- permutation test ---------- *)
-
-(* The default statistic is the absolute difference of MEANS, not medians:
-   permutation tests are exact for any statistic, but the median difference
-   only takes a handful of distinct values on two tight clusters (order
-   statistics of a bimodal pool), so a genuine shift lands on a boundary tie
-   and p sticks at ~alpha.  The mean difference is strictly maximal at the
-   observed labelling for separated groups, giving the test full power
-   there; robustness against outlier repeats comes from the MAD-widened
-   tolerance band in the caller (Baseline), not from this statistic. *)
-let permutation_test ?(rounds = 2000) ?(statistic = fun a b ->
-    Float.abs (mean a -. mean b)) ~seed a b =
-  check_nonempty "Stats.permutation_test" a;
-  check_nonempty "Stats.permutation_test" b;
-  let observed = statistic a b in
-  let na = Array.length a in
-  let pooled = Array.append a b in
-  let n = Array.length pooled in
-  let rng = Rpb_prim.Rng.create seed in
-  let hits = ref 0 in
-  let left = Array.make na 0.0 in
-  let right = Array.make (n - na) 0.0 in
-  for _ = 1 to rounds do
-    (* Partial Fisher–Yates: draw a uniform split of the pooled samples into
-       the two group sizes. *)
-    for i = n - 1 downto 1 do
-      let j = Rpb_prim.Rng.int rng (i + 1) in
-      let t = pooled.(i) in
-      pooled.(i) <- pooled.(j);
-      pooled.(j) <- t
-    done;
-    Array.blit pooled 0 left 0 na;
-    Array.blit pooled na right 0 (n - na);
-    if statistic left right >= observed -. 1e-12 then incr hits
-  done;
-  (* Add-one (Davison–Hinkley) estimate: the observed labelling is itself one
-     valid permutation, so the p-value can never be exactly 0. *)
-  float_of_int (1 + !hits) /. float_of_int (1 + rounds)
-
-(* ---------- Mann–Whitney U (normal approximation, tie-corrected) ---------- *)
-
-(* Complementary normal CDF via the Abramowitz–Stegun 7.1.26 erf polynomial
-   (|error| < 1.5e-7) — the stdlib carries no erf.  The polynomial is only
-   valid for non-negative arguments; negative z goes through the symmetry
-   SF(z) = 1 - SF(-z). *)
-let rec normal_sf z =
-  if z < 0.0 then 1.0 -. normal_sf (-.z)
-  else
-  let x = z /. Float.sqrt 2.0 in
-  let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-  let poly =
-    t
-    *. (0.254829592
-        +. (t
-            *. (-0.284496736
-                +. (t *. (1.421413741 +. (t *. (-1.453152027 +. (t *. 1.061405429))))))))
-  in
-  let erfc = poly *. Float.exp (-.x *. x) in
-  0.5 *. erfc
-
-let mann_whitney a b =
-  check_nonempty "Stats.mann_whitney" a;
-  check_nonempty "Stats.mann_whitney" b;
-  let na = Array.length a and nb = Array.length b in
-  let n = na + nb in
-  (* Midranks over the pooled samples, remembering group membership. *)
-  let tagged =
-    Array.append
-      (Array.map (fun x -> (x, true)) a)
-      (Array.map (fun x -> (x, false)) b)
-  in
-  Array.sort (fun (x, _) (y, _) -> compare x y) tagged;
-  let rank_sum_a = ref 0.0 in
-  let tie_correction = ref 0.0 in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j + 1 < n && fst tagged.(!j + 1) = fst tagged.(!i) do
-      incr j
-    done;
-    (* Samples [i..j] are tied; all get the average rank. *)
-    let count = !j - !i + 1 in
-    let rank = 0.5 *. float_of_int (!i + 1 + (!j + 1)) in
-    for k = !i to !j do
-      if snd tagged.(k) then rank_sum_a := !rank_sum_a +. rank
-    done;
-    if count > 1 then begin
-      let c = float_of_int count in
-      tie_correction := !tie_correction +. ((c *. c *. c) -. c)
-    end;
-    i := !j + 1
-  done;
-  let na_f = float_of_int na and nb_f = float_of_int nb in
-  let u_a = !rank_sum_a -. (na_f *. (na_f +. 1.0) /. 2.0) in
-  let u = Float.min u_a ((na_f *. nb_f) -. u_a) in
-  let mu = na_f *. nb_f /. 2.0 in
-  let n_f = float_of_int n in
-  let sigma2 =
-    na_f *. nb_f /. 12.0
-    *. (n_f +. 1.0 -. (!tie_correction /. (n_f *. (n_f -. 1.0))))
-  in
-  if sigma2 <= 0.0 then (u, 1.0) (* all samples tied: no evidence either way *)
-  else begin
-    (* Continuity correction, two-sided. *)
-    let z = (mu -. u -. 0.5) /. Float.sqrt sigma2 in
-    (u, Float.min 1.0 (2.0 *. normal_sf z))
-  end

@@ -1,12 +1,8 @@
 (** Robust statistics over benchmark sample vectors.
 
-    The estimators the perf-regression layer is built on: median and MAD
-    (outlier-resistant location and dispersion), seeded bootstrap confidence
-    intervals, and two significance tests over a pair of sample sets — a
-    permutation test on the mean difference and a tie-corrected
-    Mann–Whitney U.  All resampling draws from the deterministic SplitMix64
-    stream ({!Rpb_prim.Rng}), so results are exactly reproducible from the
-    seed.
+    The point estimators the benchmark harness ([bench/perf], whose
+    [agree] command compares medians within quartile spreads) and the
+    serve latency summaries are built on.
 
     Every function raises [Invalid_argument] on an empty sample set. *)
 
@@ -17,18 +13,6 @@ val maximum : float array -> float
 val median : float array -> float
 (** Midpoint-interpolated for even sizes.  Does not mutate its argument. *)
 
-val mad : float array -> float
-(** Median absolute deviation: [median |xᵢ - median x|], the robust
-    dispersion matching {!median} (unscaled). *)
-
-val mad_sigma : float array -> float
-(** [mad_sigma a = 1.4826 *. mad a] — the MAD rescaled to estimate a normal
-    standard deviation, the conventional sigma-unit form used by the
-    tolerance bands in {!Baseline}. *)
-
-val mad_sigma_scale : float
-(** The 1.4826 consistency constant ([1 / Φ⁻¹(3/4)]). *)
-
 val quantile_sorted : float array -> float -> float
 (** [quantile_sorted s q] for sorted [s] and [q ∈ [0,1]], with linear
     interpolation between closest ranks (numpy/R type-7). *)
@@ -38,47 +22,7 @@ val nearest_rank : count:int -> pct:float -> int
     [\[1, count\]], for [pct ∈ [0,100]] — the single rank definition
     {!Rpb_serve}'s latency summaries and {!Metrics} bucket percentiles
     both delegate to.  Distinct from {!quantile_sorted}'s interpolating
-    type-7 estimator, which the bootstrap machinery keeps. *)
+    type-7 estimator. *)
 
 val percentile_sorted : float array -> float -> float
 (** [percentile_sorted s pct] — the nearest-rank sample of sorted [s]. *)
-
-val bootstrap_ci :
-  ?replicates:int ->
-  ?confidence:float ->
-  ?estimator:(float array -> float) ->
-  seed:int ->
-  float array ->
-  float * float
-(** Percentile-bootstrap confidence interval [(lo, hi)] for [estimator]
-    (default {!median}) — [replicates] (default 1000) resamples with
-    replacement, central [confidence] (default 0.95) mass.  Deterministic in
-    [seed].  [estimator] is called on a scratch buffer that is reused
-    between replicates; it must not retain its argument. *)
-
-val permutation_test :
-  ?rounds:int ->
-  ?statistic:(float array -> float array -> float) ->
-  seed:int ->
-  float array ->
-  float array ->
-  float
-(** Two-sided permutation test: the p-value of observing a [statistic]
-    (default [|mean a - mean b|]) at least as extreme as the actual one
-    under [rounds] (default 2000) uniform relabellings of the pooled
-    samples.  The mean difference — not the median — is the default because
-    a permutation test is exact for any statistic, and the median difference
-    collapses to a handful of tied values on small bimodal pools, pinning
-    the p-value near alpha precisely when a shift is real; outlier
-    robustness is the tolerance band's job ({!Baseline}), not this test's.
-    Uses the add-one estimate [(1 + hits) / (1 + rounds)], so the result is
-    always in [(0, 1]].  Deterministic in [seed]. *)
-
-val mann_whitney : float array -> float array -> float * float
-(** [(u, p)] — the Mann–Whitney U statistic (smaller side) and its
-    two-sided p-value under the tie-corrected normal approximation with
-    continuity correction.  Identical constant samples give [p = 1]. *)
-
-val normal_sf : float -> float
-(** Upper-tail probability of the standard normal at [|z|]
-    (Abramowitz–Stegun 7.1.26 approximation, error < 1.5e-7). *)

@@ -2026,10 +2026,3 @@ let gc_samples pool =
   Array.init pool.num_workers (fun i ->
       let c = pool.counters.(i) in
       (c.(c_gc_minors), c.(c_gc_minor_kwords)))
-
-(* Deprecated compat wrapper over [Stats]; kept so old callers and scripts
-   that scrape the one-line form keep working. *)
-let stats pool =
-  let s = Stats.capture pool in
-  Printf.sprintf "workers=%d tasks=%d steals=%d" s.Stats.num_workers
-    (Stats.tasks_executed s) (Stats.steals_ok s)

@@ -127,7 +127,7 @@ val cancel_run : t -> exn -> unit
     constants).  Policies are how the per-workload steal/fork trade-offs the
     scheduling literature describes (steal-half batches, work-first fork
     order, victim affinity) become raceable experiments instead of hardwired
-    constants: [rpb bench --policy NAME] and the CI policy-race job run the
+    constants: [rpb profile --policy NAME] and the CI policy-race job run the
     same benchmark registry under different policies and attribute every
     result — telemetry JSON, {!Stats}, flight recordings — to the policy
     name. *)
@@ -596,7 +596,3 @@ module Fault : sig
 
   val total : counts -> int
 end
-
-val stats : t -> string
-[@@ocaml.deprecated "Use Pool.Stats.capture / Pool.Stats.summary instead."]
-(** Legacy one-line counter string; thin wrapper over {!Stats.capture}. *)
