@@ -1,5 +1,5 @@
 .PHONY: all build typecheck test bench examples doc clean check-race check-fault \
-	profile-smoke report-smoke perf-gate \
+	profile-smoke report-smoke perf-gate flake-check \
 	policy-race-smoke granularity-smoke serve-smoke metrics-smoke slo-smoke
 
 all: build
@@ -19,6 +19,26 @@ test:
 
 test-verbose:
 	dune runtest --force --no-buffer
+
+# Repeats the two once-flaky tests 20 times each through the
+# Alcotest `test NAME N` filter: test_pool "chunks partition" and the
+# test_check fault-sweep case whose "injections fired" check used to fail
+# by chance.  The case index is looked up by name, so reordering the
+# suites does not break the target.
+flake-check:
+	dune build test/test_pool.exe test/test_check.exe
+	set -e; \
+	for t in 'test_pool:chunks partition' 'test_check:single bench contract'; do \
+	  exe=_build/default/test/$${t%%:*}.exe; name=$${t#*:}; \
+	  set -- $$($$exe list | grep -F "$$name." | head -n 1); \
+	  test -n "$$2" || { echo "flake-check: no test named $$name" >&2; exit 1; }; \
+	  i=0; while [ $$i -lt 20 ]; do \
+	    $$exe test "$$1" "$$2" >/dev/null 2>&1 || \
+	      { echo "flake-check: $$name failed on run $$((i + 1))" >&2; exit 1; }; \
+	    i=$$((i + 1)); \
+	  done; \
+	  echo "flake-check: $$name passed 20/20"; \
+	done
 
 bench:
 	dune exec bench/main.exe

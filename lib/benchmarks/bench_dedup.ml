@@ -37,10 +37,9 @@ let dedup_mutex pool data =
     pool;
   Rpb_parseq.Pack.pack pool (fun x -> x <> -1) slots
 
-(* The table is allocated once per prepared input and cleared between runs:
-   OCaml's atomics are boxed, so allocating a fresh table per run would
-   charge the lock-free build an allocation cost the paper's (intrusive,
-   C-style) table does not pay. *)
+(* The table is allocated once per prepared input and cleared between runs,
+   so the lock-free build pays no per-run allocation, as the paper's
+   (intrusive, C-style) table does not. *)
 let dedup_cas pool table data =
   Rpb_chash.Chash.clear pool table;
   Pool.parallel_for ~start:0 ~finish:(Array.length data)

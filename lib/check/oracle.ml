@@ -346,7 +346,7 @@ type fault_outcome = {
   f_digest_equal : bool;  (** meaningful when [f_completed] *)
   f_verified : bool;  (** meaningful when [f_completed] *)
   f_pool_reusable : bool;  (** a post-fault sanity run succeeded *)
-  f_injected : int;  (** injections fired during the faulted run *)
+  f_injected : int;  (** injections fired in [create] and the faulted run *)
   f_workers : int;
   f_requested_workers : int;
   f_elapsed_s : float;
@@ -373,12 +373,18 @@ let sweep_one ~threads ~scale ~deadline ~fault_seed ~policy entry sched mode =
   let cfg = { sched.sched_cfg with Pool.Fault.seed = fault_seed } in
   (* Spawn failures are only meaningful during [create]; arm them alone so
      preparation and the reference run stay clean. *)
-  if cfg.Pool.Fault.spawn_fail > 0. then
+  let spawn_armed = cfg.Pool.Fault.spawn_fail > 0. in
+  if spawn_armed then
     Pool.Fault.enable
       { Pool.Fault.off with
         seed = fault_seed;
         spawn_fail = cfg.Pool.Fault.spawn_fail };
   let pool = Pool.create ~policy ~num_workers:threads () in
+  (* The [enable] before the faulted run zeroes the counters: keep the spawn
+     failures that fired in [create]. *)
+  let create_injected =
+    if spawn_armed then (Pool.Fault.counts ()).Pool.Fault.spawn_fails else 0
+  in
   Pool.Fault.disable ();
   Fun.protect
     ~finally:(fun () ->
@@ -400,7 +406,7 @@ let sweep_one ~threads ~scale ~deadline ~fault_seed ~policy entry sched mode =
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   Pool.Fault.disable ();
-  let injected = Pool.Fault.total (Pool.Fault.counts ()) in
+  let injected = create_injected + Pool.Fault.total (Pool.Fault.counts ()) in
   let stats = Pool.Stats.capture pool in
   (* Whatever happened, the pool must still work: a fresh run on the same
      pool computing a known reduction. *)

@@ -104,7 +104,7 @@ type fault_outcome = {
   f_digest_equal : bool;  (** meaningful when [f_completed] *)
   f_verified : bool;  (** meaningful when [f_completed] *)
   f_pool_reusable : bool;  (** a post-fault sanity run succeeded *)
-  f_injected : int;  (** injections fired during the faulted run *)
+  f_injected : int;  (** injections fired in [create] and the faulted run *)
   f_workers : int;
   f_requested_workers : int;  (** [> f_workers] iff [create] degraded *)
   f_elapsed_s : float;

@@ -112,13 +112,28 @@ module Scheduler = struct
        [pop = None && in_flight = 0] can safely terminate. *)
     in_flight : int Atomic.t;
     failure : exn option Atomic.t;
+    (* The private heap of a one-worker run while it lasts: its handler is
+       the only pusher, so tasks skip the lanes, the lock and [in_flight]. *)
+    mutable solo : Binary_heap.t option;
   }
 
-  let create mq = { mq; in_flight = Atomic.make 0; failure = Atomic.make None }
+  let create mq =
+    { mq; in_flight = Atomic.make 0; failure = Atomic.make None; solo = None }
 
   let push s ~pri v =
-    Atomic.incr s.in_flight;
-    push s.mq ~pri v
+    match s.solo with
+    | Some heap -> Binary_heap.push heap ~pri v
+    | None ->
+      Atomic.incr s.in_flight;
+      push s.mq ~pri v
+
+  (* Empties the lanes; only called while no worker runs. *)
+  let rec drain s f =
+    match pop s.mq with
+    | Some (pri, v) ->
+      f ~pri v;
+      drain s f
+    | None -> Atomic.set s.in_flight 0
 
   let worker s handler =
     let rec loop idle =
@@ -142,8 +157,21 @@ module Scheduler = struct
     in
     loop 0
 
-  let run s ~num_workers ~handler =
-    if num_workers < 1 then invalid_arg "Scheduler.run: num_workers >= 1";
+  let run_solo s handler =
+    let heap = Binary_heap.create () in
+    drain s (Binary_heap.push heap);
+    s.solo <- Some heap;
+    let rec loop () =
+      match Binary_heap.pop_min heap with
+      | Some (pri, v) ->
+        handler s ~pri v;
+        loop ()
+      | None -> ()
+    in
+    (* On a handler exception the tasks left in [heap] are dropped with it. *)
+    Fun.protect ~finally:(fun () -> s.solo <- None) loop
+
+  let run_spawned s ~num_workers handler =
     let domains =
       Array.init (num_workers - 1) (fun _ ->
           Domain.spawn (fun () -> worker s handler))
@@ -151,6 +179,14 @@ module Scheduler = struct
     worker s handler;
     Array.iter Domain.join domains;
     match Atomic.get s.failure with
-    | Some e -> raise e
+    | Some e ->
+      drain s (fun ~pri:_ _ -> ());
+      Atomic.set s.failure None;
+      raise e
     | None -> ()
+
+  let run s ~num_workers ~handler =
+    if num_workers < 1 then invalid_arg "Scheduler.run: num_workers >= 1";
+    if num_workers = 1 then run_solo s handler
+    else run_spawned s ~num_workers handler
 end

@@ -43,11 +43,16 @@ module Scheduler : sig
   val create : mq -> sched
 
   val push : sched -> pri:int -> int -> unit
-  (** Seed or spawn a task. *)
+  (** Seed or spawn a task.  During a one-worker {!run} only its handler
+      may push. *)
 
   val run : sched -> num_workers:int -> handler:(sched -> pri:int -> int -> unit) -> unit
-  (** Spawns [num_workers] domains that pop and run tasks until all work
-      (including transitively pushed tasks) has drained, then joins them.
-      [handler] may call {!push}.  Exceptions in handlers propagate after all
-      workers stop. *)
+  (** Runs tasks until all work (including transitively pushed tasks) has
+      drained.  With [num_workers > 1] it spawns [num_workers - 1] domains
+      that pop from the MultiQueue beside the calling one, then joins them.
+      With [num_workers = 1] it spawns none: the queued tasks move into one
+      private binary heap that the caller drains in exact priority order,
+      with no lock and no shared counter.  [handler] may call {!push}.  An
+      exception in a handler propagates after every worker has stopped; the
+      tasks still queued are dropped, so the scheduler can run again. *)
 end

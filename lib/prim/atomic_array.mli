@@ -1,9 +1,16 @@
 (** Arrays of atomically-accessed integers.
 
-    OCaml 5.1 provides only boxed [Atomic.t] cells, so an atomic integer array
-    is represented as an array of such cells.  This is the substrate for the
-    paper's "placate the type system with atomics" variants (Listing 6e) and
-    for lock-free algorithm state (union-find, reservations, distances). *)
+    An array is one flat block of [n] tagged words, like an [int array]: no
+    per-cell box, so a cell access is a single C11 atomic on the word itself
+    (the layout of Rust's [&[AtomicU32]]) and [make n] allocates one block.
+    Every operation is sequentially consistent, as [Stdlib.Atomic] is: loads
+    are SC loads, {!set} is an SC store (not a release store), and the
+    read-modify-writes are SC.  The checked operations raise
+    [Invalid_argument "index out of bounds"] on a bad index.
+
+    This is the substrate for the paper's "placate the type system with
+    atomics" variants (Listing 6e) and for lock-free algorithm state
+    (union-find, reservations, distances). *)
 
 type t
 
@@ -15,13 +22,13 @@ val init : int -> (int -> int) -> t
 val length : t -> int
 
 val get : t -> int -> int
-(** Atomic (acquire) load. *)
+(** Atomic load. *)
 
 val set : t -> int -> int -> unit
-(** Atomic (release) store — the analogue of Rust's [store(_, Relaxed)]. *)
+(** Atomic store. *)
 
 val unsafe_get : t -> int -> int
-(** Plain load without bounds check; callers must guarantee the index. *)
+(** {!get} without the bounds check; callers must guarantee the index. *)
 
 val unsafe_set : t -> int -> int -> unit
 
@@ -48,3 +55,5 @@ val to_array : t -> int array
 val of_array : int array -> t
 
 val blit_from_array : int array -> t -> unit
+(** [blit_from_array src dst] stores [src.(i)] into every cell [i] of [dst].
+    Raises [Invalid_argument] if the lengths differ. *)

@@ -189,6 +189,78 @@ let test_scheduler_single_worker () =
   Multiqueue.Scheduler.run s ~num_workers:1 ~handler:(fun _ ~pri:_ v -> acc := !acc + v);
   Alcotest.(check int) "all handled" 55 !acc
 
+(* One worker drains a private heap, so it hands tasks out in exact priority
+   order; tasks the handler pushes join that order. *)
+let test_scheduler_single_worker_heap_order () =
+  let q = Multiqueue.create ~queues:4 () in
+  let s = Multiqueue.Scheduler.create q in
+  let rng = Rpb_prim.Rng.create 17 in
+  let seeds = 200 in
+  for _ = 1 to seeds do
+    Multiqueue.Scheduler.push s ~pri:(Rpb_prim.Rng.int rng 1_000) 2
+  done;
+  let handled = ref [] in
+  Multiqueue.Scheduler.run s ~num_workers:1 ~handler:(fun s ~pri v ->
+      handled := pri :: !handled;
+      (* Each seed spawns two children at a higher priority, which spawn
+         one grandchild each. *)
+      if v > 0 then begin
+        Multiqueue.Scheduler.push s ~pri:(pri + 1 + Rpb_prim.Rng.int rng 50) (v - 1);
+        Multiqueue.Scheduler.push s ~pri:(pri + 1 + Rpb_prim.Rng.int rng 50) (v - 1)
+      end);
+  let order = List.rev !handled in
+  Alcotest.(check int) "every task ran" (seeds * 7) (List.length order);
+  Alcotest.(check bool) "non-decreasing priorities" true
+    (List.sort compare order = order);
+  Alcotest.(check bool) "queue drained" true (Multiqueue.is_empty q)
+
+(* A failed run re-raises, drops the tasks still queued, and leaves the
+   scheduler ready for the next run, with one worker and with two. *)
+let test_scheduler_reusable_after_exception () =
+  List.iter
+    (fun num_workers ->
+      let q = Multiqueue.create ~queues:2 () in
+      let s = Multiqueue.Scheduler.create q in
+      for i = 1 to 20 do
+        Multiqueue.Scheduler.push s ~pri:i i
+      done;
+      Alcotest.check_raises "handler failure" (Failure "task boom") (fun () ->
+          Multiqueue.Scheduler.run s ~num_workers ~handler:(fun s ~pri:_ v ->
+              if v = 1 then failwith "task boom"
+              else Multiqueue.Scheduler.push s ~pri:v (v - 1)));
+      Alcotest.(check bool) "queue emptied" true (Multiqueue.is_empty q);
+      let acc = Atomic.make 0 in
+      for i = 1 to 10 do
+        Multiqueue.Scheduler.push s ~pri:i i
+      done;
+      Multiqueue.Scheduler.run s ~num_workers ~handler:(fun _ ~pri:_ v ->
+          ignore (Atomic.fetch_and_add acc v));
+      Alcotest.(check int)
+        (Printf.sprintf "second run at %d workers" num_workers)
+        55 (Atomic.get acc))
+    [ 1; 2 ]
+
+(* bfs and sssp at P = 1 take the private-heap path end to end. *)
+let test_traversals_single_worker () =
+  let pool = Rpb_pool.Pool.create ~num_workers:1 () in
+  Fun.protect ~finally:(fun () -> Rpb_pool.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun name ->
+      let load weighted =
+        Rpb_pool.Pool.run pool (fun () ->
+            Rpb_benchmarks.Graph_inputs.load pool ~name ~scale:0 ~weighted
+              ~symmetric:true)
+      in
+      let g = load false in
+      Alcotest.(check (array int)) (name ^ " bfs")
+        (Rpb_graph.Reference.bfs_distances g ~src:0)
+        (Rpb_pool.Pool.run pool (fun () -> Rpb_graph.Traverse.bfs pool g ~src:0));
+      let g = load true in
+      Alcotest.(check (array int)) (name ^ " sssp")
+        (Rpb_graph.Reference.dijkstra g ~src:0)
+        (Rpb_pool.Pool.run pool (fun () -> Rpb_graph.Traverse.sssp pool g ~src:0)))
+    [ "link"; "road" ]
+
 let () =
   Alcotest.run "rpb_mq"
     [
@@ -217,5 +289,11 @@ let () =
           Alcotest.test_case "exception propagates" `Quick
             test_scheduler_propagates_exception;
           Alcotest.test_case "single worker" `Quick test_scheduler_single_worker;
+          Alcotest.test_case "single worker heap order" `Quick
+            test_scheduler_single_worker_heap_order;
+          Alcotest.test_case "reusable after exception" `Quick
+            test_scheduler_reusable_after_exception;
+          Alcotest.test_case "bfs/sssp at one worker" `Quick
+            test_traversals_single_worker;
         ] );
     ]

@@ -133,6 +133,131 @@ let test_atomic_array_parallel_fetch_min () =
     [ (); (); (); () ];
   Alcotest.(check int) "true minimum" !expected (Atomic_array.get a 0)
 
+(* Exact final values under contention: every cell ends at the min, the max
+   and the count of all the domains' updates. *)
+let test_atomic_array_contended_rmw () =
+  let cells = 16 and per_domain = 2_000 and domains = 3 in
+  let lo = Atomic_array.make cells max_int in
+  let hi = Atomic_array.make cells min_int in
+  let count = Atomic_array.make cells 0 in
+  let value d k = Rng.hash64 ((d * 1_000_003) + k) mod 1_000_000 - 500_000 in
+  let rec cas_incr i =
+    let cur = Atomic_array.get count i in
+    if not (Atomic_array.compare_and_set count i cur (cur + 1)) then cas_incr i
+  in
+  let ds =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for k = 0 to per_domain - 1 do
+              let i = k mod cells and v = value d k in
+              ignore (Atomic_array.fetch_min lo i v);
+              ignore (Atomic_array.fetch_max hi i v);
+              cas_incr i
+            done))
+  in
+  List.iter Domain.join ds;
+  for i = 0 to cells - 1 do
+    let want_lo = ref max_int and want_hi = ref min_int in
+    for d = 0 to domains - 1 do
+      for k = 0 to per_domain - 1 do
+        if k mod cells = i then begin
+          want_lo := min !want_lo (value d k);
+          want_hi := max !want_hi (value d k)
+        end
+      done
+    done;
+    Alcotest.(check int) "fetch_min final" !want_lo (Atomic_array.get lo i);
+    Alcotest.(check int) "fetch_max final" !want_hi (Atomic_array.get hi i);
+    Alcotest.(check int) "cas increments" (domains * per_domain / cells)
+      (Atomic_array.get count i)
+  done
+
+(* fetch_and_add adds 2d to the tagged word; it must wrap exactly as
+   OCaml's [+] does, for negative deltas and at the ends of the range. *)
+let test_atomic_array_fetch_add_edges () =
+  List.iter
+    (fun (x, d) ->
+      let a = Atomic_array.make 1 x in
+      Alcotest.(check int) "returns old" x (Atomic_array.fetch_and_add a 0 d);
+      Alcotest.(check int) (Printf.sprintf "%d + %d" x d) (x + d)
+        (Atomic_array.get a 0))
+    [
+      (0, -5); (3, -3); (-7, -1); (100, -1_000);
+      (max_int, 1); (max_int, -1); (max_int, max_int); (max_int, min_int);
+      (min_int, -1); (min_int, 1); (min_int, min_int); (min_int, max_int);
+      (0, max_int); (0, min_int); (-1, min_int); (1, max_int);
+    ]
+
+let test_atomic_array_bounds () =
+  let n = 5 in
+  let a = Atomic_array.make n 0 in
+  let oob = Invalid_argument "index out of bounds" in
+  List.iter
+    (fun i ->
+      let at name f =
+        Alcotest.check_raises (Printf.sprintf "%s at %d" name i) oob (fun () ->
+            ignore (f ()))
+      in
+      at "get" (fun () -> Atomic_array.get a i);
+      at "set" (fun () -> Atomic_array.set a i 1);
+      at "compare_and_set" (fun () -> Atomic_array.compare_and_set a i 0 1);
+      at "fetch_and_add" (fun () -> Atomic_array.fetch_and_add a i 1);
+      at "fetch_min" (fun () -> Atomic_array.fetch_min a i (-1));
+      at "fetch_max" (fun () -> Atomic_array.fetch_max a i 1))
+    [ -1; n ];
+  Alcotest.(check (array int)) "untouched" (Array.make n 0)
+    (Atomic_array.to_array a)
+
+let test_atomic_array_round_trips () =
+  let src = Array.init 100 (fun i -> (i * 7919) - 300) in
+  let a = Atomic_array.of_array src in
+  Alcotest.(check (array int)) "of_array/to_array" src (Atomic_array.to_array a);
+  src.(0) <- 42;
+  Alcotest.(check int) "of_array copies" (-300) (Atomic_array.get a 0);
+  let snap = Atomic_array.to_array a in
+  Atomic_array.set a 1 0;
+  Alcotest.(check int) "to_array copies" (7919 - 300) snap.(1);
+  let b = Atomic_array.make 100 0 in
+  Atomic_array.blit_from_array src b;
+  Alcotest.(check (array int)) "blit_from_array" src (Atomic_array.to_array b);
+  List.iter
+    (fun m ->
+      Alcotest.check_raises
+        (Printf.sprintf "blit_from_array length %d into 100" m)
+        (Invalid_argument "Atomic_array.blit_from_array")
+        (fun () -> Atomic_array.blit_from_array (Array.make m 1) b))
+    [ 99; 101 ];
+  Alcotest.(check (array int)) "blit mismatch leaves dst" src
+    (Atomic_array.to_array b);
+  Alcotest.(check (array int)) "init" (Array.init 9 (fun i -> i * i))
+    (Atomic_array.to_array (Atomic_array.init 9 (fun i -> i * i)));
+  Alcotest.(check (array int)) "empty" [||]
+    (Atomic_array.to_array (Atomic_array.of_array [||]))
+
+(* The cells are unboxed: [make n] is one block of n words plus its header,
+   in the minor heap (small n) and in the major heap (large n) alike.  Minor
+   words come from [Gc.minor_words]: the minor part of [Gc.counters] (and so
+   of [Gc.allocated_bytes]) lags on OCaml 5.1. *)
+let test_atomic_array_make_allocation () =
+  List.iter
+    (fun n ->
+      let reps = 100 in
+      let sink = ref (Atomic_array.make 0 0) in
+      let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+      for _ = 1 to reps do
+        sink := Sys.opaque_identity (Atomic_array.make n 1)
+      done;
+      let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity !sink);
+      let words =
+        (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+        /. float_of_int reps
+      in
+      if words > float_of_int (n + 2) then
+        Alcotest.failf "make %d allocates %.1f words, more than %d" n words
+          (n + 2))
+    [ 1; 64; 200; 10_000 ]
+
 let test_util_ceil_div () =
   Alcotest.(check int) "7/2" 4 (Util.ceil_div 7 2);
   Alcotest.(check int) "8/2" 4 (Util.ceil_div 8 2);
@@ -215,6 +340,14 @@ let () =
           Alcotest.test_case "fetch ops" `Quick test_atomic_array_fetch_ops;
           Alcotest.test_case "parallel counter" `Quick test_atomic_array_parallel_counter;
           Alcotest.test_case "parallel fetch_min" `Quick test_atomic_array_parallel_fetch_min;
+          Alcotest.test_case "contended min/max/cas" `Quick
+            test_atomic_array_contended_rmw;
+          Alcotest.test_case "fetch_and_add edges" `Quick
+            test_atomic_array_fetch_add_edges;
+          Alcotest.test_case "bounds" `Quick test_atomic_array_bounds;
+          Alcotest.test_case "round trips" `Quick test_atomic_array_round_trips;
+          Alcotest.test_case "make allocation" `Quick
+            test_atomic_array_make_allocation;
         ] );
       ( "util",
         [
