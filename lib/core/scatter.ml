@@ -16,95 +16,13 @@ let all_modes = [ Unchecked; Checked; Atomic; Mutexed ]
 type check_strategy = Mark_table | Sort_based
 
 let check_range pool ~n offsets =
-  let bad = Atomic.make (-1) in
+  let bad = Atomic.make None in
   Pool.parallel_for ~start:0 ~finish:(Array.length offsets)
     ~body:(fun i ->
       let o = Array.unsafe_get offsets i in
-      if o < 0 || o >= n then Atomic.set bad o)
+      if o < 0 || o >= n then Atomic.set bad (Some o))
     pool;
-  let b = Atomic.get bad in
-  if b <> -1 then raise (Offset_out_of_range b)
-
-(* Mark-table strategy, PBBS style: every index writes itself into its
-   target slot (plain stores — for duplicates an arbitrary winner survives,
-   which is all we need), then a second pass checks each index still owns
-   its slot.  The fork-join barrier between the passes orders the plain
-   writes before the reads.  Exactly one loser exists per duplicated offset,
-   so duplicates are always detected.  Cost: two parallel passes over the
-   table — the run-time price of "comfort" the paper measures.
-
-   The O(n) table itself is cached and reused across calls: slots are
-   validated against an epoch stamp instead of being refilled, so a checked
-   scatter in a loop costs two O(n) array allocations once, not per
-   iteration.  Both stores per slot carry the same epoch value from every
-   writer, so the racy two-word write stays sound: [stamp.(o) = epoch] holds
-   iff some writer targeted [o] this call, and [slot.(o)] then holds exactly
-   one winner.  Concurrent validations from different pools fall back to a
-   private table (the [Mutex.try_lock] miss path) rather than serialize. *)
-type mark_table = {
-  mutable slot : int array;
-  mutable stamp : int array;
-  mutable epoch : int;
-}
-
-let mark_cache = { slot = [||]; stamp = [||]; epoch = 0 }
-let mark_cache_lock = Mutex.create ()
-
-let mark_pass pool ~table ~offsets =
-  let { slot; stamp; epoch } = table in
-  Pool.parallel_for ~start:0 ~finish:(Array.length offsets)
-    ~body:(fun i ->
-      let o = Array.unsafe_get offsets i in
-      Array.unsafe_set slot o i;
-      Array.unsafe_set stamp o epoch)
-    pool;
-  let dup = Atomic.make (-1) in
-  Pool.parallel_for ~start:0 ~finish:(Array.length offsets)
-    ~body:(fun i ->
-      let o = Array.unsafe_get offsets i in
-      if Array.unsafe_get stamp o <> epoch || Array.unsafe_get slot o <> i
-      then Atomic.set dup o)
-    pool;
-  let d = Atomic.get dup in
-  if d <> -1 then raise (Duplicate_offset d)
-
-let check_unique_mark pool ~n offsets =
-  if Mutex.try_lock mark_cache_lock then
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock mark_cache_lock)
-      (fun () ->
-        if Array.length mark_cache.slot < n then begin
-          (* Build the replacement fully before committing either field: if
-             the second allocation throws (Out_of_memory), a torn pair of
-             different lengths must not survive into the next call — the
-             passes index [stamp] by offsets range-checked against [slot]'s
-             length. *)
-          let slot = Array.make n (-1) in
-          let stamp = Array.make n 0 in
-          mark_cache.slot <- slot;
-          mark_cache.stamp <- stamp;
-          mark_cache.epoch <- 0
-        end;
-        mark_cache.epoch <- mark_cache.epoch + 1;
-        (* A pass that raises (duplicate found, injected task exception,
-           scope cancelled by a sibling) abandons the table partially
-           stamped at the claimed epoch.  The pool drains every task of the
-           failed construct before the exception escapes [mark_pass], so no
-           straggler writes after we unlock; retiring the claimed epoch on
-           the way out additionally makes the partial stamps unmatchable by
-           any later validation. *)
-        match mark_pass pool ~table:mark_cache ~offsets with
-        | () -> ()
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          mark_cache.epoch <- mark_cache.epoch + 1;
-          Printexc.raise_with_backtrace e bt)
-  else
-    (* Another domain is validating with the shared table right now (two
-       pools, or a validation nested inside another): use a throwaway. *)
-    mark_pass pool
-      ~table:{ slot = Array.make n (-1); stamp = Array.make n 0; epoch = 1 }
-      ~offsets
+  Option.iter (fun o -> raise (Offset_out_of_range o)) (Atomic.get bad)
 
 let check_unique_sort _pool offsets =
   let copy = Array.copy offsets in
@@ -113,12 +31,89 @@ let check_unique_sort _pool offsets =
     if copy.(i - 1) = copy.(i) then raise (Duplicate_offset copy.(i))
   done
 
+(* Mark-table strategy: two parallel passes, both touching each word once.
+
+   Pass 1 (claim) stamps [slot.(o) <- epoch] for every in-range offset and
+   records an out-of-range one in an atomic instead of writing it; that is
+   raised after the join, so range errors win over duplicates.  Racing
+   writers of a duplicated offset all store the same value, which OCaml's
+   memory model makes a benign race.  Pass 2 (count) streams over
+   [slot.(0 .. n-1)] and counts the cells stamped this call.  The m offsets
+   stamp exactly as many distinct cells as they have distinct values, so
+   they are unique iff the count is m (pigeonhole).  Only on a mismatch
+   does the sort-based check run, to name the duplicated value.  Work is
+   O(n + m), and the O(n) part is a sequential read; every caller in the
+   tree has m = n.
+
+   The table is cached across calls and never cleared: each call bumps the
+   epoch on entry, so a stamp left by an earlier call — including one
+   aborted mid-pass by a range error or a task exception — never equals the
+   current epoch.  A grown table is a fresh zeroed array with the epoch
+   reset to 0, so it too holds no current stamp.  Concurrent validations
+   from different pools fall back to a private table (the [Mutex.try_lock]
+   miss path) rather than serialize. *)
+type mark_table = { mutable slot : int array; mutable epoch : int }
+
+let mark_cache = { slot = [||]; epoch = 0 }
+let mark_cache_lock = Mutex.create ()
+
+(* Cells per leaf of the counting pass. *)
+let count_block = 4096
+
+let mark_check pool ~(slot : int array) ~epoch ~n offsets =
+  let m = Array.length offsets in
+  let bad = Atomic.make None in
+  Pool.parallel_chunks ~start:0 ~finish:m
+    ~body:(fun lo hi ->
+      for i = lo to hi - 1 do
+        let o = Array.unsafe_get offsets i in
+        if o < 0 || o >= n then Atomic.set bad (Some o)
+        else Array.unsafe_set slot o epoch
+      done)
+    pool;
+  Option.iter (fun o -> raise (Offset_out_of_range o)) (Atomic.get bad);
+  let stamped =
+    Pool.parallel_for_reduce ~start:0
+      ~finish:((n + count_block - 1) / count_block)
+      ~body:(fun b ->
+        let lo = b * count_block in
+        let c = ref 0 in
+        for j = lo to min n (lo + count_block) - 1 do
+          if Array.unsafe_get slot j = epoch then incr c
+        done;
+        !c)
+      ~combine:( + ) ~init:0 pool
+  in
+  if stamped <> m then begin
+    check_unique_sort pool offsets;
+    (* No duplicate in a sorted copy: [offsets] changed under us. *)
+    invalid_arg "Scatter.validate_offsets: offsets mutated during validation"
+  end
+
+let check_mark pool ~n offsets =
+  if Mutex.try_lock mark_cache_lock then
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock mark_cache_lock)
+      (fun () ->
+        if Array.length mark_cache.slot < n then begin
+          mark_cache.slot <- Array.make n 0;
+          mark_cache.epoch <- 0
+        end;
+        mark_cache.epoch <- mark_cache.epoch + 1;
+        mark_check pool ~slot:mark_cache.slot ~epoch:mark_cache.epoch ~n
+          offsets)
+  else
+    (* Another domain is validating with the shared table right now (two
+       pools, or a validation nested inside another): use a throwaway. *)
+    mark_check pool ~slot:(Array.make n 0) ~epoch:1 ~n offsets
+
 let validate_offsets ?(strategy = Mark_table) pool ~n offsets =
   Pool.Trace.span pool "scatter.validate" @@ fun () ->
-  check_range pool ~n offsets;
   match strategy with
-  | Mark_table -> check_unique_mark pool ~n offsets
-  | Sort_based -> check_unique_sort pool offsets
+  | Mark_table -> check_mark pool ~n offsets
+  | Sort_based ->
+    check_range pool ~n offsets;
+    check_unique_sort pool offsets
 
 let length_check ~offsets ~src =
   if Array.length offsets <> Array.length src then

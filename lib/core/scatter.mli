@@ -10,8 +10,10 @@
       corrupts [out].
     - {!checked} first validates that all offsets are unique and in range,
       the paper's [par_ind_iter_mut] (Listing 6f): {e comfortable} — a bug
-      raises {!Duplicate_offset} at the call, but the check costs about as
-      much as the scatter itself.
+      raises {!Duplicate_offset} at the call, at a price: on a 2-vCPU VM
+      at P = 2, a checked scatter of a random permutation took 1.4–1.9×
+      the unchecked one, and the checked benchmarks of [bench/perf]'s
+      fear workload ran up to 14% slower than unsafe.
     - {!atomic} stores through atomic cells (Listing 6e): placates a
       data-race detector but validates nothing — still {e scared}.
     - {!mutex} takes a striped lock around each write: the "unnecessary
@@ -33,16 +35,27 @@ val mode_name : mode -> string
 val all_modes : mode list
 
 type check_strategy = Mark_table | Sort_based
-(** How {!checked} proves uniqueness: [Mark_table] marks a per-slot atomic
-    byte table (O(n) extra space, O(m) work); [Sort_based] sorts a copy of
-    the offsets and scans for adjacent duplicates (no per-slot table, O(m log
-    m) work).  Exposed for the ablation bench. *)
+(** How {!checked} validates [m] offsets against [n] slots.
+
+    [Mark_table] (the default) makes two parallel passes over an [n]-cell
+    [int] table cached across calls.  The first checks each offset's range
+    and stamps its cell with a per-call epoch; the second counts the
+    stamped cells in [\[0, n)].  The offsets are unique iff the count is
+    [m].  Only on a mismatch does a sort run, to name the duplicated
+    value.  O(n) extra space, O(n + m) work — every caller in this
+    repository has [m = n].
+
+    [Sort_based] range-checks in one parallel pass, then sorts a copy of
+    the offsets and scans for adjacent duplicates: no table, O(m log m)
+    work.  It is the reference strategy for tests and the ablation bench. *)
 
 val validate_offsets :
   ?strategy:check_strategy -> Pool.t -> n:int -> int array -> unit
-(** [validate_offsets pool ~n offsets] raises {!Duplicate_offset} or
-    {!Offset_out_of_range} unless [offsets] is a duplicate-free array of
-    values in [\[0, n)].  Runs in parallel.  Default strategy: [Mark_table]. *)
+(** [validate_offsets pool ~n offsets] raises {!Offset_out_of_range} or
+    {!Duplicate_offset} unless [offsets] is a duplicate-free array of
+    values in [\[0, n)].  An input with both faults raises
+    {!Offset_out_of_range}.  [Duplicate_offset o] names the smallest
+    duplicated value.  Runs in parallel.  Default strategy: [Mark_table]. *)
 
 val unchecked : Pool.t -> out:'a array -> offsets:int array -> src:'a array -> unit
 (** Direct indirect scatter.  Offsets must be in range (bounds are always
@@ -53,11 +66,14 @@ val unchecked : Pool.t -> out:'a array -> offsets:int array -> src:'a array -> u
 val checked :
   ?strategy:check_strategy -> Pool.t ->
   out:'a array -> offsets:int array -> src:'a array -> unit
-(** The paper's [par_ind_iter_mut]: {!validate_offsets} then scatter. *)
+(** The paper's [par_ind_iter_mut]: {!validate_offsets} then scatter.
+    Validation completes before the first write, so when it raises, [out]
+    is unchanged. *)
 
 val atomic :
   Pool.t -> out:Rpb_prim.Atomic_array.t -> offsets:int array -> src:int array -> unit
-(** Relaxed atomic stores into an atomic destination (integer payloads). *)
+(** Sequentially consistent atomic stores into an atomic destination
+    (integer payloads). *)
 
 val mutexed :
   ?stripes:int -> Pool.t -> out:'a array -> offsets:int array -> src:'a array -> unit

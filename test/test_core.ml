@@ -264,6 +264,39 @@ let test_scatter_checked_mark_table_abort_safe () =
       | () -> Alcotest.fail "duplicate missed after aborted passes"
       | exception Scatter.Duplicate_offset _ -> ())
 
+let test_scatter_checked_raises_before_writing () =
+  (* The contract: validation finishes before the first write to [out], so
+     a raise leaves it untouched; a range error beats a duplicate. *)
+  in_pool (fun pool ->
+      let expect name exn offsets =
+        List.iter
+          (fun strategy ->
+            let out = Array.make 8 (-1) in
+            let src = Array.make (Array.length offsets) 5 in
+            Alcotest.check_raises name exn (fun () ->
+                Scatter.checked ~strategy pool ~out ~offsets ~src);
+            Alcotest.(check bool) (name ^ ": out unchanged") true
+              (Array.for_all (( = ) (-1)) out))
+          [ Scatter.Mark_table; Scatter.Sort_based ]
+      in
+      expect "duplicate" (Scatter.Duplicate_offset 3) [| 0; 3; 1; 3; 2 |];
+      expect "out of range" (Scatter.Offset_out_of_range 8) [| 0; 1; 8; 2 |];
+      expect "negative" (Scatter.Offset_out_of_range (-1)) [| 0; -1; 2 |];
+      expect "range beats duplicate" (Scatter.Offset_out_of_range 9)
+        [| 4; 4; 9; 1 |])
+
+let test_scatter_checked_stale_stamps () =
+  (* A call aborted by a range error after its claim pass stamped slot 7
+     must not lend that stamp to the next call: there the seven distinct
+     values plus the stale 7 would count to m = 8 and hide the duplicate. *)
+  in_pool (fun pool ->
+      let n = 8 in
+      Alcotest.check_raises "range error" (Scatter.Offset_out_of_range 99)
+        (fun () -> Scatter.validate_offsets pool ~n [| 7; 99 |]);
+      Alcotest.check_raises "duplicate after abort" (Scatter.Duplicate_offset 6)
+        (fun () ->
+          Scatter.validate_offsets pool ~n [| 0; 1; 2; 3; 4; 5; 6; 6 |]))
+
 let test_scatter_length_mismatch () =
   in_pool (fun pool ->
       let out = Array.make 3 0 in
@@ -351,27 +384,27 @@ let prop_scatter_checked_permutation =
               Scatter.gather pool ~src:out ~offsets = src)))
 
 let prop_validate_strategies_agree =
-  QCheck.Test.make ~name:"mark and sort uniqueness checks agree" ~count:50
-    QCheck.(list (int_bound 50))
+  (* Values up to 60 against n = 51 and lists up to 120 long, so inputs
+     mix range errors, duplicates forced by length, and valid sets.  Both
+     strategies name the smallest duplicated value; with several
+     out-of-range values either may win, so only the fault is compared. *)
+  QCheck.Test.make ~name:"mark and sort uniqueness checks agree" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 120) (int_bound 60))
     (fun xs ->
+      let n = 51 in
       let offsets = Array.of_list xs in
+      let outcome strategy pool =
+        match Scatter.validate_offsets ~strategy pool ~n offsets with
+        | () -> `Ok
+        | exception Scatter.Duplicate_offset o -> `Duplicate o
+        | exception Scatter.Offset_out_of_range o ->
+          if o < 0 || o >= n then `Out_of_range else `Wrong_range_value
+      in
       with_pool 2 (fun pool ->
           Pool.run pool (fun () ->
-              let r1 =
-                try
-                  Scatter.validate_offsets ~strategy:Scatter.Mark_table pool
-                    ~n:51 offsets;
-                  true
-                with Scatter.Duplicate_offset _ -> false
-              in
-              let r2 =
-                try
-                  Scatter.validate_offsets ~strategy:Scatter.Sort_based pool
-                    ~n:51 offsets;
-                  true
-                with Scatter.Duplicate_offset _ -> false
-              in
-              r1 = r2)))
+              let mark = outcome Scatter.Mark_table pool in
+              mark <> `Wrong_range_value
+              && mark = outcome Scatter.Sort_based pool)))
 
 let () =
   Alcotest.run "rpb_core"
@@ -406,6 +439,10 @@ let () =
             test_scatter_unchecked_accepts_duplicates_silently;
           Alcotest.test_case "mark table abort-safe" `Quick
             test_scatter_checked_mark_table_abort_safe;
+          Alcotest.test_case "checked raises before writing" `Quick
+            test_scatter_checked_raises_before_writing;
+          Alcotest.test_case "checked ignores stale stamps" `Quick
+            test_scatter_checked_stale_stamps;
           Alcotest.test_case "length mismatch" `Quick test_scatter_length_mismatch;
           Alcotest.test_case "generic atomic rejected" `Quick
             test_scatter_generic_atomic_rejected;
