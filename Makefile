@@ -1,6 +1,6 @@
 .PHONY: all build typecheck test bench examples doc clean check-race check-fault \
 	profile-smoke report-smoke perf-gate flake-check \
-	policy-race-smoke granularity-smoke serve-smoke metrics-smoke slo-smoke
+	serve-smoke metrics-smoke slo-smoke
 
 all: build
 
@@ -9,7 +9,7 @@ build:
 
 # Warning gate: compiles every module (including tests and executables that
 # the default alias may skip) without linking, so an interface drift — e.g.
-# a Policy signature change missing a consumer — fails fast, before any
+# a Pool signature change missing a consumer — fails fast, before any
 # test matrix spins up.
 typecheck:
 	dune build @check
@@ -89,32 +89,6 @@ check-fault:
 PERF_BASE ?= HEAD
 perf-gate:
 	sh scripts/perf_gate.sh $(PERF_BASE)
-
-# CI policy-race job: the named scheduling policies raced head-to-head on
-# one benchmark from each end of the registry's fear spectrum (sort is the
-# mildest — comfortable, RngInd — and sa/hist carry arbitrary writes), at
-# smoke scale.  Emits the per-policy records as one POLICY_*.json artifact
-# plus the dashboard with the winner table.
-policy-race-smoke:
-	dune exec bench/main.exe -- --policy-race --race-benchmarks sort,sa,hist \
-	  --policies default,steal_half,work_first,sticky,lazy \
-	  --scale 0 --repeats 3 --json POLICY_race.json
-	dune exec bin/rpb.exe -- report POLICY_race.json -o REPORT_policy_race.html --md REPORT_policy_race.md
-	test -s REPORT_policy_race.md
-
-# CI granularity-smoke job: the splitter A/B at the adversarial grain.  The
-# eager_grain1 / lazy_grain1 policies both force grain=1 on every defaulted
-# loop (one deque task per index under the eager splitter), so hist's
-# mutex-guarded Synchronized mode — the finest-grained, highest-overhead
-# loop in the registry — becomes a worst-case burdened-parallelism probe.
-# The lazy splitter must claw that overhead back by coarsening inline when
-# its deque is already deep; both profile documents ship as artifacts so
-# the job summary can put burdened parallelism side by side.
-granularity-smoke:
-	dune exec bin/rpb.exe -- profile --bench hist --mode sync --threads 4 --scale 0 \
-	  --policy eager_grain1 --json PROFILE_grain_eager.json
-	dune exec bin/rpb.exe -- profile --bench hist --mode sync --threads 4 --scale 0 \
-	  --policy lazy_grain1 --json PROFILE_grain_lazy.json
 
 # CI serve-smoke job: boot the request server in-process and drive it with
 # the chaos load generator — a forced-overload burst (32 back-to-back spin
@@ -223,7 +197,6 @@ examples:
 	dune exec examples/mesh_refinement.exe
 	dune exec examples/transactions.exe
 	dune exec examples/failure_semantics.exe
-	dune exec examples/granularity.exe
 
 doc:
 	dune build @doc

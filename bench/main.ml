@@ -47,8 +47,6 @@ type config = {
          one kind=metrics snapshot per artifact (plus a final one) as JSONL.
          Off by default so timed runs pay only the disabled-path atomic
          load. *)
-  policies : string list;  (* --policies, consumed by the policy-race artifact *)
-  race_benchmarks : string list option;  (* --race-benchmarks, default: all *)
 }
 
 (* Records accumulated for --json, in run order. *)
@@ -65,8 +63,8 @@ let header title =
 
 let metrics_active = ref false
 
-let with_pool ?policy n f =
-  let pool = Rpb_pool.Pool.create ?policy ~num_workers:n () in
+let with_pool n f =
+  let pool = Rpb_pool.Pool.create ~num_workers:n () in
   (* Latest pool wins the pool.* probes — each artifact's measurement pool
      shows up in the snapshot stream while it is the one doing work. *)
   if !metrics_active then Rpb_obs.Metrics.register_pool pool;
@@ -617,111 +615,6 @@ let profile cfg =
   print_endline
     "measured steal-migration delays); see `rpb profile` for the full report."
 
-(* ------------------------------------------------------------------ *)
-(* Policy race: every selected benchmark timed under every selected
-   scheduling policy, with a per-benchmark winner and a per-fear-tier
-   tally.  Records flow through the same --json path as everything else;
-   each carries its pool's policy name, so `rpb report` renders the same
-   table as its "Policy race" section.                                   *)
-
-(* Worst access pattern of the entry, as the paper's one-letter fear tier. *)
-let fear_tier (e : Common.entry) =
-  let module P = Rpb_core.Pattern in
-  let rank = function P.Fearless -> 0 | P.Comfortable -> 1 | P.Scared -> 2 in
-  let worst =
-    List.fold_left
-      (fun acc p ->
-        let f = P.safety p in
-        if rank f > rank acc then f else acc)
-      P.Fearless e.Common.patterns
-  in
-  P.fear_name worst
-
-let policy_race cfg =
-  let module Policy = Rpb_pool.Pool.Policy in
-  let policies =
-    List.map
-      (fun name ->
-        match Policy.find name with
-        | Some p -> p
-        | None ->
-          Printf.eprintf "unknown policy %s; known: %s\n" name
-            (String.concat ", " (Policy.names ()));
-          exit 1)
-      cfg.policies
-  in
-  let entries =
-    match cfg.race_benchmarks with
-    | None -> Registry.all
-    | Some names ->
-      List.map
-        (fun n ->
-          match Registry.find n with
-          | Some e -> e
-          | None ->
-            Printf.eprintf "unknown benchmark %s; known: %s\n" n
-              (String.concat ", " Registry.names);
-            exit 1)
-        names
-  in
-  header
-    (Printf.sprintf
-       "Policy race: %d policies x %d benchmarks (unsafe mode, %d threads, %d \
-        repeats)"
-       (List.length policies) (List.length entries) cfg.threads cfg.repeats);
-  Printf.printf "%-6s %-4s %-12s" "bench" "tier" "input";
-  List.iter
-    (fun (p : Policy.t) -> Printf.printf " %12s" p.Policy.name)
-    policies;
-  Printf.printf "   %s\n" "winner";
-  let wins = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let input = List.hd e.Common.inputs in
-      let tier = fear_tier e in
-      let times =
-        List.map
-          (fun (policy : Policy.t) ->
-            let t, ok, _ =
-              with_pool ~policy cfg.threads (fun pool ->
-                  time_benchmark pool cfg e input (`Par Mode.Unsafe))
-            in
-            (policy.Policy.name, t, ok))
-          policies
-      in
-      let winner, _, _ =
-        List.fold_left
-          (fun ((_, bt, _) as best) ((_, t, _) as cand) ->
-            if t < bt then cand else best)
-          (List.hd times) (List.tl times)
-      in
-      Hashtbl.replace wins (tier, winner)
-        (1 + Option.value ~default:0 (Hashtbl.find_opt wins (tier, winner)));
-      Printf.printf "%-6s %-4s %-12s" e.Common.name tier input;
-      List.iter
-        (fun (name, t, ok) ->
-          Printf.printf " %11.4f%s" t
-            (if not ok then "!" else if name = winner then "*" else " "))
-        times;
-      Printf.printf "   %s\n" winner;
-      flush stdout)
-    entries;
-  print_newline ();
-  print_endline "per-tier wins (* marks each row's winner, ! a verify failure):";
-  List.iter
-    (fun tier ->
-      let tally =
-        List.filter_map
-          (fun (p : Policy.t) ->
-            match Hashtbl.find_opt wins (tier, p.Policy.name) with
-            | Some n -> Some (Printf.sprintf "%s %d" p.Policy.name n)
-            | None -> None)
-          policies
-      in
-      if tally <> [] then
-        Printf.printf "  %-4s %s\n" tier (String.concat ", " tally))
-    [ "F"; "C"; "S" ]
-
 let artifacts =
   [
     ("table1", table1);
@@ -737,21 +630,14 @@ let artifacts =
     ("bechamel", bechamel);
   ]
 
-(* Not part of the default everything-run (profile re-times every benchmark;
-   policy-race multiplies the registry by the policy list); selected
-   explicitly by name or with the --profile / --policy-race flags. *)
-let extra_artifacts = [ ("profile", profile); ("policy-race", policy_race) ]
-
-let split_commas s = String.split_on_char ',' s |> List.filter (( <> ) "")
+(* Not part of the default everything-run (profile re-times every
+   benchmark); selected explicitly by name or with the --profile flag. *)
+let extra_artifacts = [ ("profile", profile) ]
 
 let parse_args () =
   let scale = ref 2 and threads = ref default_threads and repeats = ref 3 in
   let json = ref None in
   let metrics_json = ref None in
-  let policies =
-    ref [ "default"; "steal_half"; "work_first"; "sticky"; "lazy" ]
-  in
-  let race_benchmarks = ref None in
   let which = ref [] in
   let rec go = function
     | [] -> ()
@@ -773,15 +659,6 @@ let parse_args () =
     | "--profile" :: rest ->
       which := "profile" :: !which;
       go rest
-    | "--policy-race" :: rest ->
-      which := "policy-race" :: !which;
-      go rest
-    | "--policies" :: v :: rest ->
-      policies := split_commas v;
-      go rest
-    | "--race-benchmarks" :: v :: rest ->
-      race_benchmarks := Some (split_commas v);
-      go rest
     | name :: rest ->
       which := name :: !which;
       go rest
@@ -796,8 +673,6 @@ let parse_args () =
       repeats = !repeats;
       json = !json;
       metrics_json = !metrics_json;
-      policies = !policies;
-      race_benchmarks = !race_benchmarks;
     },
     which )
 

@@ -14,7 +14,7 @@ open Rpb_benchmarks
 
 (* Exit-code contract, uniform across subcommands (documented in the man
    page and README): 0 success; 2 usage error (bad flags, unknown
-   benchmark/policy, unreadable artifacts); 4 correctness/robustness
+   benchmark, unreadable artifacts); 4 correctness/robustness
    violation (failed verification, oracle or fault-sweep violation, loadgen
    lost replies or digest mismatches).  3 belongs to the perf gate
    (scripts/perf_gate.sh); no subcommand returns it. *)
@@ -29,33 +29,6 @@ let mode_conv =
         | Some m -> Ok m
         | None -> Error (`Msg ("unknown mode " ^ s))),
       fun fmt m -> Format.pp_print_string fmt (Mode.name m) )
-
-let policy_conv =
-  let module Policy = Rpb_pool.Pool.Policy in
-  Arg.conv
-    ( (fun s ->
-        match Policy.find s with
-        | Some p -> Ok p
-        | None ->
-          Error
-            (`Msg
-               (Printf.sprintf "unknown policy %s (have: %s)" s
-                  (String.concat ", " (Policy.names ()))))),
-      fun fmt (p : Policy.t) -> Format.pp_print_string fmt p.Policy.name )
-
-let policy_arg =
-  Arg.(value & opt policy_conv Rpb_pool.Pool.Policy.default
-       & info [ "policy" ] ~docv:"POLICY"
-           ~doc:"named scheduling policy for the work-stealing pool (see `rpb \
-                 list` docs; e.g. default, steal_half, work_first, sticky, \
-                 lazy, lazy_sticky, lazy_steal_half)")
-
-let minor_heap_kb_arg =
-  Arg.(value & opt (some int) None
-       & info [ "minor-heap-kb" ] ~docv:"KB"
-           ~doc:"size each worker domain's minor heap to $(docv) KiB for the \
-                 measured pool (an allocation-overhead lever alongside \
-                 --policy; the runtime default applies when omitted)")
 
 let run_one ~name ~input ~scale ~threads ~mode ~repeats ~seq =
   match Registry.find name with
@@ -218,7 +191,6 @@ let stats_run ~threads ~tasks ~work ~json ~trace =
          min_ns = elapsed *. 1e9;
          samples_ns = [| elapsed *. 1e9 |];
          smoke = false;
-         policy = Pool.policy_name pool;
          verified = true;
          workers = Bench_json.workers_of_pool_stats s;
        }
@@ -256,8 +228,8 @@ let stats_cmd =
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(const run $ threads $ tasks $ work $ json $ trace)
 
-let check_run ~seed ~bench ~threads ~scale ~policy ~json =
-  match Rpb_check.Oracle.run ?bench ~threads ~scale ~policy ~seed () with
+let check_run ~seed ~bench ~threads ~scale ~json =
+  match Rpb_check.Oracle.run ?bench ~threads ~scale ~seed () with
   | report ->
     print_string (Rpb_check.Oracle.summary report);
     (match json with
@@ -294,16 +266,15 @@ let check_cmd =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"write the machine-readable report")
   in
-  let run seed bench threads scale policy json =
-    exit (check_run ~seed ~bench ~threads ~scale ~policy ~json)
+  let run seed bench threads scale json =
+    exit (check_run ~seed ~bench ~threads ~scale ~json)
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ seed $ bench $ threads $ scale $ policy_arg $ json)
+    Term.(const run $ seed $ bench $ threads $ scale $ json)
 
-let faults_run ~seed ~bench ~threads ~scale ~deadline ~policy ~json =
+let faults_run ~seed ~bench ~threads ~scale ~deadline ~json =
   match
-    Rpb_check.Oracle.fault_sweep ?bench ~threads ~scale ~deadline ~policy ~seed
-      ()
+    Rpb_check.Oracle.fault_sweep ?bench ~threads ~scale ~deadline ~seed ()
   with
   | report ->
     print_string (Rpb_check.Oracle.fault_summary report);
@@ -346,18 +317,15 @@ let faults_cmd =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"write the machine-readable report")
   in
-  let run seed bench threads scale deadline policy json =
-    exit (faults_run ~seed ~bench ~threads ~scale ~deadline ~policy ~json)
+  let run seed bench threads scale deadline json =
+    exit (faults_run ~seed ~bench ~threads ~scale ~deadline ~json)
   in
   Cmd.v (Cmd.info "faults" ~doc)
-    Term.(const run $ seed $ bench $ threads $ scale $ deadline $ policy_arg
-          $ json)
+    Term.(const run $ seed $ bench $ threads $ scale $ deadline $ json)
 
-let profile_run ~bench ~input ~mode ~threads ~scale ~seed ~policy
-    ~minor_heap_kb ~json =
+let profile_run ~bench ~input ~mode ~threads ~scale ~seed ~json =
   match
-    Rpb_obs.Profile.profile ?input ~mode ~policy ?minor_heap_kb ~bench ~threads
-      ~scale ~seed ()
+    Rpb_obs.Profile.profile ?input ~mode ~bench ~threads ~scale ~seed ()
   with
   | r ->
     print_string (Rpb_obs.Profile.summary r);
@@ -400,30 +368,13 @@ let profile_cmd =
          & info [ "json" ] ~docv:"FILE"
              ~doc:"write the schema_version=2 profile document")
   in
-  let run bench input mode threads scale seed policy minor_heap_kb json =
-    exit
-      (profile_run ~bench ~input ~mode ~threads ~scale ~seed ~policy
-         ~minor_heap_kb ~json)
+  let run bench input mode threads scale seed json =
+    exit (profile_run ~bench ~input ~mode ~threads ~scale ~seed ~json)
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ bench $ input $ mode $ threads $ scale $ seed
-          $ policy_arg $ minor_heap_kb_arg $ json)
+    Term.(const run $ bench $ input $ mode $ threads $ scale $ seed $ json)
 
 (* ---- serve / loadgen: the fault-tolerant request server ---- *)
-
-(* Policy as a validated NAME (the serve path resolves names to pools per
-   request, so the CLI carries strings, not Policy.t values). *)
-let policy_name_conv =
-  let module Policy = Rpb_pool.Pool.Policy in
-  Arg.conv
-    ( (fun s ->
-        if Policy.find s <> None then Ok s
-        else
-          Error
-            (`Msg
-               (Printf.sprintf "unknown policy %s (have: %s)" s
-                  (String.concat ", " (Policy.names ()))))),
-      Format.pp_print_string )
 
 let default_socket () =
   Printf.sprintf "%s/rpb-serve-%d.sock"
@@ -450,9 +401,8 @@ let parse_preloads specs =
       | Ok l, Ok p -> Ok (l @ [ p ]))
     (Ok []) specs
 
-let serve_run ~socket ~threads ~policy ~max_queue ~drain_grace ~scale_cap
-    ~preload ~json ~quiet ~minor_heap_kb ~metrics_json ~metrics_interval
-    ~slow_log ~slow_pctl ~slo ~slo_fast ~slo_slow =
+let serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
+    ~json ~quiet ~metrics_json ~metrics_interval ~slow_log ~slow_pctl ~slo ~slo_fast ~slo_slow =
   let module Serve = Rpb_serve.Serve in
   let module Slo = Rpb_obs.Slo in
   let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "serve: %s\n" m) fmt in
@@ -488,14 +438,12 @@ let serve_run ~socket ~threads ~policy ~max_queue ~drain_grace ~scale_cap
       {
         Serve.socket_path = socket;
         threads;
-        policy;
         max_queue;
         drain_grace_s = drain_grace;
         scale_cap;
         preload;
         json_path = json;
         quiet;
-        minor_heap_kb;
         metrics_path = metrics_json;
         metrics_interval_s = metrics_interval;
         slow_log;
@@ -525,7 +473,7 @@ let serve_run ~socket ~threads ~policy ~max_queue ~drain_grace ~scale_cap
 let serve_cmd =
   let doc =
     "Serve benchmark jobs over a Unix-domain socket: one shared \
-     work-stealing pool per requested policy, a bounded admission queue \
+     work-stealing pool, a bounded admission queue \
      with overload shedding, per-request deadlines on the shared timer \
      wheel, cooperative cancellation on client disconnect, and graceful \
      drain on SIGTERM/SIGINT.  Structured error replies (overloaded, \
@@ -538,12 +486,7 @@ let serve_cmd =
   in
   let threads =
     Arg.(value & opt int 4
-         & info [ "threads"; "t" ] ~docv:"P" ~doc:"workers per pool")
-  in
-  let policy =
-    Arg.(value & opt policy_name_conv "default"
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"pool policy for requests that do not name one")
+         & info [ "threads"; "t" ] ~docv:"P" ~doc:"pool workers")
   in
   let max_queue =
     Arg.(value & opt int 16
@@ -617,23 +560,21 @@ let serve_cmd =
          & info [ "slo-slow-s" ] ~docv:"SECONDS"
              ~doc:"slow burn-rate window (tests scale this down)")
   in
-  let run socket threads policy max_queue drain_grace scale_cap preload json
-      quiet minor_heap_kb metrics_json metrics_interval slow_log slow_pctl slo
-      slo_fast slo_slow =
+  let run socket threads max_queue drain_grace scale_cap preload json quiet
+      metrics_json metrics_interval slow_log slow_pctl slo slo_fast slo_slow =
     exit
-      (serve_run ~socket ~threads ~policy ~max_queue ~drain_grace ~scale_cap
-         ~preload ~json ~quiet ~minor_heap_kb ~metrics_json ~metrics_interval
-         ~slow_log ~slow_pctl ~slo ~slo_fast ~slo_slow)
+      (serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
+         ~json ~quiet ~metrics_json ~metrics_interval ~slow_log ~slow_pctl ~slo
+         ~slo_fast ~slo_slow)
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ socket $ threads $ policy $ max_queue $ drain_grace
-          $ scale_cap $ preload $ json $ quiet $ minor_heap_kb_arg
-          $ metrics_json $ metrics_interval $ slow_log $ slow_pctl $ slo
+    Term.(const run $ socket $ threads $ max_queue $ drain_grace $ scale_cap
+          $ preload $ json $ quiet $ metrics_json $ metrics_interval $ slow_log $ slow_pctl $ slo
           $ slo_fast $ slo_slow)
 
-let loadgen_run ~socket ~boot ~server_threads ~server_policy ~max_queue
-    ~server_json ~server_metrics_json ~clients ~requests ~seed ~mean_gap_ms
-    ~benches ~mode ~scale ~policies ~deadline_ms ~spin_ms ~burst ~kill_every
+let loadgen_run ~socket ~boot ~server_threads ~max_queue ~server_json
+    ~server_metrics_json ~clients ~requests ~seed ~mean_gap_ms ~benches ~mode
+    ~scale ~deadline_ms ~spin_ms ~burst ~kill_every
     ~max_retries ~backoff_base_ms ~backoff_cap_ms ~wait_cap_s ~json ~quiet =
   let module Serve = Rpb_serve.Serve in
   let module Loadgen = Rpb_serve.Loadgen in
@@ -649,7 +590,6 @@ let loadgen_run ~socket ~boot ~server_threads ~server_policy ~max_queue
         {
           (Serve.default_config ~socket_path:socket) with
           threads = server_threads;
-          policy = server_policy;
           max_queue;
           preload;
           json_path = server_json;
@@ -682,7 +622,6 @@ let loadgen_run ~socket ~boot ~server_threads ~server_policy ~max_queue
         benches;
         mode;
         scale;
-        policies;
         deadline_ms;
         spin_ms;
         burst;
@@ -746,11 +685,6 @@ let loadgen_cmd =
          & info [ "server-threads" ] ~docv:"P" ~doc:"pool workers for \
                                                      $(b,--boot)")
   in
-  let server_policy =
-    Arg.(value & opt policy_name_conv "default"
-         & info [ "server-policy" ] ~docv:"POLICY" ~doc:"default policy for \
-                                                         $(b,--boot)")
-  in
   let max_queue =
     Arg.(value & opt int 16
          & info [ "max-queue" ] ~docv:"N" ~doc:"admission bound for \
@@ -788,11 +722,6 @@ let loadgen_cmd =
          & info [ "mode"; "m" ] ~docv:"MODE" ~doc:"unsafe | checked | sync")
   in
   let scale = Arg.(value & opt int 0 & info [ "scale"; "s" ] ~docv:"S") in
-  let policies =
-    Arg.(value & opt_all (list policy_name_conv) [ [ "default" ] ]
-         & info [ "policy" ] ~docv:"POLICY,.."
-             ~doc:"per-request policy mix, cycled")
-  in
   let deadline_ms =
     Arg.(value & opt (some int) None
          & info [ "deadline-ms" ] ~docv:"MS" ~doc:"per-request deadline")
@@ -835,23 +764,21 @@ let loadgen_cmd =
                    percentiles; feeds `rpb report`)")
   in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ]) in
-  let run socket boot server_threads server_policy max_queue server_json
-      server_metrics_json clients requests seed mean_gap_ms benches mode scale
-      policies deadline_ms spin_ms burst kill_every max_retries
-      backoff_base_ms backoff_cap_ms wait_cap_s json quiet =
+  let run socket boot server_threads max_queue server_json server_metrics_json
+      clients requests seed mean_gap_ms benches mode scale deadline_ms spin_ms
+      burst kill_every max_retries backoff_base_ms backoff_cap_ms wait_cap_s
+      json quiet =
     exit
-      (loadgen_run ~socket ~boot ~server_threads ~server_policy ~max_queue
-         ~server_json ~server_metrics_json ~clients ~requests ~seed
-         ~mean_gap_ms ~benches:(List.concat benches) ~mode:(Mode.name mode)
-         ~scale ~policies:(List.concat policies) ~deadline_ms ~spin_ms ~burst
-         ~kill_every ~max_retries ~backoff_base_ms ~backoff_cap_ms
-         ~wait_cap_s ~json ~quiet)
+      (loadgen_run ~socket ~boot ~server_threads ~max_queue ~server_json
+         ~server_metrics_json ~clients ~requests ~seed ~mean_gap_ms
+         ~benches:(List.concat benches) ~mode:(Mode.name mode) ~scale
+         ~deadline_ms ~spin_ms ~burst ~kill_every ~max_retries
+         ~backoff_base_ms ~backoff_cap_ms ~wait_cap_s ~json ~quiet)
   in
   Cmd.v (Cmd.info "loadgen" ~doc)
-    Term.(const run $ socket $ boot $ server_threads $ server_policy
-          $ max_queue $ server_json $ server_metrics_json $ clients $ requests
-          $ seed $ mean_gap_ms $ benches $ mode $ scale $ policies
-          $ deadline_ms $ spin_ms $ burst $ kill_every $ max_retries
+    Term.(const run $ socket $ boot $ server_threads $ max_queue $ server_json
+          $ server_metrics_json $ clients $ requests $ seed $ mean_gap_ms
+          $ benches $ mode $ scale $ deadline_ms $ spin_ms $ burst $ kill_every $ max_retries
           $ backoff_base_ms $ backoff_cap_ms $ wait_cap_s $ json $ quiet)
 
 (* ---- top: live metrics view over a running server ---- *)
@@ -1208,7 +1135,7 @@ let () =
     [
       Cmd.Exit.info exit_ok ~doc:"on success.";
       Cmd.Exit.info exit_usage
-        ~doc:"on usage errors: unknown flags, benchmarks, policies, modes or \
+        ~doc:"on usage errors: unknown flags, benchmarks, modes or \
               inputs, unparseable artifacts.";
       Cmd.Exit.info exit_violation
         ~doc:"when a correctness, fault or robustness check is violated \

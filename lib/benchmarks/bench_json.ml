@@ -294,10 +294,8 @@ let get_list = function
    vector ("samples_ns") and the smoke-run flag ("smoke") to each result
    record; both are optional on read, so v1/v2 records — and v3 records mixed
    into the same document — parse with sane defaults (no samples, not a
-   smoke run).  The scheduling-policy name ("policy") rides on the same
-   additive convention: optional on read, defaulting to "default" (the only
-   policy that existed before it was recorded), so the version number does
-   not move and existing readers are unchanged. *)
+   smoke run).  Readers ignore keys they do not know, so records that still
+   carry the retired scheduling-policy name ("policy") parse unchanged. *)
 let schema_version = 3
 let accepted_schema_versions = [ 1; 2; 3 ]
 
@@ -325,9 +323,6 @@ type record = {
   smoke : bool;
       (* one-shot smoke run (registry listing under --json): excluded from
          baseline comparison so it can't masquerade as a trajectory point *)
-  policy : string;
-      (* scheduling-policy name the measuring pool ran under; "default" when
-         the emitting writer predates the field *)
   verified : bool;
   workers : worker_stats list;
 }
@@ -380,7 +375,6 @@ let record_to_json r =
       ("min_ns", Float r.min_ns);
       ("samples_ns", List (Array.to_list (Array.map (fun s -> Float s) r.samples_ns)));
       ("smoke", Bool r.smoke);
-      ("policy", Str r.policy);
       ("verified", Bool r.verified);
       ("workers", List (List.map worker_to_json r.workers));
     ]
@@ -405,10 +399,6 @@ let record_of_json j =
       (match member_opt "smoke" j with
        | None | Some Null -> false
        | Some b -> get_bool b);
-    policy =
-      (match member_opt "policy" j with
-       | None | Some Null -> "default"
-       | Some s -> get_str s);
     verified = get_bool (member "verified" j);
     workers = List.map worker_of_json (get_list (member "workers" j));
   }

@@ -79,11 +79,6 @@ type record = {
   smoke : bool;
       (** one-shot smoke run (the [--json] registry listing): never compared
           against baselines *)
-  policy : string;
-      (** scheduling-policy name ([Rpb_pool.Pool.policy_name]) of the
-          measuring pool; ["default"] when read from a document that predates
-          the field.  Additive v3 field: optional on read, so existing
-          documents and readers are unchanged. *)
   verified : bool;
   workers : worker_stats list;
 }

@@ -66,7 +66,6 @@ let measure_entry ?(smoke = false) pool ~(entry : Common.entry) ~input ~scale
           min_ns = m.Common.min_s *. 1e9;
           samples_ns = Array.map (fun s -> s *. 1e9) m.Common.samples_s;
           smoke;
-          policy = Rpb_pool.Pool.policy_name pool;
           verified = ok;
           workers = Bench_json.workers_of_pool_stats m.Common.pool_stats;
         }

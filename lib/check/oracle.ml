@@ -149,8 +149,7 @@ let shadow_self_check ~threads ~seed =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(threads = 4) ?(scale = 0) ?bench ?(policy = Pool.Policy.default)
-    ~seed () =
+let run ?(threads = 4) ?(scale = 0) ?bench ~seed () =
   let entries =
     match bench with
     | None -> Registry.all
@@ -159,13 +158,11 @@ let run ?(threads = 4) ?(scale = 0) ?bench ?(policy = Pool.Policy.default)
       | Some e -> [ e ]
       | None -> invalid_arg (Printf.sprintf "Oracle.run: unknown benchmark %s" name))
   in
-  (* The deterministic executors have no scheduler to parameterize; only the
-     real pool runs under [policy]. *)
   let executors =
     [
       ("seq", fun () -> Pool.create_deterministic ~seed ~shuffle:false ());
       ("shuffled", fun () -> Pool.create_deterministic ~seed ~shuffle:true ());
-      ("pool", fun () -> Pool.create ~policy ~num_workers:threads ());
+      ("pool", fun () -> Pool.create ~num_workers:threads ());
     ]
   in
   let outcomes =
@@ -368,7 +365,7 @@ let fault_outcome_ok o =
   if o.f_completed then o.f_digest_equal && o.f_verified && o.f_pool_reusable
   else o.f_raised <> None && o.f_pool_reusable
 
-let sweep_one ~threads ~scale ~deadline ~fault_seed ~policy entry sched mode =
+let sweep_one ~threads ~scale ~deadline ~fault_seed entry sched mode =
   let input = List.hd entry.Common.inputs in
   let cfg = { sched.sched_cfg with Pool.Fault.seed = fault_seed } in
   (* Spawn failures are only meaningful during [create]; arm them alone so
@@ -379,7 +376,7 @@ let sweep_one ~threads ~scale ~deadline ~fault_seed ~policy entry sched mode =
       { Pool.Fault.off with
         seed = fault_seed;
         spawn_fail = cfg.Pool.Fault.spawn_fail };
-  let pool = Pool.create ~policy ~num_workers:threads () in
+  let pool = Pool.create ~num_workers:threads () in
   (* The [enable] before the faulted run zeroes the counters: keep the spawn
      failures that fired in [create]. *)
   let create_injected =
@@ -459,8 +456,7 @@ let sweep_one ~threads ~scale ~deadline ~fault_seed ~policy entry sched mode =
       f_pool_reusable = reusable ();
     }
 
-let fault_sweep ?(threads = 4) ?(scale = 0) ?(deadline = 30.) ?bench
-    ?(policy = Pool.Policy.default) ~seed () =
+let fault_sweep ?(threads = 4) ?(scale = 0) ?(deadline = 30.) ?bench ~seed () =
   let entries =
     match bench with
     | None -> Registry.all
@@ -484,8 +480,7 @@ let fault_sweep ?(threads = 4) ?(scale = 0) ?(deadline = 30.) ?bench
                 (seed lxor Hashtbl.hash (entry.Common.name, k))
             in
             let mode = modes.(k mod Array.length modes) in
-            sweep_one ~threads ~scale ~deadline ~fault_seed ~policy entry sched
-              mode)
+            sweep_one ~threads ~scale ~deadline ~fault_seed entry sched mode)
           fault_schedules)
       entries
   in

@@ -50,17 +50,13 @@ val run :
   ?threads:int ->
   ?scale:int ->
   ?bench:string ->
-  ?policy:Rpb_pool.Pool.Policy.t ->
   seed:int ->
   unit ->
   report
 (** [run ~seed ()] checks every registry benchmark ([?bench] restricts to
     one) on its default input at [scale] (default 0 — small inputs; this is
     a correctness harness, not a timing one).  [threads] (default 4) sizes
-    the work-stealing executor; [policy] (default [Pool.Policy.default])
-    parameterizes its scheduler — the deterministic ["seq"]/["shuffled"]
-    executors are policy-free, so a policy-parameterized run diffs the
-    policy's pool against the very same reference semantics. *)
+    the work-stealing executor. *)
 
 val ok : report -> bool
 (** All outcomes verified and equal, no shadow race on valid inputs, canary
@@ -123,17 +119,14 @@ val fault_sweep :
   ?scale:int ->
   ?deadline:float ->
   ?bench:string ->
-  ?policy:Rpb_pool.Pool.Policy.t ->
   seed:int ->
   unit ->
   fault_report
 (** [fault_sweep ~seed ()] runs every registry benchmark ([?bench] restricts
     to one) under each schedule in {!fault_schedules}, rotating the
     fear-spectrum mode per schedule.  [deadline] (default 30 s) bounds each
-    faulted run via [Pool.run ?deadline]; [policy] (default
-    [Pool.Policy.default]) parameterizes the faulted pool's scheduler, so
-    e.g. [steal_half] batch transfers can be exercised under injected
-    faults.  Equal seeds give equal fault streams. *)
+    faulted run via [Pool.run ?deadline].  Equal seeds give equal fault
+    streams. *)
 
 val fault_outcome_ok : fault_outcome -> bool
 val fault_ok : fault_report -> bool

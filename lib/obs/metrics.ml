@@ -175,8 +175,8 @@ let percentile_ms h q = percentile_of_buckets_ms (hist_buckets h) q
 (* Pool export: polled probes, so [lib/pool] needs no dependency on this
    library and an unpolled pool costs nothing. *)
 
-let register_pool ?(prefix = "pool") pool =
-  let p name f = probe (prefix ^ "." ^ name) f in
+let register_pool pool =
+  let p name f = probe ("pool." ^ name) f in
   p "workers" (fun () -> float_of_int (Pool.size pool));
   p "tasks" (fun () ->
       float_of_int (Pool.Stats.tasks_executed (Pool.Stats.capture pool)));

@@ -105,14 +105,13 @@ val percentile_of_buckets_ms : int array -> float -> float
 
 (** {1 Pool export} *)
 
-val register_pool : ?prefix:string -> Rpb_pool.Pool.t -> unit
-(** Register probes exporting a pool's scheduler state under
-    [<prefix>.*] (default prefix ["pool"]): worker count, cumulative
-    tasks/steals/failed-steals/idle episodes (from
+val register_pool : Rpb_pool.Pool.t -> unit
+(** Register probes exporting a pool's scheduler state under [pool.*]:
+    worker count, cumulative tasks/steals/failed-steals/idle episodes (from
     {!Rpb_pool.Pool.Stats.capture} — consumers take deltas), instantaneous
     total and max deque depth, timer-wheel occupancy, and the per-worker
-    GC probe totals (minor collections, minor kwords).  Re-registering the
-    same prefix replaces the probes (latest pool wins). *)
+    GC probe totals (minor collections, minor kwords).  Registering another
+    pool replaces the probes (latest pool wins). *)
 
 (** {1 GC pause sampling}
 

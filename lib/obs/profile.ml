@@ -15,12 +15,11 @@ type report = {
   elapsed_ns : float;
   verified : bool;
   workers : J.worker_stats list;
-  policy : string;
   metrics : Sp_dag.t;
 }
 
-let profile ?input ?(mode = Mode.Unsafe) ?ring_capacity ?policy
-    ?minor_heap_kb ~bench ~threads ~scale ~seed () =
+let profile ?input ?(mode = Mode.Unsafe) ?ring_capacity ~bench ~threads ~scale
+    ~seed () =
   match Registry.find bench with
   | None -> invalid_arg ("unknown benchmark " ^ bench)
   | Some e ->
@@ -31,7 +30,7 @@ let profile ?input ?(mode = Mode.Unsafe) ?ring_capacity ?policy
        for the emitted document (and seeds [Random] for any future benchmark
        that consults it). *)
     Random.init seed;
-    let pool = Pool.create ?policy ?minor_heap_kb ~num_workers:threads () in
+    let pool = Pool.create ~num_workers:threads () in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
     Pool.run pool (fun () ->
         let prepared = e.Common.prepare pool ~input ~scale in
@@ -39,8 +38,7 @@ let profile ?input ?(mode = Mode.Unsafe) ?ring_capacity ?policy
         run ();
         (* warm-up, unrecorded *)
         let before = Pool.Stats.capture pool in
-        Pool.Recorder.start ?ring_capacity
-          ~policy_name:(Pool.policy_name pool) ();
+        Pool.Recorder.start ?ring_capacity ();
         let t0 = Rpb_prim.Timing.monotonic_ns () in
         Pool.Recorder.with_root run;
         let t1 = Rpb_prim.Timing.monotonic_ns () in
@@ -58,7 +56,6 @@ let profile ?input ?(mode = Mode.Unsafe) ?ring_capacity ?policy
           elapsed_ns = float_of_int (t1 - t0);
           verified;
           workers = J.workers_of_pool_stats (Pool.Stats.diff ~before ~after);
-          policy = Pool.policy_name pool;
           metrics = Sp_dag.analyze recording;
         })
 
@@ -76,9 +73,8 @@ let summary r =
   let m = r.metrics in
   let b = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "profile: %s input=%s (%s) mode=%s threads=%d scale=%d seed=%d%s\n"
-    r.bench r.input r.size r.mode r.threads r.scale r.seed
-    (if r.policy = "default" then "" else " policy=" ^ r.policy);
+  pf "profile: %s input=%s (%s) mode=%s threads=%d scale=%d seed=%d\n"
+    r.bench r.input r.size r.mode r.threads r.scale r.seed;
   pf "  elapsed               %s  [%s]\n" (ns_str r.elapsed_ns)
     (if r.verified then "verified" else "VERIFICATION FAILED");
   pf "  work (T1)             %s\n" (ins_str m.Sp_dag.work_ns);
@@ -178,7 +174,6 @@ let metrics_to_json (m : Sp_dag.t) threads =
       ("queue_delay_ns", J.Int m.Sp_dag.queue_delay_ns);
       ("events", J.Int m.Sp_dag.events);
       ("dropped", J.Int m.Sp_dag.dropped);
-      ("policy", J.Str m.Sp_dag.policy);
       ("load_imbalance", J.Float (Sp_dag.load_imbalance m));
       ( "granularity",
         J.List
@@ -242,11 +237,6 @@ let metrics_of_json j : Sp_dag.t =
         (fun g ->
           (J.get_int (J.member "log2_ns" g), J.get_int (J.member "count" g)))
         (J.get_list (J.member "granularity" j));
-    (* Additive field: absent in documents written before policies. *)
-    policy =
-      (match J.member_opt "policy" j with
-       | None | Some J.Null -> "default"
-       | Some p -> J.get_str p);
   }
 
 let record_of_report r =
@@ -261,7 +251,6 @@ let record_of_report r =
     min_ns = r.elapsed_ns;
     samples_ns = [| r.elapsed_ns |];
     smoke = false;
-    policy = r.policy;
     verified = r.verified;
     workers = r.workers;
   }
@@ -306,7 +295,6 @@ let of_json j =
     elapsed_ns = rc.J.mean_ns;
     verified = rc.J.verified;
     workers = rc.J.workers;
-    policy = rc.J.policy;
     metrics = metrics_of_json (J.member "profile" j);
   }
 

@@ -20,7 +20,6 @@ type report = {
   verified : bool;
   workers : Rpb_benchmarks.Bench_json.worker_stats list;
       (** [Pool.Stats] counters across the recorded run *)
-  policy : string;  (** scheduling-policy name the profiled pool ran under *)
   metrics : Sp_dag.t;
 }
 
@@ -28,8 +27,6 @@ val profile :
   ?input:string ->
   ?mode:Rpb_benchmarks.Mode.t ->
   ?ring_capacity:int ->
-  ?policy:Rpb_pool.Pool.Policy.t ->
-  ?minor_heap_kb:int ->
   bench:string ->
   threads:int ->
   scale:int ->
@@ -39,10 +36,7 @@ val profile :
 (** Run and analyze one benchmark configuration.  [input] defaults to the
     benchmark's first standard input, [mode] to [Unsafe] (the fastest
     parallel implementation — the one whose scaling the paper's tables
-    question), [policy] to [Pool.Policy.default]; the policy name is stamped
-    into the recording, the report, and the emitted document.
-    [minor_heap_kb], when given, sizes each worker domain's minor heap for
-    the profiled pool (see {!Rpb_pool.Pool.create}).
+    question).
     @raise Invalid_argument on an unknown benchmark name. *)
 
 val summary : report -> string

@@ -240,85 +240,6 @@ let overheads records =
     live
   |> List.sort_uniq compare
 
-(* Policy race: configurations measured under two or more scheduling
-   policies.  One row per (bench, input, mode, threads, scale), the
-   per-policy estimates side by side, the winner being the smallest
-   estimate; benchmarks are labelled with their fear tier (worst
-   access-pattern safety class from the registry) so the table reads as
-   "which policy wins where on the fear spectrum". *)
-type race = {
-  pr_bench : string;
-  pr_tier : string;  (* "F" | "C" | "S" | "?" *)
-  pr_input : string;
-  pr_mode : string;
-  pr_threads : int;
-  pr_scale : int;
-  pr_times : (string * float) list;  (* policy -> estimate ns, sorted *)
-  pr_winner : string;
-}
-
-let fear_tier bench =
-  match Rpb_benchmarks.Registry.find bench with
-  | None -> "?"
-  | Some e ->
-    let module P = Rpb_core.Pattern in
-    let rank = function
-      | P.Fearless -> 0
-      | P.Comfortable -> 1
-      | P.Scared -> 2
-    in
-    let worst =
-      List.fold_left
-        (fun acc a ->
-          let f = P.safety a in
-          if rank f > rank acc then f else acc)
-        P.Fearless e.Rpb_benchmarks.Common.patterns
-    in
-    P.fear_name worst
-
-let policy_races records =
-  let live = List.filter (fun (r : J.record) -> not r.J.smoke) records in
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun (r : J.record) ->
-      let k = (r.J.bench, r.J.input, r.J.mode, r.J.threads, r.J.scale) in
-      Hashtbl.replace groups k
-        (r :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
-    live;
-  Hashtbl.fold (fun k rs acc -> (k, rs) :: acc) groups []
-  |> List.sort compare
-  |> List.filter_map (fun ((bench, input, mode, threads, scale), rs) ->
-         (* Last record per policy wins. *)
-         let by_policy = Hashtbl.create 8 in
-         List.iter
-           (fun (r : J.record) -> Hashtbl.replace by_policy r.J.policy r)
-           (List.rev rs);
-         let times =
-           Hashtbl.fold
-             (fun p r acc -> (p, estimate_ns r) :: acc)
-             by_policy []
-           |> List.sort compare
-         in
-         if List.length times < 2 then None
-         else
-           let winner, _ =
-             List.fold_left
-               (fun (wp, wns) (p, ns) ->
-                 if ns < wns then (p, ns) else (wp, wns))
-               (List.hd times) (List.tl times)
-           in
-           Some
-             {
-               pr_bench = bench;
-               pr_tier = fear_tier bench;
-               pr_input = input;
-               pr_mode = mode;
-               pr_threads = threads;
-               pr_scale = scale;
-               pr_times = times;
-               pr_winner = winner;
-             })
-
 (* ------------------------------------------------------------------ *)
 (* HTML helpers.                                                       *)
 
@@ -832,66 +753,6 @@ let section_faults buf faults =
         pf "</div>")
       faults
 
-let section_policy_race buf records =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let races = policy_races records in
-  (* Rendered only when at least one configuration was measured under two
-     or more policies, so reports over ordinary single-policy artifacts are
-     unchanged. *)
-  if races <> [] then begin
-    let policies =
-      List.concat_map (fun r -> List.map fst r.pr_times) races
-      |> List.sort_uniq compare
-    in
-    pf "<h2>Policy race</h2>";
-    pf
-      "<p class=\"sub\">Scheduling policies raced per benchmark \
-       (<code>bench/main.exe --policy-race</code>); each cell is the robust \
-       time estimate under that policy, the badge marks the winner.  F/C/S \
-       is the benchmark's fear tier: fearless, comfortable, scared.</p>";
-    pf "<div class=\"card\"><table><tr><th>tier</th><th>configuration</th>";
-    List.iter (fun p -> pf "<th class=\"num\">%s (ms)</th>" (html_escape p)) policies;
-    pf "<th>winner</th></tr>";
-    List.iter
-      (fun r ->
-        pf "<tr><td class=\"l\">%s</td><td class=\"l\">%s/%s %s t=%d s=%d</td>"
-          (html_escape r.pr_tier) (html_escape r.pr_bench)
-          (html_escape r.pr_input) (html_escape r.pr_mode) r.pr_threads
-          r.pr_scale;
-        List.iter
-          (fun p ->
-            match List.assoc_opt p r.pr_times with
-            | Some ns when p = r.pr_winner ->
-              pf "<td class=\"num\"><strong>%s</strong></td>" (ms ns)
-            | Some ns -> pf "<td class=\"num\">%s</td>" (ms ns)
-            | None -> pf "<td class=\"num\">-</td>")
-          policies;
-        pf "<td class=\"l\"><span class=\"badge ok\">%s</span></td></tr>"
-          (html_escape r.pr_winner))
-      races;
-    pf "</table>";
-    (* Per-tier winner counts: the headline "who wins where" view. *)
-    let tiers = List.sort_uniq compare (List.map (fun r -> r.pr_tier) races) in
-    pf "<div class=\"legend\">winners by fear tier: ";
-    List.iter
-      (fun tier ->
-        let rows = List.filter (fun r -> r.pr_tier = tier) races in
-        let wins p =
-          List.length (List.filter (fun r -> r.pr_winner = p) rows)
-        in
-        let best =
-          List.fold_left
-            (fun (bp, bn) p ->
-              let n = wins p in
-              if n > bn then (p, n) else (bp, bn))
-            ("-", 0) policies
-        in
-        pf "%s: <strong>%s</strong> (%d/%d)&nbsp; " (html_escape tier)
-          (html_escape (fst best)) (snd best) (List.length rows))
-      tiers;
-    pf "</div></div>"
-  end
-
 (* Serving latency: kind="serve" documents from `rpb serve` (role=server)
    and `rpb loadgen` (role=loadgen).  Latency summaries are already in
    milliseconds; counters are a flat object of ints. *)
@@ -1283,7 +1144,6 @@ let to_html a =
   section_serves buf a.serves;
   section_metrics buf a.metrics;
   section_slos buf a.slos;
-  section_policy_race buf a.bench;
   section_speedup buf a.bench;
   section_overhead buf a.bench;
   section_profiles buf a.profiles;
@@ -1402,32 +1262,6 @@ let to_markdown a =
         List.iter (fun (_, _, sp) -> pf " %.2fx |" sp) c.points;
         pf "\n")
       curves;
-    pf "\n"
-  end;
-  let races = policy_races a.bench in
-  if races <> [] then begin
-    let policies =
-      List.concat_map (fun r -> List.map fst r.pr_times) races
-      |> List.sort_uniq compare
-    in
-    pf "## Policy race\n\n";
-    pf "| tier | configuration |";
-    List.iter (fun p -> pf " %s (ms) |" p) policies;
-    pf " winner |\n|---|---|%s---|\n"
-      (String.concat "" (List.map (fun _ -> "---|") policies));
-    List.iter
-      (fun r ->
-        pf "| %s | %s/%s %s t=%d s=%d |" r.pr_tier r.pr_bench r.pr_input
-          r.pr_mode r.pr_threads r.pr_scale;
-        List.iter
-          (fun p ->
-            match List.assoc_opt p r.pr_times with
-            | Some ns when p = r.pr_winner -> pf " **%s** |" (ms ns)
-            | Some ns -> pf " %s |" (ms ns)
-            | None -> pf " - |")
-          policies;
-        pf " %s |\n" r.pr_winner)
-      races;
     pf "\n"
   end;
   let os = overheads a.bench in

@@ -91,26 +91,6 @@ val overheads : Rpb_benchmarks.Bench_json.record list -> overhead list
 (** Fear-spectrum ratios for every configuration measured both under
     ["unsafe"] and under ["checked"]/["sync"]. *)
 
-type race = {
-  pr_bench : string;
-  pr_tier : string;
-      (** the benchmark's fear tier — ["F"]/["C"]/["S"] (fearless /
-          comfortable / scared, worst access pattern wins), ["?"] for a
-          bench absent from the registry *)
-  pr_input : string;
-  pr_mode : string;
-  pr_threads : int;
-  pr_scale : int;
-  pr_times : (string * float) list;
-      (** per-policy robust estimates (ns), sorted by policy name *)
-  pr_winner : string;  (** policy with the smallest estimate *)
-}
-
-val policy_races : Rpb_benchmarks.Bench_json.record list -> race list
-(** Every non-smoke configuration measured under two or more scheduling
-    policies — the winner table behind the dashboard's "Policy race"
-    section.  Duplicate (configuration, policy) pairs: last record wins. *)
-
 (** {1 Rendering} *)
 
 val to_html : artifacts -> string

@@ -40,7 +40,6 @@ type t = {
   per_worker : worker list;
   phases : phase list;
   granularity : (int * int) list;
-  policy : string;
 }
 
 (* Per-construct accumulator.  [branch 0] is the inline branch (ran on the
@@ -59,7 +58,7 @@ type cinfo = {
 
 (* The queue-delay burden is charged only when the spawned branch migrated —
    executed on a different worker than the one that forked it.  Under the
-   pool's help-first policy a non-stolen branch is popped by its owner after
+   pool's help-first [join] a non-stolen branch is popped by its owner after
    the inline branch finishes, so its fork→exec gap merely replays the serial
    execution order; only a migration's gap is genuine scheduling burden
    (steal latency, deque contention, wake-up). *)
@@ -273,7 +272,6 @@ let analyze (recording : R.recording) =
     per_worker;
     phases;
     granularity;
-    policy = recording.policy;
   }
 
 let predicted_speedup m p =

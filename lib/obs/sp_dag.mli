@@ -64,10 +64,6 @@ type t = {
       (** leaf-strand granularity histogram: [(k, count)] counts leaf
           branches whose local computation fell in [[2{^k}, 2{^k+1}) ns],
           ascending [k] *)
-  policy : string;
-      (** scheduling-policy name the recorded session ran under (from
-          [Recorder.start ?policy_name]), so work/span/burden numbers are
-          attributed to a policy *)
 }
 
 val analyze : Rpb_pool.Pool.Recorder.recording -> t

@@ -69,168 +69,40 @@ let c_steals_failed = 2
 let c_idle = 3
 let c_max_depth = 4
 
-(* Per-worker victim hint for the round-robin / sticky selection policies.
-   Living in the counter slab keeps it in the worker's own cache line — no
-   new allocation, no false sharing. *)
-let c_last_victim = 5
-
 (* Per-worker GC samples for the live metrics plane: [Gc.quick_stat] can
    only be read from the owning domain, so workers sample their own
    minor-collection count and minor words (in kwords, to stay in an int)
    every 64 tasks while the gc-sampling instrumentation bit is set.  Same
    slab, same racy-read aggregation contract as the counters above. *)
-let c_gc_minors = 6
-let c_gc_minor_kwords = 7
+let c_gc_minors = 5
+let c_gc_minor_kwords = 6
 
 (* 8 words = 64 bytes of payload per slab: one full cache line, so two
    workers' counters never share one. *)
 let counter_slots = 8
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling policy.
+(* Scheduler constants.
 
-   Every tunable scheduling decision is a field of one plain record threaded
-   through [create], so a policy costs exactly one record field load at each
-   decision point and the default compiles to the pre-refactor scheduler:
-   steal-one, help-first fork order, uniform-random victims, and the
-   historical spin/backoff constants (64 spins, 50 µs helper sleep, 1 µs
-   doubling to 1 ms off-pool backoff) that used to be hardwired in
-   [worker_loop] / [await] / [drain_scope].
+   One scheduler, no knobs: steal one task per steal from a uniform-random
+   victim, help-first [join], eager splitting down to [grain]-sized leaves
+   with a default grain of [n / (8 * workers)], and the spin/backoff
+   constants below.  The alternatives (lazy splitting, steal-half batches,
+   work-first fork order, victim affinity) never beat these beyond noise
+   (EXPERIMENTS.md § Scheduler race). *)
 
-   The decision points are:
-   - {e steal amount} — [try_find_task]: steal one task per successful sweep,
-     or a [Ws_deque.steal_half] batch (thief runs the first task and pushes
-     the rest onto its own deque);
-   - {e fork order} — [join]: help-first pushes the second branch and runs
-     the first inline (today's behavior), work-first pushes the {e first}
-     branch (the continuation) and runs the second inline;
-   - {e victim selection} — [try_find_task]: where the steal sweep starts
-     (uniform random, round-robin from the last successful victim, or sticky
-     on the last successful victim);
-   - {e idle backoff shape} — [worker_loop] / [await] / [drain_scope]: spin
-     budget, helper idle sleep, and the off-pool exponential backoff
-     bounds;
-   - {e splitter} — [parallel_for] / [parallel_for_reduce]: eager fixed-grain
-     recursion down to the leaves, or lazy binary splitting that consults the
-     local deque depth and only publishes work when thieves have drained it
-     (plus the grain defaults themselves, [grain_factor] / [fixed_grain], so
-     a policy governs every splitter decision point). *)
+(* Spins before a worker sleeps or a waiter backs off. *)
+let spin_budget = 64
 
-module Policy = struct
-  type steal_amount = Steal_one | Steal_half
-  type fork_order = Help_first | Work_first
-  type victim_selection = Random_victim | Round_robin | Sticky
+(* A helping [await]'s sleep when it finds no work to steal. *)
+let idle_sleep_s = 5e-5
 
-  (* The {e splitter} decision point — how [parallel_for] /
-     [parallel_for_reduce] turn an index range into tasks.  [Eager_grain]
-     splits the range down to [grain]-sized leaves unconditionally (the
-     pre-policy behavior): the task count is fixed up front, whether or not
-     anyone is idle.  [Lazy_binary] auto-coarsens by demand: while the
-     executing worker's own deque holds more than [lazy_depth] unstolen
-     tasks (no thief needs work), it runs [grain]-sized chunks inline with
-     zero deque traffic; the moment the deque drains to [lazy_depth] or
-     below, it splits off the top half of the remaining range as one task
-     and keeps going on the bottom half. *)
-  type splitter = Eager_grain | Lazy_binary of { lazy_depth : int }
+(* Off-pool waiters poll at [backoff_min_s], doubling up to [backoff_max_s]. *)
+let backoff_min_s = 1e-6
+let backoff_max_s = 1e-3
 
-  type t = {
-    name : string;
-    steal_amount : steal_amount;
-    fork_order : fork_order;
-    victim_selection : victim_selection;
-    splitter : splitter;
-    grain_factor : int;
-    fixed_grain : int option;
-    spin_budget : int;
-    idle_sleep_s : float;
-    backoff_min_s : float;
-    backoff_max_s : float;
-  }
-
-  let default =
-    {
-      name = "default";
-      steal_amount = Steal_one;
-      fork_order = Help_first;
-      victim_selection = Random_victim;
-      splitter = Eager_grain;
-      grain_factor = 8;
-      fixed_grain = None;
-      spin_budget = 64;
-      idle_sleep_s = 5e-5;
-      backoff_min_s = 1e-6;
-      backoff_max_s = 1e-3;
-    }
-
-  let steal_half = { default with name = "steal_half"; steal_amount = Steal_half }
-  let work_first = { default with name = "work_first"; fork_order = Work_first }
-  let sticky = { default with name = "sticky"; victim_selection = Sticky }
-  let round_robin = { default with name = "round_robin"; victim_selection = Round_robin }
-
-  let steal_half_sticky =
-    {
-      default with
-      name = "steal_half_sticky";
-      steal_amount = Steal_half;
-      victim_selection = Sticky;
-    }
-
-  let work_first_steal_half =
-    {
-      default with
-      name = "work_first_steal_half";
-      fork_order = Work_first;
-      steal_amount = Steal_half;
-    }
-
-  (* Lazy splitting is only interesting when there is potential parallelism
-     left to refuse, so the lazy policies also raise [grain_factor]: leaves
-     get 16x finer than the default's ~8-per-worker target, and the
-     depth-triggered coarsening is what keeps that from costing 16x the
-     deque traffic.  ("lazy" is the registry name; the OCaml identifier
-     differs because [lazy] is a keyword.) *)
-  let lazy_split =
-    {
-      default with
-      name = "lazy";
-      splitter = Lazy_binary { lazy_depth = 2 };
-      grain_factor = 128;
-    }
-
-  let lazy_sticky =
-    { lazy_split with name = "lazy_sticky"; victim_selection = Sticky }
-
-  let lazy_steal_half =
-    { lazy_split with name = "lazy_steal_half"; steal_amount = Steal_half }
-
-  (* Granularity-sweep levers: force every defaulted grain to 1 so the two
-     splitters can be compared at the finest decomposition the API allows
-     (call sites that pass an explicit [?grain] keep it). *)
-  let eager_grain1 =
-    { default with name = "eager_grain1"; fixed_grain = Some 1 }
-
-  let lazy_grain1 =
-    { lazy_split with name = "lazy_grain1"; fixed_grain = Some 1 }
-
-  let all =
-    [
-      default;
-      steal_half;
-      work_first;
-      sticky;
-      round_robin;
-      steal_half_sticky;
-      work_first_steal_half;
-      lazy_split;
-      lazy_sticky;
-      lazy_steal_half;
-      eager_grain1;
-      lazy_grain1;
-    ]
-
-  let names () = List.map (fun p -> p.name) all
-  let find name = List.find_opt (fun p -> p.name = name) all
-end
+(* Default leaves per worker for a call site that passes no [?grain]. *)
+let leaves_per_worker = 8
 
 (* How the pool turns a parallel region into an execution order.  [Ws] is the
    production work-stealing scheduler.  [Seq_det] is the deterministic
@@ -248,11 +120,6 @@ type t = {
   mutable num_workers : int;
   requested_workers : int;
   sched : sched;
-  policy : Policy.t;
-  (* Per-domain minor-heap size in words ([create ?minor_heap_kb]); applied
-     by each worker domain at startup and by worker 0 for the duration of
-     [run].  [None] leaves the runtime default untouched. *)
-  minor_heap_words : int option;
   deques : task Ws_deque.t array;
   mutable domains : unit Domain.t array;
   injector : task Queue.t;
@@ -279,8 +146,6 @@ let my_index pool =
   | _ -> None
 
 let size pool = pool.num_workers
-let policy pool = pool.policy
-let policy_name pool = pool.policy.Policy.name
 
 (* Alias for annotating functions defined after [Stats]/[Trace], whose record
    fields would otherwise shadow [t]'s during inference. *)
@@ -302,7 +167,6 @@ module Stats = struct
   type t = {
     num_workers : int;
     requested_workers : int;
-    policy : string;
     per_worker : worker array;
   }
 
@@ -331,7 +195,6 @@ module Stats = struct
     {
       num_workers = after.num_workers;
       requested_workers = after.requested_workers;
-      policy = after.policy;
       per_worker =
         Array.mapi
           (fun i wa ->
@@ -367,7 +230,6 @@ module Stats = struct
     {
       num_workers = pool.num_workers;
       requested_workers = pool.requested_workers;
-      policy = pool.policy.Policy.name;
       (* Counter slabs are allocated for the requested count; only the
          workers that actually exist are reported. *)
       per_worker =
@@ -470,12 +332,7 @@ module Recorder = struct
     | Phase { begin_ns; _ } ->
       begin_ns
 
-  type recording = { events : event list; dropped : int; policy : string }
-
-  (* Which scheduling policy the recorded session ran under; set by [start],
-     stamped into the [recording] by [stop] so [Sp_dag] reports attribute
-     their work/span/burden numbers to a policy. *)
-  let session_policy = Atomic.make "default"
+  type recording = { events : event list; dropped : int }
 
   let enabled () = Atomic.get instr_flags land recording_bit <> 0
   let now_ns = Rpb_prim.Timing.monotonic_ns
@@ -663,8 +520,7 @@ module Recorder = struct
 
   let rec round_up_pow2 n k = if k >= n then k else round_up_pow2 n (k * 2)
 
-  let start ?(ring_capacity = default_capacity) ?(policy_name = "default") () =
-    Atomic.set session_policy policy_name;
+  let start ?(ring_capacity = default_capacity) () =
     Atomic.set capacity (round_up_pow2 (max 16 ring_capacity) 16);
     Mutex.lock registry_mutex;
     rings := [];
@@ -695,7 +551,7 @@ module Recorder = struct
         rs
     in
     let events = List.sort (fun a b -> compare (ts_of a) (ts_of b)) events in
-    { events; dropped; policy = Atomic.get session_policy }
+    { events; dropped }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1145,59 +1001,32 @@ let take_injected pool =
     t
   end
 
-(* One attempt to find work: own deque first (depth-first order), then a
-   policy-directed sweep over victims, then the injector.
-
-   Policy decision points (one record field load each): where the sweep
-   starts ([victim_selection]) and how much a successful visit claims
-   ([steal_amount]).  With [Steal_half] the thief keeps the first task of
-   the batch and pushes the rest onto its own deque, so one sweep migrates
-   up to half the victim's queue.  [c_last_victim] records the last
-   successful victim for the round-robin / sticky policies. *)
+(* One attempt to find work: own deque first (depth-first order), then one
+   sweep over the victims starting at a uniform-random worker, stealing one
+   task per successful visit, then the injector. *)
 let try_find_task pool my_idx rng =
   match Ws_deque.pop pool.deques.(my_idx) with
   | Some _ as t -> t
   | None ->
     let n = pool.num_workers in
     let c = pool.counters.(my_idx) in
-    let start =
-      if n <= 1 then 0
-      else
-        match pool.policy.Policy.victim_selection with
-        | Policy.Random_victim -> Rpb_prim.Rng.int rng n
-        | Policy.Sticky -> c.(c_last_victim) mod n
-        | Policy.Round_robin -> (c.(c_last_victim) + 1) mod n
-    in
-    let stole v t =
-      c.(c_steals_ok) <- c.(c_steals_ok) + 1;
-      c.(c_last_victim) <- v;
-      if Recorder.enabled () then Recorder.steal_event ~thief:my_idx ~victim:v;
-      if Fault.armed () then Fault.steal_site ();
-      t
-    in
+    let start = if n <= 1 then 0 else Rpb_prim.Rng.int rng n in
     let rec sweep k =
       if k >= n then None
       else begin
         let v = (start + k) mod n in
         if v = my_idx then sweep (k + 1)
         else
-          match pool.policy.Policy.steal_amount with
-          | Policy.Steal_one -> (
-            match Ws_deque.steal pool.deques.(v) with
-            | Some _ as t -> stole v t
-            | None ->
-              c.(c_steals_failed) <- c.(c_steals_failed) + 1;
-              sweep (k + 1))
-          | Policy.Steal_half -> (
-            match Ws_deque.steal_half pool.deques.(v) with
-            | first :: rest ->
-              (* Keep the first task; the rest go onto our own deque so the
-                 next [pop]s find them without another sweep. *)
-              List.iter (fun t -> push_local pool my_idx t) rest;
-              stole v (Some first)
-            | [] ->
-              c.(c_steals_failed) <- c.(c_steals_failed) + 1;
-              sweep (k + 1))
+          match Ws_deque.steal pool.deques.(v) with
+          | Some _ as t ->
+            c.(c_steals_ok) <- c.(c_steals_ok) + 1;
+            if Recorder.enabled () then
+              Recorder.steal_event ~thief:my_idx ~victim:v;
+            if Fault.armed () then Fault.steal_site ();
+            t
+          | None ->
+            c.(c_steals_failed) <- c.(c_steals_failed) + 1;
+            sweep (k + 1)
       end
     in
     (match sweep 0 with
@@ -1232,23 +1061,10 @@ let execute pool idx task =
   end
   else task ()
 
-(* Resize the calling domain's minor heap to the pool's configured size.
-   Returns the previous size so [run] can restore the caller's setting.  The
-   runtime normalizes out-of-range sizes itself. *)
-let apply_minor_heap pool =
-  match pool.minor_heap_words with
-  | None -> None
-  | Some words ->
-    let g = Gc.get () in
-    Gc.set { g with Gc.minor_heap_size = words };
-    Some g.Gc.minor_heap_size
-
 let worker_loop pool idx =
   Domain.DLS.get slot_key := Some (pool.id, idx);
-  ignore (apply_minor_heap pool);
   let rng = Rpb_prim.Rng.create (0x5EED + idx) in
   let c = pool.counters.(idx) in
-  let spin_budget = pool.policy.Policy.spin_budget in
   let rec loop spins =
     if Atomic.get pool.shutdown_flag then ()
     else
@@ -1303,21 +1119,14 @@ let spawn_worker pool idx =
   in
   attempt 1 0.001
 
-let make_pool ?minor_heap_kb ~num_workers ~sched ~policy () =
+let make_pool ~num_workers ~sched =
   if num_workers < 1 then invalid_arg "Pool.create: num_workers must be >= 1";
-  (match minor_heap_kb with
-   | Some kb when kb < 1 ->
-     invalid_arg "Pool.create: minor_heap_kb must be >= 1"
-   | _ -> ());
   let pool =
     {
       id = Atomic.fetch_and_add next_pool_id 1;
       num_workers;
       requested_workers = num_workers;
       sched;
-      policy;
-      (* 64-bit words: 1 KB = 128 words. *)
-      minor_heap_words = Option.map (fun kb -> kb * 128) minor_heap_kb;
       deques = Array.init num_workers (fun _ -> Ws_deque.create ());
       domains = [||];
       injector = Queue.create ();
@@ -1347,13 +1156,11 @@ let make_pool ?minor_heap_kb ~num_workers ~sched ~policy () =
   pool.num_workers <- Array.length pool.domains + 1;
   pool
 
-let create ?name:_ ?(policy = Policy.default) ?minor_heap_kb ~num_workers () =
-  make_pool ?minor_heap_kb ~num_workers ~sched:Ws ~policy ()
+let create ~num_workers () = make_pool ~num_workers ~sched:Ws
 
 let create_deterministic ?(seed = 0) ?(shuffle = true) () =
-  make_pool ~num_workers:1 ~policy:Policy.default
+  make_pool ~num_workers:1
     ~sched:(Seq_det { rng = Rpb_prim.Rng.create (0xDE7 lxor seed); shuffle })
-    ()
 
 let deterministic pool =
   match pool.sched with Ws -> false | Seq_det _ -> true
@@ -1465,8 +1272,6 @@ let await pool p =
    | Some idx ->
      let rng = Rpb_prim.Rng.create (0xA3A17 + idx) in
      let c = pool.counters.(idx) in
-     let spin_budget = pool.policy.Policy.spin_budget in
-     let idle_sleep = pool.policy.Policy.idle_sleep_s in
      let rec help spins =
        match Atomic.get p with
        | Pending ->
@@ -1485,7 +1290,7 @@ let await pool p =
               let idle_t0 =
                 if Recorder.enabled () then Recorder.now_ns () else 0
               in
-              Unix.sleepf idle_sleep;
+              Unix.sleepf idle_sleep_s;
               if idle_t0 <> 0 && Recorder.enabled () then
                 Recorder.idle_event ~w:idx ~begin_ns:idle_t0;
               help spin_budget
@@ -1494,18 +1299,16 @@ let await pool p =
      in
      help spin_budget
    | None ->
-     (* Off-pool waiter: spin briefly, then back off exponentially (by
-        default 1 µs up to 1 ms, policy fields [backoff_min_s] /
-        [backoff_max_s]) — a freshly failed or resolved task is observed
-        promptly without burning a core, and the worst-case poll latency
-        stays three orders of magnitude below the old fixed 100 µs × forever
-        loop's pathological wakeup storms under load. *)
-     let backoff_max = pool.policy.Policy.backoff_max_s in
+     (* Off-pool waiter: spin briefly, then back off exponentially (1 µs up
+        to 1 ms) — a freshly failed or resolved task is observed promptly
+        without burning a core, and the worst-case poll latency stays three
+        orders of magnitude below the old fixed 100 µs × forever loop's
+        pathological wakeup storms under load. *)
      let rec wait delay =
        match Atomic.get p with
        | Pending ->
          Unix.sleepf delay;
-         wait (Float.min (delay *. 2.) backoff_max)
+         wait (Float.min (delay *. 2.) backoff_max_s)
        | Done _ | Raised _ -> ()
      in
      let rec spin k =
@@ -1515,10 +1318,10 @@ let await pool p =
            Domain.cpu_relax ();
            spin (k - 1)
          end
-         else wait pool.policy.Policy.backoff_min_s
+         else wait backoff_min_s
        | Done _ | Raised _ -> ()
      in
-     spin pool.policy.Policy.spin_budget);
+     spin spin_budget);
   finish ()
 
 let try_result p =
@@ -1542,8 +1345,6 @@ let drain_scope pool scope =
       | None -> Float.infinity
       | Some d -> Unix.gettimeofday () +. d +. 0.1
     in
-    let backoff_min = pool.policy.Policy.backoff_min_s in
-    let backoff_max = pool.policy.Policy.backoff_max_s in
     let rec wait delay =
       if Atomic.get scope.outstanding > 0 then
         if Unix.gettimeofday () > give_up then
@@ -1556,13 +1357,13 @@ let drain_scope pool scope =
           match try_find_task pool idx rng with
           | Some task ->
             execute pool idx task;
-            wait backoff_min
+            wait backoff_min_s
           | None ->
             Unix.sleepf delay;
-            wait (Float.min (delay *. 2.) backoff_max)
+            wait (Float.min (delay *. 2.) backoff_max_s)
         end
     in
-    wait backoff_min
+    wait backoff_min_s
   end
 
 (* A parallel-construct frame.  Tracks per-domain nesting; when a failure
@@ -1599,14 +1400,13 @@ let with_construct pool k =
     end
     else Printexc.raise_with_backtrace e bt
 
-(* The work-stealing [join] engine, parameterized over which branch is
-   spawned and which runs inline so the fork-order policy is a role swap
-   around one shared implementation.  Returns [(inline result, spawned
-   result)]; [join] below reorders the pair to [(f result, g result)]. *)
-let ws_join_core pool scope my_idx sp inl =
+(* The work-stealing [join] engine, help-first: [g] is pushed onto the
+   worker's deque and [f] runs inline, so the worker keeps descending the
+   left spine while thieves pick up the right branches. *)
+let ws_join pool scope my_idx f g =
   if not (Recorder.enabled ()) then begin
-    let ps = spawn_task pool ~structured:true scope sp in
-    match inl () with
+    let ps = spawn_task pool ~structured:true scope g in
+    match f () with
     | a ->
       let b = await pool ps in
       (a, b)
@@ -1631,10 +1431,10 @@ let ws_join_core pool scope my_idx sp inl =
     let fk = Recorder.fork ~w:my_idx in
     let id, _, _ = fk in
     let ps =
-      spawn_task pool ~structured:true scope (Recorder.run_branch pool id sp)
+      spawn_task pool ~structured:true scope (Recorder.run_branch pool id g)
     in
     Recorder.branch_open ~w:my_idx fk;
-    match inl () with
+    match f () with
     | a ->
       Recorder.seg_close_cur ~w:my_idx;
       let b = await pool ps in
@@ -1677,38 +1477,12 @@ let join pool f g =
               this subtree before it forks more work.  One atomic load when
               healthy (plus one for the flight-recorder switch). *)
            if Atomic.get scope.cancel_flag then scope_raise scope;
-           (* Fork-order decision point (one record field load).
-              Help-first — today's default — pushes [g] and runs [f]
-              inline; work-first pushes [f] (the continuation branch) and
-              runs [g] (the child) inline, so an idle thief picks up the
-              continuation while this worker descends into the child. *)
-           match pool.policy.Policy.fork_order with
-           | Policy.Help_first ->
-             ws_join_core pool scope my_idx g f
-           | Policy.Work_first ->
-             let b, a = ws_join_core pool scope my_idx f g in
-             (a, b)))
+           ws_join pool scope my_idx f g))
 
-(* Grain defaults are a policy decision like the splitter itself: a call
-   site that passes no [?grain] gets either the policy's forced grain
-   ([fixed_grain], the granularity-sweep lever) or the classic
-   leaves-per-worker target [n / (grain_factor * workers)].  The default
-   policy's [grain_factor = 8] reproduces the pre-policy constant. *)
+(* A call site that passes no [?grain] gets ~[leaves_per_worker] leaves per
+   worker. *)
 let default_grain (pool : pool) n =
-  match pool.policy.Policy.fixed_grain with
-  | Some g -> max 1 g
-  | None -> max 1 (n / (pool.policy.Policy.grain_factor * pool.num_workers))
-
-(* Demand sensing for the lazy splitter: the executing worker's own deque
-   depth.  Strictly more than [lazy_depth] pending local tasks means no
-   thief is keeping up with what we already published — keep running
-   inline.  A task never migrates mid-execution, but a *stolen* range
-   executes its [go] on the thief's domain, so the index is consulted per
-   call, not captured at the construct. *)
-let lazy_deque_deep (pool : pool) ~lazy_depth =
-  match my_index pool with
-  | Some w -> Ws_deque.size pool.deques.(w) > lazy_depth
-  | None -> false
+  max 1 (n / (leaves_per_worker * pool.num_workers))
 
 (* Leaf decomposition used by the deterministic executor: contiguous chunks
    of at most [grain] indices, visited in a seeded random order but ascending
@@ -1745,74 +1519,26 @@ let parallel_for ?grain ~start ~finish ~body pool =
       for i = start to finish - 1 do
         body i
       done
-    else begin
-      match pool.policy.Policy.splitter with
-      | Policy.Eager_grain ->
-        with_construct pool (fun scope ->
-            let rec go lo hi =
-              (* Check before descending: a failed scope stops splitting (and
-                 skips this whole subtree) instead of running siblings of the
-                 failed leaf to completion. *)
-              if Atomic.get scope.cancel_flag then scope_raise scope;
-              if hi - lo <= grain then
-                for i = lo to hi - 1 do
-                  body i
-                done
-              else begin
-                let mid = lo + ((hi - lo) / 2) in
-                let ((), ()) =
-                  join pool (fun () -> go lo mid) (fun () -> go mid hi)
-                in
-                ()
-              end
-            in
-            go start finish)
-      | Policy.Lazy_binary { lazy_depth } ->
-        with_construct pool (fun scope ->
-            let rec go lo hi =
-              if Atomic.get scope.cancel_flag then scope_raise scope;
-              if hi - lo <= grain then
-                for i = lo to hi - 1 do
-                  body i
-                done
-              else if lazy_deque_deep pool ~lazy_depth then begin
-                (* May-inline fast path: no thief demand, so consume
-                   [grain]-sized chunks with zero deque traffic.  The
-                   remainder [!lo, hi) lives only in this strand's frame —
-                   nothing is published until the split below pushes a task
-                   — so a thief can never observe, duplicate, or race any
-                   part of it.  At least one chunk is consumed before
-                   re-checking demand, which guarantees progress even if a
-                   thief drains the deque between the two depth reads. *)
-                let lo = ref lo in
-                let chomping = ref true in
-                while !chomping do
-                  if Atomic.get scope.cancel_flag then scope_raise scope;
-                  let stop = !lo + grain in
-                  for i = !lo to stop - 1 do
-                    body i
-                  done;
-                  lo := stop;
-                  if hi - !lo <= grain || not (lazy_deque_deep pool ~lazy_depth)
-                  then chomping := false
-                done;
-                (* Left-over range: a final sub-grain leaf, or — if the deque
-                   drained — back to the splitting path below. *)
-                if !lo < hi then go !lo hi
-              end
-              else begin
-                (* The deque drained to the demand threshold: split off the
-                   top half of the remaining range as one task and keep
-                   going on the bottom half. *)
-                let mid = lo + ((hi - lo) / 2) in
-                let ((), ()) =
-                  join pool (fun () -> go lo mid) (fun () -> go mid hi)
-                in
-                ()
-              end
-            in
-            go start finish)
-    end
+    else
+      with_construct pool (fun scope ->
+          let rec go lo hi =
+            (* Check before descending: a failed scope stops splitting (and
+               skips this whole subtree) instead of running siblings of the
+               failed leaf to completion. *)
+            if Atomic.get scope.cancel_flag then scope_raise scope;
+            if hi - lo <= grain then
+              for i = lo to hi - 1 do
+                body i
+              done
+            else begin
+              let mid = lo + ((hi - lo) / 2) in
+              let ((), ()) =
+                join pool (fun () -> go lo mid) (fun () -> go mid hi)
+              in
+              ()
+            end
+          in
+          go start finish)
   end
 
 let parallel_for_reduce ?grain ~start ~finish ~body ~combine ~init pool =
@@ -1847,61 +1573,20 @@ let parallel_for_reduce ?grain ~start ~finish ~body ~combine ~init pool =
     | Seq_det { shuffle = false; _ } -> leaf start finish
     | Ws ->
     if pool.num_workers = 1 || my_index pool = None then leaf start finish
-    else begin
-      match pool.policy.Policy.splitter with
-      | Policy.Eager_grain ->
-        with_construct pool (fun scope ->
-            let rec go lo hi =
-              if Atomic.get scope.cancel_flag then scope_raise scope;
-              if hi - lo <= grain then leaf lo hi
-              else begin
-                let mid = lo + ((hi - lo) / 2) in
-                let a, b =
-                  join pool (fun () -> go lo mid) (fun () -> go mid hi)
-                in
-                combine a b
-              end
-            in
-            go start finish)
-      | Policy.Lazy_binary { lazy_depth } ->
-        (* Same adaptive shape as [parallel_for]'s lazy path, threading an
-           accumulator through the inline chunks.  The combine tree is
-           left-leaning along the fast path instead of balanced; since
-           [combine] is associative (the documented contract, which eager
-           splitting already leans on — its tree shape moves with [grain]),
-           the result is unchanged. *)
-        with_construct pool (fun scope ->
-            let rec go lo hi =
-              if Atomic.get scope.cancel_flag then scope_raise scope;
-              if hi - lo <= grain then leaf lo hi
-              else if lazy_deque_deep pool ~lazy_depth then begin
-                (* [hi - lo > grain] on entry, so the unconditional first
-                   chunk stays in range and guarantees progress; the loop
-                   invariant [!lo < hi] holds because chunks are only
-                   consumed while [hi - !lo > grain]. *)
-                let acc = ref (leaf lo (lo + grain)) in
-                let lo = ref (lo + grain) in
-                while
-                  hi - !lo > grain && lazy_deque_deep pool ~lazy_depth
-                do
-                  if Atomic.get scope.cancel_flag then scope_raise scope;
-                  let stop = !lo + grain in
-                  acc := combine !acc (leaf !lo stop);
-                  lo := stop
-                done;
-                if hi - !lo <= grain then combine !acc (leaf !lo hi)
-                else combine !acc (go !lo hi)
-              end
-              else begin
-                let mid = lo + ((hi - lo) / 2) in
-                let a, b =
-                  join pool (fun () -> go lo mid) (fun () -> go mid hi)
-                in
-                combine a b
-              end
-            in
-            go start finish)
-    end
+    else
+      with_construct pool (fun scope ->
+          let rec go lo hi =
+            if Atomic.get scope.cancel_flag then scope_raise scope;
+            if hi - lo <= grain then leaf lo hi
+            else begin
+              let mid = lo + ((hi - lo) / 2) in
+              let a, b =
+                join pool (fun () -> go lo mid) (fun () -> go mid hi)
+              in
+              combine a b
+            end
+          in
+          go start finish)
   end
 
 let parallel_chunks ?grain ~start ~finish ~body pool =
@@ -1966,10 +1651,6 @@ let run ?deadline pool f =
   Atomic.set pool.scope (new_scope ?deadline ());
   let slot = Domain.DLS.get slot_key in
   slot := Some (pool.id, 0);
-  (* The caller is worker 0 for the duration of the run: give it the pool's
-     per-domain minor heap too, and put the caller's own setting back in
-     [finish] so the sizing never leaks past the run. *)
-  let saved_minor_heap = apply_minor_heap pool in
   let watchdog = Option.map (start_watchdog pool) deadline in
   (* Leave no task of this run behind: whether [f] returns or raises, every
      outstanding promise of the run's current scope is resolved before
@@ -1983,9 +1664,6 @@ let run ?deadline pool f =
        callback already firing, so a late watchdog can only ever have hit
        this (finished) run's scope. *)
     Option.iter Timer.cancel watchdog;
-    (match saved_minor_heap with
-     | None -> ()
-     | Some words -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = words });
     slot := None;
     Atomic.set pool.scope (new_scope ());
     Atomic.set pool.running false;

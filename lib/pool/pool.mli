@@ -117,149 +117,28 @@ val cancel_run : t -> exn -> unit
     tasks already executing are not interrupted.  This is the primitive a
     serving layer uses when a client disconnects mid-request. *)
 
-(** {1 Scheduling policies}
+(** {1 Scheduling}
 
-    Every tunable scheduling decision of the work-stealing runtime is a field
-    of one plain {!Policy.t} record threaded through {!create} — so a policy
-    costs one record field load at each decision point, and the default
-    policy compiles to exactly the pre-refactor scheduler (steal-one,
-    help-first, uniform-random victims, and the historical spin/backoff
-    constants).  Policies are how the per-workload steal/fork trade-offs the
-    scheduling literature describes (steal-half batches, work-first fork
-    order, victim affinity) become raceable experiments instead of hardwired
-    constants: [rpb profile --policy NAME] and the CI policy-race job run the
-    same benchmark registry under different policies and attribute every
-    result — telemetry JSON, {!Stats}, flight recordings — to the policy
-    name. *)
+    The scheduler has no policy knobs.  Every steal takes one task from a
+    victim sweep that starts at a uniform-random worker; {!join} is
+    help-first (the second branch is pushed, the first runs inline);
+    {!parallel_for} / {!parallel_for_reduce} split eagerly down to
+    [grain]-sized leaves, with a default grain of
+    [max 1 (n / (8 * workers))].  Idle workers spin 64 times before
+    sleeping, a helping {!await} that finds no work sleeps 50 µs, and
+    off-pool waiters back off from 1 µs doubling to 1 ms. *)
 
-module Policy : sig
-  type steal_amount =
-    | Steal_one  (** one task per successful steal (Chase–Lev default) *)
-    | Steal_half
-        (** claim up to half of the victim's observed queue per visit; the
-            thief runs the first task and pushes the rest onto its own
-            deque.  See {!Ws_deque.steal_half} for the batching contract. *)
-
-  type fork_order =
-    | Help_first
-        (** [join f g] pushes [g] and runs [f] inline — the pre-refactor
-            behavior: the worker keeps descending the left spine and thieves
-            help with the right branches. *)
-    | Work_first
-        (** [join f g] pushes [f] (the continuation branch) and runs [g]
-            (the child) inline, so an idle thief picks up the continuation
-            while the worker commits to the child first. *)
-
-  type victim_selection =
-    | Random_victim  (** sweep starts at a uniform random worker (default) *)
-    | Round_robin  (** sweep starts after the last successful victim *)
-    | Sticky  (** sweep starts at the last successful victim *)
-
-  type splitter =
-    | Eager_grain
-        (** {!parallel_for} / {!parallel_for_reduce} split recursively down
-            to [grain]-sized leaves unconditionally — the pre-policy
-            behavior: the task count is fixed up front, idle thieves or
-            not. *)
-    | Lazy_binary of { lazy_depth : int }
-        (** Adaptive (lazy binary) splitting: while the executing worker's
-            own deque holds more than [lazy_depth] unstolen tasks — i.e. no
-            thief demand — the splitter runs [grain]-sized chunks inline
-            with zero deque traffic (the may-inline fast path); when the
-            deque drains to [lazy_depth] or below, it splits off the top
-            half of the remaining range as one task and continues on the
-            bottom half.  Fine grains stop costing fork-join overhead
-            unless the parallelism is actually consumed. *)
-
-  type t = {
-    name : string;  (** registry key; stamped into all telemetry *)
-    steal_amount : steal_amount;
-    fork_order : fork_order;
-    victim_selection : victim_selection;
-    splitter : splitter;
-    grain_factor : int;
-        (** leaves-per-worker target behind the default grain: a call site
-            passing no [?grain] gets [max 1 (n / (grain_factor * workers))].
-            The default policy's [8] is the pre-policy constant. *)
-    fixed_grain : int option;
-        (** when [Some g], every defaulted grain becomes [g] regardless of
-            [grain_factor] — the granularity-sweep lever.  Explicit
-            call-site [?grain] arguments still win. *)
-    spin_budget : int;  (** spins before a worker sleeps / a waiter backs off *)
-    idle_sleep_s : float;  (** helper's sleep when out of work under [await] *)
-    backoff_min_s : float;  (** off-pool waiter's initial poll interval *)
-    backoff_max_s : float;  (** off-pool waiter's poll-interval cap *)
-  }
-
-  val default : t
-  (** Steal-one, help-first, random victims, eager grain-8-per-worker
-      splitting, spin budget 64, 50 µs helper sleep, 1 µs → 1 ms off-pool
-      backoff: bit-for-bit the pre-policy scheduler. *)
-
-  val steal_half : t
-  val work_first : t
-  val sticky : t
-  val round_robin : t
-  val steal_half_sticky : t
-  val work_first_steal_half : t
-
-  val lazy_split : t
-  (** Registry name ["lazy"] ([lazy] is an OCaml keyword): lazy binary
-      splitting with [lazy_depth = 2] and a 16x finer default-grain target
-      ([grain_factor = 128]) — the depth-triggered coarsening is what keeps
-      the finer leaves from costing 16x the deque traffic. *)
-
-  val lazy_sticky : t
-  val lazy_steal_half : t
-
-  val eager_grain1 : t
-  (** Eager splitting with every defaulted grain forced to 1 — the
-      worst-case fork-join overhead end of the granularity sweep. *)
-
-  val lazy_grain1 : t
-  (** Lazy splitting with every defaulted grain forced to 1 — same leaf
-      decomposition as {!eager_grain1}, adaptively coarsened. *)
-
-  val all : t list
-  (** The named-policy registry, [default] first. *)
-
-  val names : unit -> string list
-
-  val find : string -> t option
-  (** Look a policy up by {!t.name}. *)
-end
-
-val create :
-  ?name:string -> ?policy:Policy.t -> ?minor_heap_kb:int ->
-  num_workers:int -> unit -> t
+val create : num_workers:int -> unit -> t
 (** [create ~num_workers ()] spawns [num_workers - 1] worker domains; the
     domain that later calls {!run} acts as the remaining worker.
     [num_workers] must be at least 1.  With [num_workers = 1] every operation
     degrades to sequential execution on the caller.
-
-    [?policy] (default {!Policy.default}) fixes the scheduling policy for the
-    pool's lifetime; see {!Policy}.
-
-    [?minor_heap_kb] sizes each worker domain's minor heap (in KB; must be
-    at least 1 — the runtime normalizes sizes below its own minimum).  The
-    calling domain gets the same sizing for the duration of each {!run} and
-    its previous setting back afterwards.  Per-worker [Gc] deltas in
-    {!Recorder} [Gc_sample] events make the effect observable: it is the
-    second scheduler-overhead lever next to {!Policy.t.splitter}, trading
-    minor-collection frequency against cache footprint on allocation-heavy
-    parallel loops.  Omitted = runtime default, untouched.
 
     Graceful degradation: if [Domain.spawn] fails (resource exhaustion), the
     attempt is retried with capped backoff and, if it keeps failing, the pool
     is created with however many workers did spawn instead of crashing.  The
     shortfall is visible as {!Stats.requested_workers} vs
     {!Stats.num_workers}. *)
-
-val policy : t -> Policy.t
-(** The policy the pool was created with. *)
-
-val policy_name : t -> string
-(** [policy_name pool = (policy pool).Policy.name]. *)
 
 val create_deterministic : ?seed:int -> ?shuffle:bool -> unit -> t
 (** A drop-in deterministic sequential executor: a pool of one worker (no
@@ -328,23 +207,18 @@ val join : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
 val parallel_for : ?grain:int -> start:int -> finish:int -> body:(int -> unit) -> t -> unit
 (** [parallel_for ~start ~finish ~body pool] applies [body] to every index in
-    the half-open range [\[start, finish)], decomposing according to the
-    pool policy's {!Policy.t.splitter}: eager recursion down to
-    [grain]-sized leaves, or lazy demand-driven splitting that runs
-    [grain]-sized chunks inline while no thief needs work.  When [?grain]
-    is omitted the policy supplies it ({!Policy.t.grain_factor} /
-    {!Policy.t.fixed_grain}; the default targets ~8 leaves per worker).
-    The pool comes last (domainslib convention) so that the optional
-    [?grain] can be erased. *)
+    the half-open range [\[start, finish)], splitting it recursively in halves
+    down to [grain]-sized leaves.  When [?grain] is omitted it is
+    [max 1 (n / (8 * workers))], ~8 leaves per worker.  The pool comes last
+    (domainslib convention) so that the optional [?grain] can be erased. *)
 
 val parallel_for_reduce :
   ?grain:int -> start:int -> finish:int ->
   body:(int -> 'a) -> combine:('a -> 'a -> 'a) -> init:'a -> t -> 'a
-(** Tree-shaped map-reduce over an index range; grain and splitter are
-    policy-governed exactly as in {!parallel_for}.  [combine] must be
-    associative; [init] must be its identity on the left of any leaf result.
-    (The lazy splitter's combine tree leans left along its inline fast path
-    — associativity is what makes that unobservable.) *)
+(** Tree-shaped map-reduce over an index range, split exactly as in
+    {!parallel_for}.  [combine] must be associative (the tree's shape moves
+    with [grain]); [init] must be its identity on the left of any leaf
+    result. *)
 
 val parallel_chunks :
   ?grain:int -> start:int -> finish:int -> body:(int -> int -> unit) -> t -> unit
@@ -398,7 +272,6 @@ module Stats : sig
     requested_workers : int;
         (** workers asked for at {!create}; [> num_workers] iff the pool
             degraded because [Domain.spawn] kept failing *)
-    policy : string;  (** {!Policy.t.name} of the pool's scheduling policy *)
     per_worker : worker array;
   }
 
@@ -522,19 +395,16 @@ module Recorder : sig
   val ts_of : event -> int
   (** The event's (begin) timestamp, for sorting. *)
 
-  type recording = { events : event list; dropped : int; policy : string }
+  type recording = { events : event list; dropped : int }
   (** All surviving events, sorted by timestamp, plus how many were lost to
-      ring overflow ([dropped = 0] means the rings were large enough) and
-      the scheduling-policy name passed to {!start}, so downstream analyzers
-      ([Rpb_obs.Sp_dag]) attribute the session to a policy. *)
+      ring overflow ([dropped = 0] means the rings were large enough). *)
 
   val enabled : unit -> bool
 
-  val start : ?ring_capacity:int -> ?policy_name:string -> unit -> unit
+  val start : ?ring_capacity:int -> unit -> unit
   (** Arm the recorder with fresh per-domain rings of [ring_capacity] events
-      each (rounded up to a power of two; default 32Ki).  [policy_name]
-      (default ["default"]) is stamped into the resulting {!recording}.
-      Any events from a previous session are discarded. *)
+      each (rounded up to a power of two; default 32Ki).  Any events from a
+      previous session are discarded. *)
 
   val stop : unit -> recording
   (** Disarm and collect every domain's ring into one sorted event list. *)

@@ -76,32 +76,6 @@ let steal q =
     if Atomic.compare_and_set q.top t (t + 1) then x else None
   end
 
-(* Batch steal.  A single CAS claiming [k > 1] top elements would be unsound
-   in this variant: the owner's [pop] removes bottom elements *without* a CAS
-   whenever [t < b], so a thief sitting between "read elements [t, t+k)" and
-   "CAS top from t to t+k" could hand out tasks the owner has already popped
-   and run.  Instead the batch is a bounded loop of the safe single-CAS
-   [steal] — it amortizes the victim-selection sweep, not the CAS — claiming
-   up to half of the size observed on entry.  Elements come back in steal
-   (top-first, FIFO) order; the list is empty iff the deque was empty or
-   every claim lost its race. *)
-let steal_half q =
-  let t = Atomic.get q.top in
-  let b = Atomic.get q.bottom in
-  let n = b - t in
-  if n <= 0 then []
-  else begin
-    let want = max 1 ((n + 1) / 2) in
-    let rec go k acc =
-      if k >= want then List.rev acc
-      else
-        match steal q with
-        | Some x -> go (k + 1) (x :: acc)
-        | None -> List.rev acc
-    in
-    go 0 []
-  end
-
 let size q =
   let b = Atomic.get q.bottom in
   let t = Atomic.get q.top in

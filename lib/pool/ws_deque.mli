@@ -27,20 +27,6 @@ val steal : 'a t -> 'a option
 (** Any domain.  Steals from the top (FIFO for thieves).  Returns [None] when
     the deque is empty or the steal lost a race. *)
 
-val steal_half : 'a t -> 'a list
-(** Any domain.  Claims up to half of the elements observed at the top (at
-    least one when non-empty) and returns them in steal (top-first, FIFO)
-    order; [[]] when the deque was empty or every claim lost its race.
-
-    Implementation note: this is a bounded loop of single-CAS {!steal}s, not
-    one CAS over [k] elements.  A multi-element CAS claim would be unsound
-    here because the owner's {!pop} removes bottom elements without a CAS
-    while more than one element remains — a thief between reading the
-    elements and publishing the claim could return tasks the owner already
-    executed.  The batch therefore amortizes the victim-selection sweep
-    (one [steal_half] replaces up to [k] full sweeps), not the per-element
-    synchronization. *)
-
 val size : 'a t -> int
 (** Approximate number of elements; exact only when quiescent. *)
 

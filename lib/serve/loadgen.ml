@@ -16,7 +16,6 @@ type config = {
   benches : string list;
   mode : string;
   scale : int;
-  policies : string list;
   deadline_ms : int option;
   spin_ms : int;
   burst : int;
@@ -39,7 +38,6 @@ let default_config ~socket_path =
     benches = [ "hist" ];
     mode = "unsafe";
     scale = 0;
-    policies = [ "default" ];
     deadline_ms = None;
     spin_ms = 20;
     burst = 0;
@@ -174,8 +172,7 @@ let handle_reply cl reply =
     | Protocol.Err_reply { kind = Protocol.Shutting_down; _ } ->
       cl.c_shutdown <- cl.c_shutdown + 1
     | Protocol.Err_reply { kind = Protocol.Malformed_request; _ }
-    | Protocol.Err_reply { kind = Protocol.Unknown_bench; _ }
-    | Protocol.Err_reply { kind = Protocol.Unknown_policy; _ } ->
+    | Protocol.Err_reply { kind = Protocol.Unknown_bench; _ } ->
       cl.c_rejected <- cl.c_rejected + 1));
   Mutex.unlock cl.mutex
 
@@ -272,11 +269,10 @@ let client_loop cl =
   let total = cfg.requests_per_client + burst in
   let mk_request seq =
     let bench = if seq < burst then "spin" else cycle cfg.benches seq in
-    let policy = cycle cfg.policies seq in
     Protocol.request
       ?deadline_s:
         (Option.map (fun ms -> float_of_int ms *. 1e-3) cfg.deadline_ms)
-      ~mode:cfg.mode ~scale:cfg.scale ~policy
+      ~mode:cfg.mode ~scale:cfg.scale
       ~spin_ms:(if bench = "spin" then cfg.spin_ms else 0)
       ~id:((cl.id * 1_000_000) + seq)
       ~bench ()
@@ -390,7 +386,6 @@ let result_to_json cfg r =
             ("benches", List (List.map (fun b -> Str b) cfg.benches));
             ("mode", Str cfg.mode);
             ("scale", Int cfg.scale);
-            ("policies", List (List.map (fun p -> Str p) cfg.policies));
             ( "deadline_ms",
               match cfg.deadline_ms with Some d -> Int d | None -> Null );
             ("spin_ms", Int cfg.spin_ms);
@@ -444,7 +439,6 @@ let run cfg =
    with Invalid_argument _ | Sys_error _ -> ());
   if cfg.clients < 1 then Error "clients must be >= 1"
   else if cfg.benches = [] then Error "at least one bench required"
-  else if cfg.policies = [] then Error "at least one policy required"
   else begin
     let digests = (Mutex.create (), Hashtbl.create 16) in
     let clients =

@@ -4,7 +4,7 @@
     to final reply, retries included).
 
     Every client is deterministic given [seed]: arrival gaps, the
-    bench/policy mix, and chaos kills all derive from per-client seeded
+    bench mix, and chaos kills all derive from per-client seeded
     streams, so a failing run can be replayed exactly.
 
     Accounting invariant: every issued request ends in exactly one bucket —
@@ -21,7 +21,6 @@ type config = {
   benches : string list;  (** cycled per request; ["spin"] allowed *)
   mode : string;
   scale : int;
-  policies : string list;  (** cycled per request *)
   deadline_ms : int option;  (** per-request deadline sent to the server *)
   spin_ms : int;  (** busy-work for ["spin"] requests *)
   burst : int;
@@ -50,14 +49,14 @@ type result = {
   stalled : int;
   cancelled : int;
   failed : int;
-  rejected : int;  (** malformed / unknown-bench / unknown-policy replies *)
+  rejected : int;  (** malformed / unknown-bench replies *)
   shutdown_replies : int;
   killed : int;  (** aborted by a chaos kill *)
   lost : int;  (** no reply within [wait_cap_s] — must be 0 *)
   protocol_errors : int;  (** unparseable replies — must be 0 *)
   digest_mismatches : int;
       (** ok replies whose digest disagreed with an earlier ok reply for the
-          same (bench, input, mode, scale) — across policies — must be 0 *)
+          same (bench, input, mode, scale) — must be 0 *)
   reconnects : int;
   max_retry_hint_ms : int;
       (** largest [retry_after_ms] hint any shed carried — under a burning

@@ -134,14 +134,13 @@ type request = {
   input : string option;
   mode : string;
   scale : int;
-  policy : string;
   deadline_s : float option;
   spin_ms : int;
 }
 
-let request ?(verb = "run") ?input ?(mode = "unsafe") ?(scale = 0)
-    ?(policy = "default") ?deadline_s ?(spin_ms = 0) ~id ~bench () =
-  { id; verb; bench; input; mode; scale; policy; deadline_s; spin_ms }
+let request ?(verb = "run") ?input ?(mode = "unsafe") ?(scale = 0) ?deadline_s
+    ?(spin_ms = 0) ~id ~bench () =
+  { id; verb; bench; input; mode; scale; deadline_s; spin_ms }
 
 let stats_request ~id = request ~verb:"stats" ~id ~bench:"-" ()
 let health_request ~id = request ~verb:"health" ~id ~bench:"-" ()
@@ -153,8 +152,8 @@ let request_line r =
   if r.verb <> "run" then
     Buffer.add_string b (Printf.sprintf "verb=%s " (sanitize r.verb));
   Buffer.add_string b
-    (Printf.sprintf "id=%d bench=%s mode=%s scale=%d policy=%s" r.id
-       (sanitize r.bench) (sanitize r.mode) r.scale (sanitize r.policy));
+    (Printf.sprintf "id=%d bench=%s mode=%s scale=%d" r.id (sanitize r.bench)
+       (sanitize r.mode) r.scale);
   (match r.input with
    | Some i -> Buffer.add_string b (" input=" ^ sanitize i)
    | None -> ());
@@ -208,7 +207,6 @@ let parse_request line =
       input = find "input" fields;
       mode = Option.value (find "mode" fields) ~default:"unsafe";
       scale;
-      policy = Option.value (find "policy" fields) ~default:"default";
       deadline_s;
       spin_ms = (match spin_ms with Some s when s > 0 -> s | _ -> 0);
     }
@@ -222,7 +220,6 @@ type error_kind =
   | Cancelled
   | Malformed_request
   | Unknown_bench
-  | Unknown_policy
   | Shutting_down
   | Failed
 
@@ -233,7 +230,6 @@ let error_kinds =
     (Cancelled, "cancelled");
     (Malformed_request, "malformed");
     (Unknown_bench, "unknown-bench");
-    (Unknown_policy, "unknown-policy");
     (Shutting_down, "shutdown");
     (Failed, "failed");
   ]

@@ -12,9 +12,7 @@
     [scale]), or the built-in [bench=spin] busy-loop (a cancellable
     synthetic job, [spin_ms] of parallel work — the load generator's
     deterministic way to occupy the pool).  Every request carries a
-    client-chosen [id], an optional per-request [deadline_ms], and an
-    optional per-request [policy] (a {!Rpb_pool.Pool.Policy} registry
-    name).
+    client-chosen [id] and an optional per-request [deadline_ms].
 
     A {e reply} echoes the [id] and is either [status=ok] — with the
     canonical digest hash of the benchmark output, queueing and execution
@@ -56,16 +54,15 @@ type request = {
   input : string option;  (** benchmark input (default: the entry's first) *)
   mode : string;  (** "unsafe" | "checked" | "sync" *)
   scale : int;
-  policy : string;  (** scheduling-policy registry name *)
   deadline_s : float option;  (** per-request deadline *)
   spin_ms : int;  (** busy-work duration for [bench = "spin"] *)
 }
 
 val request : ?verb:string -> ?input:string -> ?mode:string -> ?scale:int ->
-  ?policy:string -> ?deadline_s:float -> ?spin_ms:int -> id:int ->
+  ?deadline_s:float -> ?spin_ms:int -> id:int ->
   bench:string -> unit -> request
 (** Request with protocol defaults ([verb = "run"], [mode = "unsafe"],
-    [scale = 0], [policy = "default"], no deadline). *)
+    [scale = 0], no deadline). *)
 
 val stats_request : id:int -> request
 (** A [verb=stats] request: the server replies with one frame whose payload
@@ -89,7 +86,6 @@ type error_kind =
   | Cancelled  (** the request's run was cancelled (client disconnect) *)
   | Malformed_request  (** unparseable request, bad input/mode/scale *)
   | Unknown_bench
-  | Unknown_policy
   | Shutting_down  (** server draining: request not (fully) served *)
   | Failed  (** the job raised (e.g. an injected fault); [msg] says what *)
 

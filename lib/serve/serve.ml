@@ -11,14 +11,12 @@ open Rpb_benchmarks
 type config = {
   socket_path : string;
   threads : int;
-  policy : string;
   max_queue : int;
   drain_grace_s : float;
   scale_cap : int;
   preload : (string * string option * int) list;
   json_path : string option;
   quiet : bool;
-  minor_heap_kb : int option;
   metrics_path : string option;
   metrics_interval_s : float;
   slow_log : int;
@@ -32,14 +30,12 @@ let default_config ~socket_path =
   {
     socket_path;
     threads = max 1 (Domain.recommended_domain_count () - 1);
-    policy = "default";
     max_queue = 16;
     drain_grace_s = 2.0;
     scale_cap = 6;
     preload = [];
     json_path = None;
     quiet = false;
-    minor_heap_kb = None;
     metrics_path = None;
     metrics_interval_s = 1.0;
     slow_log = 8;
@@ -102,7 +98,6 @@ type job = {
 type req_record = {
   r_id : int;
   r_bench : string;
-  r_policy : string;
   r_status : string;
   r_queue_ms : float;
   r_exec_ms : float;
@@ -128,21 +123,19 @@ type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
   started_at : float;
+  pool : Pool.t;  (* every request runs here, on the executor domain *)
   (* --- queue state, all under [qmutex] --- *)
   qmutex : Mutex.t;
   qcond : Condition.t;
   queue : job Queue.t;
-  mutable inflight : (job * Pool.t) option;
+  mutable inflight : job option;
   mutable draining : bool;
   mutable ewma_ms : float;
   mutable c : stats;
   mutable records : req_record list;  (* newest first, capped *)
   mutable n_records : int;
-  (* --- pools, under [pmutex] --- *)
-  pmutex : Mutex.t;
-  pools : (string, Pool.t) Hashtbl.t;
   (* --- prepared-instance cache: executor-domain only --- *)
-  prepared : (string * string * string * int, Common.prepared) Hashtbl.t;
+  prepared : (string * string * int, Common.prepared) Hashtbl.t;
   (* --- connections, under [cmutex] --- *)
   cmutex : Mutex.t;
   mutable conn_threads : Thread.t list;
@@ -208,29 +201,7 @@ let err ?(id = -1) ?retry_after_ms kind msg =
   Protocol.Err_reply { id; kind; retry_after_ms; msg }
 
 (* ------------------------------------------------------------------ *)
-(* Pools and request execution (executor domain) *)
-
-let resolve_policy_name t name = if name = "default" then t.cfg.policy else name
-
-let resolve_pool t name =
-  Mutex.lock t.pmutex;
-  let pool =
-    match Hashtbl.find_opt t.pools name with
-    | Some p -> p
-    | None ->
-      let policy = Option.get (Pool.Policy.find name) in
-      let p =
-        Pool.create ~name:("serve-" ^ name) ~policy
-          ?minor_heap_kb:t.cfg.minor_heap_kb ~num_workers:t.cfg.threads ()
-      in
-      Hashtbl.replace t.pools name p;
-      (* Export the per-policy pool's scheduler gauges alongside the
-         default pool's ([pool.*]). *)
-      Metrics.register_pool ~prefix:("pool." ^ name) p;
-      p
-  in
-  Mutex.unlock t.pmutex;
-  pool
+(* Request execution (executor domain) *)
 
 exception Verify_failed
 
@@ -238,11 +209,12 @@ let resolve_input entry = function
   | Some i -> i
   | None -> List.hd entry.Common.inputs
 
-let prepare_cached t pool entry ~input ~scale =
-  let key = (Pool.policy_name pool, entry.Common.name, input, scale) in
+let prepare_cached t entry ~input ~scale =
+  let key = (entry.Common.name, input, scale) in
   match Hashtbl.find_opt t.prepared key with
   | Some p -> (key, p)
   | None ->
+    let pool = t.pool in
     let p = Pool.run pool (fun () -> entry.Common.prepare pool ~input ~scale) in
     Hashtbl.replace t.prepared key p;
     (key, p)
@@ -263,11 +235,12 @@ let run_spin pool (req : Protocol.request) =
   let exec_ms = (Rpb_prim.Timing.now () -. t0) *. 1e3 in
   (Protocol.digest_hash [| req.spin_ms |], exec_ms)
 
-let run_bench t pool (req : Protocol.request) =
+let run_bench t (req : Protocol.request) =
+  let pool = t.pool in
   let entry = Option.get (Registry.find req.bench) in
   let input = resolve_input entry req.input in
   let mode = Option.get (Mode.of_string req.mode) in
-  let key, prepared = prepare_cached t pool entry ~input ~scale:req.scale in
+  let key, prepared = prepare_cached t entry ~input ~scale:req.scale in
   try
     let t0 = Rpb_prim.Timing.now () in
     Pool.run ?deadline:req.deadline_s pool (fun () ->
@@ -291,7 +264,8 @@ let run_bench t pool (req : Protocol.request) =
    own cancel mark is a stale cancellation from an earlier job's disconnect
    poisoning the fresh scope — retried once (the scope is clean again after
    the aborted run). *)
-let execute t job pool =
+let execute t job =
+  let pool = t.pool in
   let req = job.req in
   let queue_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
   (* Request-scoped scheduler tracing: the whole run executes under a span
@@ -302,7 +276,7 @@ let execute t job pool =
   let span_name = Printf.sprintf "request:%d:%s" req.id req.bench in
   let attempt () =
     Pool.Trace.span pool span_name (fun () ->
-        if req.bench = "spin" then run_spin pool req else run_bench t pool req)
+        if req.bench = "spin" then run_spin pool req else run_bench t req)
   in
   match
     try attempt ()
@@ -328,13 +302,12 @@ let execute t job pool =
   | exception e ->
     ("failed", Some (err ~id:req.id Protocol.Failed (Printexc.to_string e)), 0.)
 
-let record t ~(job : job) ~policy_name ~status ~queue_ms ~exec_ms =
+let record t ~(job : job) ~status ~queue_ms ~exec_ms =
   if t.n_records < max_records then begin
     t.records <-
       {
         r_id = job.req.id;
         r_bench = job.req.bench;
-        r_policy = policy_name;
         r_status = status;
         r_queue_ms = queue_ms;
         r_exec_ms = exec_ms;
@@ -377,7 +350,7 @@ let slow_threshold_ms t =
   else if Metrics.hist_count m_exec_hist < slow_sample_floor then infinity
   else Metrics.percentile_ms m_exec_hist t.cfg.slow_pctl
 
-let slow_doc t (job : job) ~policy_name ~exec_ms recording =
+let slow_doc t (job : job) ~exec_ms recording =
   let req = job.req in
   let metrics = Rpb_obs.Sp_dag.analyze recording in
   Rpb_obs.Profile.to_json
@@ -392,7 +365,6 @@ let slow_doc t (job : job) ~policy_name ~exec_ms recording =
       elapsed_ns = exec_ms *. 1e6;
       verified = true;
       workers = [];
-      policy = policy_name;
       metrics;
     }
 
@@ -467,25 +439,20 @@ let executor_loop t =
         bump t "cancelled";
         let queue_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
         Metrics.observe_ms m_queue_hist queue_ms;
-        record t ~job ~policy_name:"-" ~status:"cancelled" ~queue_ms
-          ~exec_ms:0.;
+        record t ~job ~status:"cancelled" ~queue_ms ~exec_ms:0.;
         Mutex.unlock t.qmutex
       end
       else begin
-        Mutex.unlock t.qmutex;
-        let policy_name = resolve_policy_name t job.req.policy in
-        let pool = resolve_pool t policy_name in
-        Mutex.lock t.qmutex;
-        t.inflight <- Some (job, pool);
+        t.inflight <- Some job;
         Mutex.unlock t.qmutex;
         (* Freeze the slow threshold before this request's own sample can
            move it, then run under a private recorder session. *)
         let threshold_ms = slow_threshold_ms t in
         let recording_armed = slow_active t in
         if recording_armed then
-          Pool.Recorder.start ~ring_capacity:4096 ~policy_name ();
+          Pool.Recorder.start ~ring_capacity:4096 ();
         let qwait_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
-        let status, reply, exec_ms = execute t job pool in
+        let status, reply, exec_ms = execute t job in
         let recording =
           if recording_armed then Some (Pool.Recorder.stop ()) else None
         in
@@ -508,11 +475,11 @@ let executor_loop t =
           t.ewma_ms <- (0.8 *. t.ewma_ms) +. (0.2 *. exec_ms);
           Metrics.set_gauge m_ewma t.ewma_ms
         end;
-        record t ~job ~policy_name ~status ~queue_ms ~exec_ms;
+        record t ~job ~status ~queue_ms ~exec_ms;
         Mutex.unlock t.qmutex;
         (match recording with
         | Some r when status = "ok" && exec_ms >= threshold_ms ->
-          push_slow t (slow_doc t job ~policy_name ~exec_ms r)
+          push_slow t (slow_doc t job ~exec_ms r)
         | _ -> ());
         match reply with Some r -> send job.jconn r | None -> ()
       end
@@ -522,15 +489,8 @@ let executor_loop t =
 (* ------------------------------------------------------------------ *)
 (* Admission (connection threads) *)
 
-let unknown_policy_msg name =
-  Printf.sprintf "unknown policy %s (have: %s)" (Protocol.sanitize name)
-    (String.concat " " (Pool.Policy.names ()))
-
 let validate t (req : Protocol.request) =
-  let policy_name = resolve_policy_name t req.policy in
-  if Pool.Policy.find policy_name = None then
-    Error (Protocol.Unknown_policy, unknown_policy_msg req.policy)
-  else if req.bench = "spin" then
+  if req.bench = "spin" then
     if req.spin_ms <= 0 then
       Error (Protocol.Malformed_request, "spin requires spin_ms > 0")
     else Ok ()
@@ -688,10 +648,10 @@ let on_conn_end t conn ~clean =
         end)
       t.queue;
     (match t.inflight with
-    | Some (j, pool) when j.jconn == conn ->
+    | Some j when j.jconn == conn ->
       Atomic.set j.jcancelled true;
       outstanding := true;
-      Pool.cancel_run pool Pool.Cancelled
+      Pool.cancel_run t.pool Pool.Cancelled
     | _ -> ());
     if (not clean) || !outstanding then begin
       t.c <- { t.c with disconnects = t.c.disconnects + 1 };
@@ -765,7 +725,6 @@ let artifact_json t =
           [
             ("id", Int r.r_id);
             ("bench", Str r.r_bench);
-            ("policy", Str r.r_policy);
             ("status", Str r.r_status);
             ("queue_ms", Float r.r_queue_ms);
             ("exec_ms", Float r.r_exec_ms);
@@ -786,11 +745,8 @@ let artifact_json t =
           [
             ("socket", Str t.cfg.socket_path);
             ("threads", Int t.cfg.threads);
-            ("policy", Str t.cfg.policy);
             ("max_queue", Int t.cfg.max_queue);
             ("scale_cap", Int t.cfg.scale_cap);
-            ( "minor_heap_kb",
-              match t.cfg.minor_heap_kb with Some kb -> Int kb | None -> Null );
             ("uptime_s", Float (Rpb_prim.Timing.now () -. t.started_at));
           ] );
       ( "counters",
@@ -827,7 +783,7 @@ let write_artifact t =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let preload_all t pool =
+let preload_all t =
   List.iter
     (fun (bench, input, scale) ->
       match Registry.find bench with
@@ -837,7 +793,7 @@ let preload_all t pool =
         if not (List.mem input entry.Common.inputs) then
           failwith
             (Printf.sprintf "preload: unknown input %s for %s" input bench);
-        let _key, _p = prepare_cached t pool entry ~input ~scale in
+        let _key, _p = prepare_cached t entry ~input ~scale in
         log t "preloaded %s/%s scale=%d" bench input scale)
     t.cfg.preload
 
@@ -845,139 +801,131 @@ let start cfg =
   (* A peer closing mid-write must surface as EPIPE, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  match Pool.Policy.find cfg.policy with
-  | None -> Error (unknown_policy_msg cfg.policy)
-  | Some policy -> (
-    let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    try
-      if Sys.file_exists cfg.socket_path then Unix.unlink cfg.socket_path;
-      Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-      Unix.listen listen_fd 64;
-      let pool =
-        Pool.create ~name:"serve" ~policy ?minor_heap_kb:cfg.minor_heap_kb
-          ~num_workers:cfg.threads ()
-      in
-      let slo_state =
-        match cfg.slo with
-        | None -> None
-        | Some spec ->
-          let params =
-            {
-              Slo.default_params with
-              Slo.fast_s = cfg.slo_fast_s;
-              slow_s = cfg.slo_slow_s;
-            }
-          in
-          Some
-            {
-              engine = Slo.create ~params spec;
-              g_overall = Metrics.gauge "slo.level";
-              g_objs =
-                List.map
-                  (fun (name, _) ->
-                    ( Metrics.gauge ("slo." ^ name ^ ".level"),
-                      Metrics.gauge ("slo." ^ name ^ ".fast_burn"),
-                      Metrics.gauge ("slo." ^ name ^ ".slow_burn"),
-                      Metrics.gauge ("slo." ^ name ^ ".budget_remaining") ))
-                  spec;
-              last = [];
-            }
-      in
-      if Option.is_some slo_state then Slo.reset_current ();
-      let t =
-        {
-          cfg;
-          listen_fd;
-          started_at = Rpb_prim.Timing.now ();
-          qmutex = Mutex.create ();
-          qcond = Condition.create ();
-          queue = Queue.create ();
-          inflight = None;
-          draining = false;
-          ewma_ms = 5.0;
-          c = zero_stats;
-          records = [];
-          n_records = 0;
-          pmutex = Mutex.create ();
-          pools = Hashtbl.create 8;
-          prepared = Hashtbl.create 32;
-          cmutex = Mutex.create ();
-          conn_threads = [];
-          live_conns = [];
-          accept_thread = None;
-          executor = None;
-          smutex = Mutex.create ();
-          stopped = false;
-          mmutex = Mutex.create ();
-          metrics_oc = None;
-          metrics_thread = None;
-          metrics_stop = Atomic.make false;
-          slow_docs = [];
-          n_slow = 0;
-          slo = slo_state;
-        }
-      in
-      Hashtbl.replace t.pools cfg.policy pool;
-      (* The serving layer always runs with the metrics plane on: that is
-         its whole observability story ([stats] verb, [rpb top], slow-request
-         log).  Batch/bench paths leave it off and pay one atomic load. *)
-      Metrics.enable ();
-      Metrics.register_pool pool;
-      ignore (Metrics.sample_gc_pauses ());
-      Metrics.probe "serve.occupancy" (fun () ->
-          Mutex.lock t.qmutex;
-          let o =
-            Queue.length t.queue
-            + (match t.inflight with Some _ -> 1 | None -> 0)
-          in
-          Mutex.unlock t.qmutex;
-          float_of_int o);
-      Metrics.probe "serve.queue_depth" (fun () ->
-          Mutex.lock t.qmutex;
-          let n = Queue.length t.queue in
-          Mutex.unlock t.qmutex;
-          float_of_int n);
-      Metrics.probe "serve.connections_live" (fun () ->
-          Mutex.lock t.cmutex;
-          let n = List.length t.live_conns in
-          Mutex.unlock t.cmutex;
-          float_of_int n);
-      preload_all t pool;
-      (match cfg.metrics_path with
-      | Some path ->
-        let oc = open_out path in
-        t.metrics_oc <- Some oc;
-        Mutex.lock t.mmutex;
-        Metrics.write_snapshot_line oc;
-        Mutex.unlock t.mmutex
-      | None -> ());
-      (* One sampler thread serves both periodic consumers: the SLO
-         evaluation and the JSONL stream.  Either alone still needs the
-         thread; neither means no thread at all. *)
-      if Option.is_some t.metrics_oc || Option.is_some t.slo then
-        t.metrics_thread <-
-          Some
-            (Thread.create
-               (fun () ->
-                 while not (Atomic.get t.metrics_stop) do
-                   Unix.sleepf cfg.metrics_interval_s;
-                   slo_tick t;
-                   Mutex.lock t.mmutex;
-                   (match t.metrics_oc with
-                   | Some oc -> (
-                     try Metrics.write_snapshot_line oc with Sys_error _ -> ())
-                   | None -> ());
-                   Mutex.unlock t.mmutex
-                 done)
-               ());
-      t.executor <- Some (Domain.spawn (fun () -> executor_loop t));
-      t.accept_thread <- Some (Thread.create accept_loop t);
-      log t "listening on %s (threads=%d policy=%s max_queue=%d)"
-        cfg.socket_path cfg.threads cfg.policy cfg.max_queue;
-      Ok t
-    with e ->
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      Error (Printexc.to_string e))
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  try
+    if Sys.file_exists cfg.socket_path then Unix.unlink cfg.socket_path;
+    Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
+    Unix.listen listen_fd 64;
+    let pool = Pool.create ~num_workers:cfg.threads () in
+    let slo_state =
+      match cfg.slo with
+      | None -> None
+      | Some spec ->
+        let params =
+          {
+            Slo.default_params with
+            Slo.fast_s = cfg.slo_fast_s;
+            slow_s = cfg.slo_slow_s;
+          }
+        in
+        Some
+          {
+            engine = Slo.create ~params spec;
+            g_overall = Metrics.gauge "slo.level";
+            g_objs =
+              List.map
+                (fun (name, _) ->
+                  ( Metrics.gauge ("slo." ^ name ^ ".level"),
+                    Metrics.gauge ("slo." ^ name ^ ".fast_burn"),
+                    Metrics.gauge ("slo." ^ name ^ ".slow_burn"),
+                    Metrics.gauge ("slo." ^ name ^ ".budget_remaining") ))
+                spec;
+            last = [];
+          }
+    in
+    if Option.is_some slo_state then Slo.reset_current ();
+    let t =
+      {
+        cfg;
+        listen_fd;
+        started_at = Rpb_prim.Timing.now ();
+        pool;
+        qmutex = Mutex.create ();
+        qcond = Condition.create ();
+        queue = Queue.create ();
+        inflight = None;
+        draining = false;
+        ewma_ms = 5.0;
+        c = zero_stats;
+        records = [];
+        n_records = 0;
+        prepared = Hashtbl.create 32;
+        cmutex = Mutex.create ();
+        conn_threads = [];
+        live_conns = [];
+        accept_thread = None;
+        executor = None;
+        smutex = Mutex.create ();
+        stopped = false;
+        mmutex = Mutex.create ();
+        metrics_oc = None;
+        metrics_thread = None;
+        metrics_stop = Atomic.make false;
+        slow_docs = [];
+        n_slow = 0;
+        slo = slo_state;
+      }
+    in
+    (* The serving layer always runs with the metrics plane on: that is
+       its whole observability story ([stats] verb, [rpb top], slow-request
+       log).  Batch/bench paths leave it off and pay one atomic load. *)
+    Metrics.enable ();
+    Metrics.register_pool pool;
+    ignore (Metrics.sample_gc_pauses ());
+    Metrics.probe "serve.occupancy" (fun () ->
+        Mutex.lock t.qmutex;
+        let o =
+          Queue.length t.queue
+          + (match t.inflight with Some _ -> 1 | None -> 0)
+        in
+        Mutex.unlock t.qmutex;
+        float_of_int o);
+    Metrics.probe "serve.queue_depth" (fun () ->
+        Mutex.lock t.qmutex;
+        let n = Queue.length t.queue in
+        Mutex.unlock t.qmutex;
+        float_of_int n);
+    Metrics.probe "serve.connections_live" (fun () ->
+        Mutex.lock t.cmutex;
+        let n = List.length t.live_conns in
+        Mutex.unlock t.cmutex;
+        float_of_int n);
+    preload_all t;
+    (match cfg.metrics_path with
+    | Some path ->
+      let oc = open_out path in
+      t.metrics_oc <- Some oc;
+      Mutex.lock t.mmutex;
+      Metrics.write_snapshot_line oc;
+      Mutex.unlock t.mmutex
+    | None -> ());
+    (* One sampler thread serves both periodic consumers: the SLO
+       evaluation and the JSONL stream.  Either alone still needs the
+       thread; neither means no thread at all. *)
+    if Option.is_some t.metrics_oc || Option.is_some t.slo then
+      t.metrics_thread <-
+        Some
+          (Thread.create
+             (fun () ->
+               while not (Atomic.get t.metrics_stop) do
+                 Unix.sleepf cfg.metrics_interval_s;
+                 slo_tick t;
+                 Mutex.lock t.mmutex;
+                 (match t.metrics_oc with
+                 | Some oc -> (
+                   try Metrics.write_snapshot_line oc with Sys_error _ -> ())
+                 | None -> ());
+                 Mutex.unlock t.mmutex
+               done)
+             ());
+    t.executor <- Some (Domain.spawn (fun () -> executor_loop t));
+    t.accept_thread <- Some (Thread.create accept_loop t);
+    log t "listening on %s (threads=%d max_queue=%d)" cfg.socket_path
+      cfg.threads cfg.max_queue;
+    Ok t
+  with e ->
+    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+    Error (Printexc.to_string e)
 
 (* Wake a blocked [accept] — closing the fd from another thread does not
    interrupt it on Linux. *)
@@ -1005,9 +953,9 @@ let stop t =
       Pool.Timer.schedule ~delay_s:t.cfg.drain_grace_s (fun () ->
           Mutex.lock t.qmutex;
           (match t.inflight with
-          | Some (j, pool) ->
+          | Some j ->
             Atomic.set j.jcancelled true;
-            Pool.cancel_run pool Pool.Cancelled
+            Pool.cancel_run t.pool Pool.Cancelled
           | None -> ());
           Mutex.unlock t.qmutex)
     in
@@ -1041,10 +989,7 @@ let stop t =
     | None -> ());
     Mutex.unlock t.mmutex;
     write_artifact t;
-    Mutex.lock t.pmutex;
-    Hashtbl.iter (fun _ p -> Pool.shutdown p) t.pools;
-    Hashtbl.reset t.pools;
-    Mutex.unlock t.pmutex;
+    Pool.shutdown t.pool;
     (* The shared timer wheel spawned its domain for our deadlines and the
        drain-grace timer; retire it with the server so a drained process
        holds no background domain. *)

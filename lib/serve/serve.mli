@@ -1,15 +1,15 @@
-(** The [rpb serve] request server: one process owning shared work-stealing
-    pools, serving {!Protocol} jobs over a Unix-domain socket.
+(** The [rpb serve] request server: one process owning a shared work-stealing
+    pool, serving {!Protocol} jobs over a Unix-domain socket.
 
     {2 Architecture}
 
     One {e accept} systhread plus one systhread per connection parse frames
     and run admission control; a single {e executor} domain owns all
-    [Pool.run] calls (pools must not be entered from two threads at once,
+    [Pool.run] calls (a pool must not be entered from two threads at once,
     and systhreads of one domain share the pool's DLS slot).  Each request
     executes inside its own cancellation scope with its own optional
     deadline — a stalled or cancelled request replies with a structured
-    error and leaves the pools reusable.
+    error and leaves the pool reusable.
 
     {2 Admission control}
 
@@ -35,7 +35,7 @@
     requests, let the in-flight request finish within [drain_grace_s]
     (cancelling it when the grace timer — on the shared
     {!Rpb_pool.Pool.Timer} wheel — fires first), then join every thread,
-    write the [kind="serve"] artifact, and shut the pools down (including
+    write the [kind="serve"] artifact, and shut the pool down (including
     the shared timer wheel, via {!Rpb_pool.Pool.Timer.shutdown}).  No
     failure mode (faults, stalls, disconnects, floods of garbage bytes)
     may kill the process or poison a pool.
@@ -43,7 +43,7 @@
     {2 Live metrics}
 
     {!start} enables the process-global {!Rpb_obs.Metrics} plane and
-    registers every pool's scheduler gauges.  Request handling feeds
+    registers the pool's scheduler gauges.  Request handling feeds
     [serve.*] counters and queue/exec/total latency histograms; the
     [verb=stats] protocol request replies with a point-in-time
     [kind="metrics"] snapshot (served even while draining), which is what
@@ -72,8 +72,7 @@
 
 type config = {
   socket_path : string;
-  threads : int;  (** workers per pool *)
-  policy : string;  (** pool policy for requests with [policy=default] *)
+  threads : int;  (** workers in the server's pool *)
   max_queue : int;  (** admission bound on queued + in-flight requests *)
   drain_grace_s : float;  (** how long {!stop} lets the in-flight run finish *)
   scale_cap : int;  (** requests with a larger [scale] are rejected *)
@@ -82,9 +81,6 @@ type config = {
           requests don't pay input generation *)
   json_path : string option;  (** where {!stop} writes the serve artifact *)
   quiet : bool;
-  minor_heap_kb : int option;
-      (** per-worker-domain minor heap size for every pool the server
-          creates; stamped into the artifact's [meta] *)
   metrics_path : string option;
       (** append one [kind="metrics"] snapshot per interval as JSONL *)
   metrics_interval_s : float;  (** sampler period (default 1.0) *)
@@ -101,9 +97,8 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** [threads = Domain.recommended_domain_count () - 1] (min 1),
-    [policy = "default"], [max_queue = 16], [drain_grace_s = 2.0],
-    [scale_cap = 6], no preload, no artifact, not quiet, no
-    [minor_heap_kb], no metrics JSONL, [metrics_interval_s = 1.0],
+    [max_queue = 16], [drain_grace_s = 2.0], [scale_cap = 6], no preload,
+    no artifact, not quiet, no metrics JSONL, [metrics_interval_s = 1.0],
     [slow_log = 8], [slow_pctl = 99.0], no SLO, 60 s / 3600 s burn
     windows. *)
 
@@ -114,7 +109,7 @@ type stats = {
   stalled : int;  (** per-request deadline fired *)
   cancelled : int;  (** cancelled by disconnect (incl. unsent replies) *)
   failed : int;  (** job raised, or verification failed *)
-  rejected : int;  (** malformed / unknown bench / unknown policy / capped *)
+  rejected : int;  (** malformed / unknown bench / capped *)
   shutdown_replies : int;  (** queued requests replied [shutdown] at drain *)
   disconnects : int;
       (** connections that ended with a transport error, or with requests
@@ -127,9 +122,8 @@ type t
 
 val start : config -> (t, string) result
 (** Bind and listen on [socket_path] (any stale socket file is replaced),
-    create the default-policy pool, prepare the preloads, and launch the
-    accept thread and the executor domain.  [Error msg] if the socket can't
-    be bound or the default policy name is unknown. *)
+    create the pool, prepare the preloads, and launch the accept thread and
+    the executor domain.  [Error msg] if the socket can't be bound. *)
 
 val stop : t -> unit
 (** Graceful drain as described above.  Idempotent; blocks until every

@@ -1,10 +1,8 @@
 #!/bin/sh
 # The rpb exit-code contract: 0 = success, 2 = usage error, 4 =
 # correctness / fault / robustness violation (3 is the perf gate's,
-# scripts/perf_gate.sh, and no subcommand returns it).  Every CLI
-# surface that takes --policy must reject an unknown name with exit 2 and
-# list the known policy names on stderr.  Run by the dune rule in
-# test/dune with the binary path as $1.
+# scripts/perf_gate.sh, and no subcommand returns it).  Run by the dune
+# rule in test/dune with the binary path as $1.
 set -u
 rpb=$1
 fail() { echo "cli_exit_codes: $*" >&2; exit 1; }
@@ -15,18 +13,6 @@ expect_code() {
   "$rpb" "$@" >/dev/null 2>&1
   got=$?
   [ "$got" -eq "$want" ] || fail "rpb $*: exit $got, want $want"
-}
-
-# $1.. = subcommand (and any required positionals); --policy nosuch is
-# appended.  Exit must be 2 and stderr must list a real policy name.
-expect_policy_listing() {
-  out=$("$rpb" "$@" --policy nosuch 2>&1)
-  got=$?
-  [ "$got" -eq 2 ] || fail "rpb $* --policy nosuch: exit $got, want 2"
-  case $out in
-  *steal_half*) ;;
-  *) fail "rpb $* --policy nosuch: stderr does not list policy names" ;;
-  esac
 }
 
 expect_code 0 list
@@ -66,10 +52,13 @@ expect_code 0 slo "$slo_tmp" --slo avail:0.0001 --fast-s 1 --slow-s 10 --check
 printf '{"kind":"perf","workload":"regular"}\n' > "$kind_tmp"
 expect_code 2 report "$kind_tmp" -o /dev/null
 
-expect_policy_listing check
-expect_policy_listing faults
-expect_policy_listing profile
-expect_policy_listing serve
-expect_policy_listing loadgen
+# The scheduler has no knobs: the retired scheduling flags are unknown
+# options, i.e. usage errors.
+expect_code 2 check --policy default
+expect_code 2 faults --policy default
+expect_code 2 profile --policy default
+expect_code 2 serve --policy default
+expect_code 2 loadgen --policy default
+expect_code 2 serve --minor-heap-kb 1
 
 echo "cli_exit_codes: ok"

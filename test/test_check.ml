@@ -407,23 +407,18 @@ let test_oracle_detects_order_sensitivity () =
   Alcotest.(check bool) "shuffled schedule exposes order-sensitivity" true
     disagrees
 
-(* Every named scheduling policy must produce a clean oracle verdict: the
-   policy's pool runs against the very same deterministic reference digests,
-   so a policy that reorders, drops or duplicates work cannot pass.  One
-   cheap benchmark per fear tier keeps the sweep fast. *)
+(* The work-stealing pool must produce a clean oracle verdict against the
+   deterministic reference digests, so a scheduler that reorders, drops or
+   duplicates work cannot pass.  One cheap benchmark per fear tier keeps the
+   sweep fast. *)
 let test_oracle_clean_under_every_policy () =
   List.iter
-    (fun (p : Pool.Policy.t) ->
-      List.iter
-        (fun bench ->
-          let report =
-            Oracle.run ~threads:3 ~scale:0 ~bench ~policy:p ~seed:11 ()
-          in
-          if not (Oracle.ok report) then
-            Alcotest.failf "policy %s fails the oracle on %s:\n%s"
-              p.Pool.Policy.name bench (Oracle.summary report))
-        [ "isort"; "sa"; "hist" ])
-    Pool.Policy.all
+    (fun bench ->
+      let report = Oracle.run ~threads:3 ~scale:0 ~bench ~seed:11 () in
+      if not (Oracle.ok report) then
+        Alcotest.failf "pool fails the oracle on %s:\n%s" bench
+          (Oracle.summary report))
+    [ "isort"; "sa"; "hist" ]
 
 (* ---------- The fault sweep ---------- *)
 
@@ -462,59 +457,6 @@ let test_fault_sweep_deterministic () =
   let a = Oracle.fault_sweep ~threads:2 ~scale:0 ~bench:"dedup" ~seed:3 () in
   let b = Oracle.fault_sweep ~threads:2 ~scale:0 ~bench:"dedup" ~seed:3 () in
   Alcotest.(check bool) "equal seeds, equal schedules" true (digest a = digest b)
-
-(* The batch-transfer path (steal_half re-pushing a stolen batch) under
-   injected task exceptions, steal delays and degraded spawns: the failure
-   semantics contract must hold exactly as it does for single steals. *)
-let test_fault_sweep_steal_half_policy () =
-  match Pool.Policy.find "steal_half" with
-  | None -> Alcotest.fail "steal_half policy missing from the registry"
-  | Some policy ->
-    let report =
-      Oracle.fault_sweep ~threads:3 ~scale:0 ~deadline:20. ~bench:"sort"
-        ~policy ~seed:13 ()
-    in
-    if not (Oracle.fault_ok report) then
-      Alcotest.failf "steal_half under faults:\n%s"
-        (Oracle.fault_summary report)
-
-(* The lazy splitter through the front door of `rpb check`: the oracle's
-   pool executor under the "lazy" registry policy must match the
-   deterministic reference digests on benchmarks from both ends of the fear
-   spectrum.  (The every-policy sweep above covers this too; this case
-   pins the name so a registry rename cannot silently drop the coverage.) *)
-let test_oracle_clean_under_lazy () =
-  match Pool.Policy.find "lazy" with
-  | None -> Alcotest.fail "lazy policy missing from the registry"
-  | Some policy ->
-    List.iter
-      (fun bench ->
-        let report =
-          Oracle.run ~threads:3 ~scale:0 ~bench ~policy ~seed:23 ()
-        in
-        if not (Oracle.ok report) then
-          Alcotest.failf "lazy splitter fails the oracle on %s:\n%s" bench
-            (Oracle.summary report))
-      [ "sort"; "sa"; "hist" ]
-
-(* The may-inline fast path under injected task exceptions, steal delays
-   and degraded spawns, across three benchmarks: a chunk that raises
-   mid-chomp must cancel the scope exactly like an eager leaf, and the
-   published half-ranges must drain under the failure-semantics contract. *)
-let test_fault_sweep_lazy_policy () =
-  match Pool.Policy.find "lazy" with
-  | None -> Alcotest.fail "lazy policy missing from the registry"
-  | Some policy ->
-    List.iter
-      (fun bench ->
-        let report =
-          Oracle.fault_sweep ~threads:3 ~scale:0 ~deadline:20. ~bench ~policy
-            ~seed:29 ()
-        in
-        if not (Oracle.fault_ok report) then
-          Alcotest.failf "lazy splitter under faults on %s:\n%s" bench
-            (Oracle.fault_summary report))
-      [ "sort"; "sa"; "hist" ]
 
 let test_fault_sweep_json_fields () =
   let report = Oracle.fault_sweep ~threads:2 ~scale:0 ~bench:"sort" ~seed:1 () in
@@ -589,8 +531,6 @@ let () =
             test_oracle_report_json_roundtrip_fields;
           Alcotest.test_case "clean under every policy" `Quick
             test_oracle_clean_under_every_policy;
-          Alcotest.test_case "clean under lazy splitting" `Quick
-            test_oracle_clean_under_lazy;
           Alcotest.test_case "order sensitivity exposed" `Quick
             test_oracle_detects_order_sensitivity;
         ] );
@@ -600,10 +540,6 @@ let () =
             test_fault_sweep_single_bench;
           Alcotest.test_case "deterministic schedules" `Quick
             test_fault_sweep_deterministic;
-          Alcotest.test_case "steal_half under faults" `Quick
-            test_fault_sweep_steal_half_policy;
-          Alcotest.test_case "lazy splitter under faults (3 benches)" `Quick
-            test_fault_sweep_lazy_policy;
           Alcotest.test_case "json fields" `Quick test_fault_sweep_json_fields;
         ] );
     ]

@@ -244,7 +244,7 @@ let test_register_pool_probes () =
   fresh ();
   let pool = Pool.create ~num_workers:2 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  Metrics.register_pool ~prefix:"tpool" pool;
+  Metrics.register_pool pool;
   Metrics.enable ();
   Pool.run pool (fun () ->
       Pool.parallel_for ~grain:1 ~start:0 ~finish:63
@@ -254,11 +254,11 @@ let test_register_pool_probes () =
   Metrics.disable ();
   let gauges = J.member "gauges" s in
   Alcotest.(check (float 0.)) "worker count probe" 2.
-    (J.get_float (J.member "tpool.workers" gauges));
+    (J.get_float (J.member "pool.workers" gauges));
   Alcotest.(check bool) "tasks probe counted the loop" true
-    (J.get_float (J.member "tpool.tasks" gauges) > 0.);
+    (J.get_float (J.member "pool.tasks" gauges) > 0.);
   Alcotest.(check bool) "timer probe present" true
-    (J.member_opt "tpool.timer_pending" gauges <> None)
+    (J.member_opt "pool.timer_pending" gauges <> None)
 
 (* ---------- Latency summary edge cases ---------- *)
 

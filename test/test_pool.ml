@@ -100,87 +100,6 @@ let test_deque_concurrent_no_dup_no_loss () =
   done;
   Alcotest.(check int) "each element consumed exactly once" 0 !bad
 
-(* ---------- Ws_deque.steal_half ---------- *)
-
-let test_steal_half_empty () =
-  let d = Ws_deque.create () in
-  Alcotest.(check (list int)) "empty deque yields []" []
-    (Ws_deque.steal_half d);
-  Ws_deque.push d 1;
-  ignore (Ws_deque.pop d);
-  Alcotest.(check (list int)) "drained deque yields []" []
-    (Ws_deque.steal_half d)
-
-let test_steal_half_singleton () =
-  let d = Ws_deque.create () in
-  Ws_deque.push d 7;
-  Alcotest.(check (list int)) "one element still transfers" [ 7 ]
-    (Ws_deque.steal_half d);
-  Alcotest.(check bool) "now empty" true (Ws_deque.is_empty d)
-
-let test_steal_half_ordering () =
-  let d = Ws_deque.create () in
-  for i = 1 to 8 do
-    Ws_deque.push d i
-  done;
-  (* ceil(8/2) = 4 oldest elements, in FIFO (steal) order. *)
-  Alcotest.(check (list int)) "oldest half, top-first" [ 1; 2; 3; 4 ]
-    (Ws_deque.steal_half d);
-  Alcotest.(check int) "half left behind" 4 (Ws_deque.size d);
-  Alcotest.(check (option int)) "owner end untouched" (Some 8)
-    (Ws_deque.pop d);
-  (* ceil(3/2) = 2 of the remaining 5..7. *)
-  Alcotest.(check (list int)) "next batch" [ 5; 6 ] (Ws_deque.steal_half d)
-
-(* Same exactly-once contract as the single-steal stress test, with thieves
-   taking whole batches while the owner keeps pushing and popping. *)
-let test_steal_half_concurrent_no_dup_no_loss () =
-  let d = Ws_deque.create () in
-  let n = 50_000 in
-  let consumed = Rpb_prim.Atomic_array.make n 0 in
-  let thieves_done = Atomic.make 0 in
-  let num_thieves = 3 in
-  let thief () =
-    Domain.spawn (fun () ->
-        let rec go () =
-          match Ws_deque.steal_half d with
-          | _ :: _ as batch ->
-            List.iter
-              (fun x -> ignore (Rpb_prim.Atomic_array.fetch_and_add consumed x 1))
-              batch;
-            go ()
-          | [] ->
-            if Atomic.get thieves_done = 0 then begin
-              Domain.cpu_relax ();
-              go ()
-            end
-        in
-        go ())
-  in
-  let ds = List.init num_thieves (fun _ -> thief ()) in
-  for i = 0 to n - 1 do
-    Ws_deque.push d i;
-    if i land 3 = 0 then
-      match Ws_deque.pop d with
-      | Some x -> ignore (Rpb_prim.Atomic_array.fetch_and_add consumed x 1)
-      | None -> ()
-  done;
-  let rec drain () =
-    match Ws_deque.pop d with
-    | Some x ->
-      ignore (Rpb_prim.Atomic_array.fetch_and_add consumed x 1);
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set thieves_done 1;
-  List.iter Domain.join ds;
-  let bad = ref 0 in
-  for i = 0 to n - 1 do
-    if Rpb_prim.Atomic_array.get consumed i <> 1 then incr bad
-  done;
-  Alcotest.(check int) "each element consumed exactly once" 0 !bad
-
 (* ---------- Pool ---------- *)
 
 let test_pool_run_returns () =
@@ -778,136 +697,45 @@ let test_fault_spawn_degrades () =
   in
   Alcotest.(check int) "degraded pool correct" (10_000 * 9_999 / 2) x
 
-(* ---------- scheduling policies ---------- *)
+(* ---------- scheduling defaults ---------- *)
 
-let test_policy_registry () =
-  let module Policy = Pool.Policy in
-  let names = Policy.names () in
-  Alcotest.(check string) "default leads the registry" "default"
-    (List.hd names);
-  Alcotest.(check int) "names are unique" (List.length names)
-    (List.length (List.sort_uniq compare names));
-  List.iter
-    (fun n ->
-      match Policy.find n with
-      | Some p -> Alcotest.(check string) "find round-trips" n p.Policy.name
-      | None -> Alcotest.failf "policy %s not findable by name" n)
-    names;
-  Alcotest.(check bool) "unknown name is None" true
-    (Policy.find "bogus" = None)
+(* The scheduler's fixed constants, as far as they are observable: eager
+   splitting down to a default grain of [n / (8 * workers)] — a
+   power-of-two range yields [n / grain] leaves, so [n / grain - 1] joins
+   and as many spawned tasks — and help-first [join], which runs [f] inline
+   before [g] on a single-worker pool. *)
+let test_default_scheduler_constants () =
+  with_pool 4 (fun pool ->
+      let before = Pool.Stats.tasks_executed (Pool.Stats.capture pool) in
+      Pool.run pool (fun () ->
+          Pool.parallel_for ~start:0 ~finish:4096 ~body:(fun _ -> ()) pool);
+      let after = Pool.Stats.tasks_executed (Pool.Stats.capture pool) in
+      Alcotest.(check int) "default grain = n / (8 * workers)"
+        ((4096 / (4096 / (8 * 4))) - 1)
+        (after - before));
+  with_pool 1 (fun pool ->
+      let order = ref [] in
+      let note x () = order := x :: !order in
+      ignore (Pool.run pool (fun () -> Pool.join pool (note "f") (note "g")));
+      Alcotest.(check (list string)) "help-first: f runs before g"
+        [ "f"; "g" ] (List.rev !order))
 
-(* The zero-overhead-by-default contract: the default policy's fields are
-   exactly the constants the scheduler hardwired before policies existed. *)
-let test_policy_default_is_prepolicy_constants () =
-  let module Policy = Pool.Policy in
-  let d = Policy.default in
-  Alcotest.(check bool) "steal-one" true
-    (d.Policy.steal_amount = Policy.Steal_one);
-  Alcotest.(check bool) "help-first" true
-    (d.Policy.fork_order = Policy.Help_first);
-  Alcotest.(check bool) "random victim" true
-    (d.Policy.victim_selection = Policy.Random_victim);
-  (* The splitter/grain fields joined the record later; the default must
-     still decompose exactly as the pre-policy code did — eager recursion
-     with grain = max 1 (n / (8 * workers)), no forced grain. *)
-  Alcotest.(check bool) "eager splitter" true
-    (d.Policy.splitter = Policy.Eager_grain);
-  Alcotest.(check int) "grain factor" 8 d.Policy.grain_factor;
-  Alcotest.(check bool) "no fixed grain" true (d.Policy.fixed_grain = None);
-  Alcotest.(check int) "spin budget" 64 d.Policy.spin_budget;
-  Alcotest.(check (float 0.)) "idle sleep" 5e-5 d.Policy.idle_sleep_s;
-  Alcotest.(check (float 0.)) "backoff min" 1e-6 d.Policy.backoff_min_s;
-  Alcotest.(check (float 0.)) "backoff max" 1e-3 d.Policy.backoff_max_s
-
-(* The lazy registry entries: name/identifier split ("lazy" is a keyword),
-   and the splitter actually set. *)
-let test_policy_lazy_registry_entries () =
-  let module Policy = Pool.Policy in
-  Alcotest.(check string) "lazy_split is named lazy" "lazy"
-    Policy.lazy_split.Policy.name;
-  List.iter
-    (fun (p : Policy.t) ->
-      match p.Policy.splitter with
-      | Policy.Lazy_binary { lazy_depth } ->
-        Alcotest.(check bool)
-          (p.Policy.name ^ ": sensible depth threshold")
-          true (lazy_depth >= 0)
-      | Policy.Eager_grain ->
-        Alcotest.failf "%s should use Lazy_binary" p.Policy.name)
-    [ Policy.lazy_split; Policy.lazy_sticky; Policy.lazy_steal_half;
-      Policy.lazy_grain1 ];
-  Alcotest.(check bool) "eager_grain1 forces grain 1" true
-    (Policy.eager_grain1.Policy.fixed_grain = Some 1
-    && Policy.eager_grain1.Policy.splitter = Policy.Eager_grain);
-  Alcotest.(check bool) "lazy_grain1 forces grain 1" true
-    (Policy.lazy_grain1.Policy.fixed_grain = Some 1)
-
-(* An explicit call-site grain must beat [fixed_grain]: with n = finish and
-   ~grain:n the loop may not split at all, which code can (and does) rely on
-   for single-leaf regions. *)
-let test_policy_fixed_grain_respects_explicit_grain () =
-  match Pool.Policy.find "eager_grain1" with
-  | None -> Alcotest.fail "eager_grain1 missing from the registry"
-  | Some policy ->
-    let pool = Pool.create ~policy ~num_workers:4 () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    let before = Pool.Stats.tasks_executed (Pool.Stats.capture pool) in
-    Pool.run pool (fun () ->
-        Pool.parallel_for ~grain:4096 ~start:0 ~finish:4096
-          ~body:(fun _ -> ())
-          pool);
-    let after = Pool.Stats.tasks_executed (Pool.Stats.capture pool) in
-    Alcotest.(check int) "whole-range explicit grain spawns no task" 0
-      (after - before)
-
-(* [?minor_heap_kb]: the sizing must be visible inside [run] (the caller is
-   worker 0), restored afterwards, validated, and must not change any
-   result. *)
-let test_minor_heap_sizing () =
-  let outside = (Gc.get ()).Gc.minor_heap_size in
-  let pool = Pool.create ~minor_heap_kb:8192 ~num_workers:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let inside, sum =
-    Pool.run pool (fun () ->
-        ( (Gc.get ()).Gc.minor_heap_size,
-          Pool.parallel_for_reduce ~start:0 ~finish:100_000 ~body:Fun.id
-            ~combine:( + ) ~init:0 pool ))
-  in
-  (* 8192 KB = 2^20 words on 64-bit; the runtime may normalize upward but
-     never below the request. *)
-  Alcotest.(check bool) "resized inside run" true (inside >= 1 lsl 20);
-  Alcotest.(check int) "restored after run" outside
-    ((Gc.get ()).Gc.minor_heap_size);
-  Alcotest.(check int) "result unchanged" (100_000 * 99_999 / 2) sum;
-  Alcotest.check_raises "kb < 1 rejected"
-    (Invalid_argument "Pool.create: minor_heap_kb must be >= 1") (fun () ->
-      ignore (Pool.create ~minor_heap_kb:0 ~num_workers:1 ()))
-
-(* Every named policy must compute identical results through the public API:
-   a steal-heavy grain-1 reduce, join's (f result, g result) order — which is
-   part of the API whatever order the branches actually run in — and deeply
-   nested joins. *)
+(* The public API's results: a steal-heavy grain-1 reduce, join's
+   (f result, g result) order — which is part of the API whatever order the
+   branches actually run in — and deeply nested joins. *)
 let test_policy_pools_agree () =
-  List.iter
-    (fun (p : Pool.Policy.t) ->
-      let name = p.Pool.Policy.name in
-      let pool = Pool.create ~policy:p ~num_workers:4 () in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-      Alcotest.(check string) (name ^ ": pool reports its policy") name
-        (Pool.policy_name pool);
-      Alcotest.(check string) (name ^ ": stats carry the policy") name
-        (Pool.Stats.capture pool).Pool.Stats.policy;
+  with_pool 4 (fun pool ->
       let sum =
         Pool.run pool (fun () ->
             Pool.parallel_for_reduce ~grain:1 ~start:0 ~finish:20_000
               ~body:Fun.id ~combine:( + ) ~init:0 pool)
       in
-      Alcotest.(check int) (name ^ ": steal-heavy reduce") 199_990_000 sum;
+      Alcotest.(check int) "steal-heavy reduce" 199_990_000 sum;
       let a, b =
         Pool.run pool (fun () -> Pool.join pool (fun () -> "f") (fun () -> "g"))
       in
-      Alcotest.(check (pair string string)) (name ^ ": join result order")
-        ("f", "g") (a, b);
+      Alcotest.(check (pair string string)) "join result order" ("f", "g")
+        (a, b);
       let rec fib k =
         if k < 2 then k
         else
@@ -916,9 +744,7 @@ let test_policy_pools_agree () =
           in
           x + y
       in
-      Alcotest.(check int) (name ^ ": nested joins") 610
-        (Pool.run pool (fun () -> fib 15)))
-    Pool.Policy.all
+      Alcotest.(check int) "nested joins" 610 (Pool.run pool (fun () -> fib 15)))
 
 let prop_parallel_reduce_matches_sequential =
   QCheck.Test.make ~name:"parallel_for_reduce = sequential fold" ~count:20
@@ -947,25 +773,11 @@ let () =
           Alcotest.test_case "interleaved wraparound" `Quick test_deque_interleaved;
           Alcotest.test_case "concurrent exactly-once" `Quick
             test_deque_concurrent_no_dup_no_loss;
-          Alcotest.test_case "steal_half empty" `Quick test_steal_half_empty;
-          Alcotest.test_case "steal_half singleton" `Quick
-            test_steal_half_singleton;
-          Alcotest.test_case "steal_half ordering" `Quick
-            test_steal_half_ordering;
-          Alcotest.test_case "steal_half concurrent exactly-once" `Quick
-            test_steal_half_concurrent_no_dup_no_loss;
         ] );
       ( "policies",
         [
-          Alcotest.test_case "registry" `Quick test_policy_registry;
           Alcotest.test_case "default = pre-policy constants" `Quick
-            test_policy_default_is_prepolicy_constants;
-          Alcotest.test_case "lazy registry entries" `Quick
-            test_policy_lazy_registry_entries;
-          Alcotest.test_case "explicit grain beats fixed_grain" `Quick
-            test_policy_fixed_grain_respects_explicit_grain;
-          Alcotest.test_case "minor heap sizing" `Quick
-            test_minor_heap_sizing;
+            test_default_scheduler_constants;
           Alcotest.test_case "all policies compute the same" `Quick
             test_policy_pools_agree;
         ] );

@@ -350,119 +350,37 @@ let test_stm_snapshot_isolation () =
   Domain.join reader;
   Alcotest.(check int) "no torn snapshots" 0 (Atomic.get violations)
 
-(* ---------- Splitter granularity harness (eager vs lazy) ---------- *)
+(* ---------- Splitter harness ---------- *)
 
-(* Every registry benchmark x {eager, lazy} splitter x {1, 2, 4} workers
-   must reproduce the digest of its own sequential run — the same
-   within-instance comparison the differential oracle makes.  A splitting
-   scheme that drops, duplicates, or reorders a leaf observably cannot
-   pass; 1 worker additionally pins the sequential-degradation path. *)
-let splitter_policies = [ Pool.Policy.default; Pool.Policy.lazy_split ]
-
+(* Every registry benchmark x {1, 2, 4} workers must reproduce the digest of
+   its own sequential run — the same within-instance comparison the
+   differential oracle makes.  A splitter that drops, duplicates, or
+   reorders a leaf observably cannot pass; 1 worker additionally pins the
+   sequential-degradation path. *)
 let test_registry_digests_under_splitters () =
   let module Common = Rpb_benchmarks.Common in
   List.iter
     (fun (entry : Common.entry) ->
       List.iter
-        (fun (policy : Pool.Policy.t) ->
-          List.iter
-            (fun workers ->
-              let pool = Pool.create ~policy ~num_workers:workers () in
-              Fun.protect ~finally:(fun () -> Pool.shutdown pool)
-              @@ fun () ->
-              Pool.run pool (fun () ->
-                  let input = List.hd entry.Common.inputs in
-                  let prepared = entry.Common.prepare pool ~input ~scale:0 in
-                  prepared.Common.run_seq ();
-                  let reference = prepared.Common.snapshot () in
-                  prepared.Common.run_par Rpb_benchmarks.Mode.Unsafe;
-                  let got = prepared.Common.snapshot () in
-                  if not (prepared.Common.verify ()) then
-                    Alcotest.failf "%s under %s with %d workers fails verify"
-                      entry.Common.name policy.Pool.Policy.name workers;
-                  if reference <> got then
-                    Alcotest.failf
-                      "%s under %s with %d workers diverges from its \
-                       sequential digest"
-                      entry.Common.name policy.Pool.Policy.name workers))
-            [ 1; 2; 4 ])
-        splitter_policies)
-    Rpb_benchmarks.Registry.all
-
-(* Seeded model of the [Lazy_binary] splitter.  A bag of ranges models the
-   published tasks, a seeded coin models the deque-depth test, and random
-   bag order models arbitrary thief interleavings.  The range arithmetic
-   mirrors the implementation exactly: sub-grain ranges run as leaves, a
-   "deep" verdict consumes one grain chunk inline and re-decides on the
-   remainder, a "drained" verdict publishes the top half and continues on
-   the bottom half.  Every index must be covered exactly once — no loss, no
-   duplication — under every interleaving. *)
-let lazy_model_exact_cover ~seed ~n ~grain =
-  let rng = Rpb_prim.Rng.create seed in
-  let hits = Array.make (max n 1) 0 in
-  let mark lo hi =
-    for i = lo to hi - 1 do
-      hits.(i) <- hits.(i) + 1
-    done
-  in
-  let bag = ref [] in
-  let take_random () =
-    match !bag with
-    | [] -> None
-    | l ->
-      let k = Rpb_prim.Rng.int rng (List.length l) in
-      let rec split i acc = function
-        | [] -> assert false
-        | x :: rest ->
-          if i = k then (x, List.rev_append acc rest)
-          else split (i + 1) (x :: acc) rest
-      in
-      let x, rest = split 0 [] l in
-      bag := rest;
-      Some x
-  in
-  let rec exec (lo, hi) =
-    if hi - lo <= grain then mark lo hi
-    else if Rpb_prim.Rng.bool rng then begin
-      (* deep: the may-inline fast path consumes one chunk, zero traffic *)
-      mark lo (lo + grain);
-      exec (lo + grain, hi)
-    end
-    else begin
-      (* drained: split off the top half for a thief *)
-      let mid = lo + ((hi - lo) / 2) in
-      bag := (mid, hi) :: !bag;
-      exec (lo, mid)
-    end
-  in
-  if n > 0 then begin
-    bag := [ (0, n) ];
-    let rec drain () =
-      match take_random () with
-      | None -> ()
-      | Some r ->
-        exec r;
-        drain ()
-    in
-    drain ()
-  end;
-  n = 0 || Array.for_all (fun c -> c = 1) hits
-
-let test_lazy_split_model_exact_cover () =
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun n ->
-          List.iter
-            (fun grain ->
-              if not (lazy_model_exact_cover ~seed ~n ~grain) then
+        (fun workers ->
+          let pool = Pool.create ~num_workers:workers () in
+          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+          Pool.run pool (fun () ->
+              let input = List.hd entry.Common.inputs in
+              let prepared = entry.Common.prepare pool ~input ~scale:0 in
+              prepared.Common.run_seq ();
+              let reference = prepared.Common.snapshot () in
+              prepared.Common.run_par Rpb_benchmarks.Mode.Unsafe;
+              let got = prepared.Common.snapshot () in
+              if not (prepared.Common.verify ()) then
+                Alcotest.failf "%s with %d workers fails verify"
+                  entry.Common.name workers;
+              if reference <> got then
                 Alcotest.failf
-                  "lazy-splitting model lost or duplicated an index: seed=%d \
-                   n=%d grain=%d"
-                  seed n grain)
-            [ 1; 2; 3; 7 ])
-        [ 0; 1; 2; 3; 17; 100; 1024; 4097 ])
-    (List.init 25 Fun.id)
+                  "%s with %d workers diverges from its sequential digest"
+                  entry.Common.name workers))
+        [ 1; 2; 4 ])
+    Rpb_benchmarks.Registry.all
 
 let () =
   Alcotest.run "rpb_properties"
@@ -525,9 +443,7 @@ let () =
         [ Alcotest.test_case "snapshot isolation" `Quick test_stm_snapshot_isolation ] );
       ( "splitters",
         [
-          Alcotest.test_case "registry digests: eager/lazy x 1/2/4 workers"
-            `Quick test_registry_digests_under_splitters;
-          Alcotest.test_case "lazy model covers exactly once" `Quick
-            test_lazy_split_model_exact_cover;
+          Alcotest.test_case "registry digests at P=1,2,4" `Quick
+            test_registry_digests_under_splitters;
         ] );
     ]

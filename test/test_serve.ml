@@ -17,14 +17,13 @@ let fresh_sock () =
     (Filename.get_temp_dir_name ())
     (Unix.getpid ()) !sock_counter
 
-let with_server ?(threads = 2) ?(max_queue = 16) ?(policy = "default")
-    ?(preload = []) ?json_path f =
+let with_server ?(threads = 2) ?(max_queue = 16) ?(preload = []) ?json_path
+    f =
   let cfg =
     {
       (Serve.default_config ~socket_path:(fresh_sock ())) with
       threads;
       max_queue;
-      policy;
       preload;
       json_path;
       drain_grace_s = 5.0;
@@ -76,8 +75,8 @@ let oracle_digest bench scale =
 
 let test_request_roundtrip () =
   let req =
-    Protocol.request ~input:"random" ~mode:"checked" ~scale:2 ~policy:"lazy"
-      ~deadline_s:0.25 ~spin_ms:7 ~id:42 ~bench:"hist" ()
+    Protocol.request ~input:"random" ~mode:"checked" ~scale:2 ~deadline_s:0.25
+      ~spin_ms:7 ~id:42 ~bench:"hist" ()
   in
   match Protocol.parse_request (Protocol.request_line req) with
   | Error e -> Alcotest.fail e
@@ -87,7 +86,6 @@ let test_request_roundtrip () =
     Alcotest.(check (option string)) "input" (Some "random") got.Protocol.input;
     Alcotest.(check string) "mode" "checked" got.Protocol.mode;
     Alcotest.(check int) "scale" 2 got.Protocol.scale;
-    Alcotest.(check string) "policy" "lazy" got.Protocol.policy;
     Alcotest.(check bool) "deadline" true
       (match got.Protocol.deadline_s with
       | Some d -> Float.abs (d -. 0.25) < 1e-9
@@ -95,11 +93,11 @@ let test_request_roundtrip () =
     Alcotest.(check int) "spin_ms" 7 got.Protocol.spin_ms
 
 let test_request_defaults () =
-  match Protocol.parse_request "id=3 bench=sort extra=ignored" with
+  (* [policy] is an unknown key like any other: ignored. *)
+  match Protocol.parse_request "id=3 bench=sort extra=ignored policy=lazy" with
   | Error e -> Alcotest.fail e
   | Ok got ->
     Alcotest.(check string) "mode default" "unsafe" got.Protocol.mode;
-    Alcotest.(check string) "policy default" "default" got.Protocol.policy;
     Alcotest.(check int) "scale default" 0 got.Protocol.scale;
     Alcotest.(check (option string)) "no input" None got.Protocol.input
 
@@ -147,7 +145,7 @@ let test_error_kind_names_roundtrip () =
     [
       Protocol.Overloaded; Protocol.Stalled; Protocol.Cancelled;
       Protocol.Malformed_request; Protocol.Unknown_bench;
-      Protocol.Unknown_policy; Protocol.Shutting_down; Protocol.Failed;
+      Protocol.Shutting_down; Protocol.Failed;
     ]
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -216,16 +214,10 @@ let test_serve_basic_digest () =
              (Protocol.error_kind_name kind)
              msg));
       (* Cached prepared instance: same digest again. *)
-      (match rpc conn (Protocol.request ~id:2 ~bench:"hist" ()) with
+      match rpc conn (Protocol.request ~id:2 ~bench:"hist" ()) with
       | Protocol.Ok_reply { digest; _ } ->
         Alcotest.(check int) "repeat digest" oracle digest
-      | Protocol.Err_reply _ -> Alcotest.fail "repeat request failed");
-      (* A different per-request policy runs on its own pool and must still
-         produce the canonical digest. *)
-      match rpc conn (Protocol.request ~policy:"steal_half" ~id:3 ~bench:"hist" ()) with
-      | Protocol.Ok_reply { digest; _ } ->
-        Alcotest.(check int) "cross-policy digest" oracle digest
-      | Protocol.Err_reply _ -> Alcotest.fail "steal_half request failed")
+      | Protocol.Err_reply _ -> Alcotest.fail "repeat request failed")
 
 let test_serve_error_taxonomy () =
   with_server (fun t ->
@@ -235,9 +227,6 @@ let test_serve_error_taxonomy () =
       Alcotest.(check bool) "unknown bench" true
         (kind_of (Protocol.request ~id:1 ~bench:"nope" ())
         = Some Protocol.Unknown_bench);
-      Alcotest.(check bool) "unknown policy" true
-        (kind_of (Protocol.request ~policy:"warp9" ~id:2 ~bench:"hist" ())
-        = Some Protocol.Unknown_policy);
       Alcotest.(check bool) "bad mode" true
         (kind_of (Protocol.request ~mode:"yolo" ~id:3 ~bench:"hist" ())
         = Some Protocol.Malformed_request);
@@ -558,7 +547,6 @@ let test_serve_fault_soak () =
             benches = benches @ [ "spin" ];
             spin_ms = 10;
             mean_gap_ms = 2;
-            policies = [ "default"; "lazy" ];
             kill_every = 7;
             max_retries = 3;
             backoff_base_ms = 5;

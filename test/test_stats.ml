@@ -65,8 +65,8 @@ let test_quantile_known () =
 (* ---------- Report: derived views ---------- *)
 
 let mk ?(bench = "sort") ?(input = "exponential") ?(mode = "unsafe")
-    ?(threads = 4) ?(scale = 0) ?(smoke = false) ?(policy = "default")
-    ?(samples = [||]) ?(mean = 1e6) () =
+    ?(threads = 4) ?(scale = 0) ?(smoke = false) ?(samples = [||])
+    ?(mean = 1e6) () =
   {
     J.bench;
     input;
@@ -78,7 +78,6 @@ let mk ?(bench = "sort") ?(input = "exponential") ?(mode = "unsafe")
     min_ns = mean;
     samples_ns = samples;
     smoke;
-    policy;
     verified = true;
     workers = [];
   }
@@ -163,44 +162,6 @@ let test_report_render () =
   let md = Report.to_markdown a in
   Alcotest.(check bool) "markdown carries the overhead ratio" true
     (contains md "1.20x")
-
-let test_report_policy_races () =
-  let records =
-    [
-      mk ~bench:"sort" ~samples:[| 10e6; 10e6; 10e6 |] ();
-      mk ~bench:"sort" ~policy:"steal_half" ~samples:[| 8e6; 8e6; 8e6 |] ();
-      mk ~bench:"sort" ~policy:"work_first" ~samples:[| 12e6 |] ();
-      (* measured under one policy only: nothing to race *)
-      mk ~bench:"hist" ~samples:[| 1e6 |] ();
-      (* smoke records never enter the race *)
-      mk ~bench:"bw" ~smoke:true ~samples:[| 1e6 |] ();
-      mk ~bench:"bw" ~policy:"sticky" ~smoke:true ~samples:[| 2e6 |] ();
-    ]
-  in
-  (match Report.policy_races records with
-   | [ r ] ->
-     Alcotest.(check string) "bench" "sort" r.Report.pr_bench;
-     (* sort's worst access pattern is RngInd: comfortable, the mildest
-        tier any registry benchmark reaches (everything else carries AW). *)
-     Alcotest.(check string) "fear tier from the registry" "C"
-       r.Report.pr_tier;
-     Alcotest.(check string) "winner is the fastest policy" "steal_half"
-       r.Report.pr_winner;
-     Alcotest.(check (list string)) "policies sorted by name"
-       [ "default"; "steal_half"; "work_first" ]
-       (List.map fst r.Report.pr_times)
-   | rs -> Alcotest.failf "expected one race, got %d" (List.length rs));
-  let a = { Report.empty with Report.bench = records } in
-  Alcotest.(check bool) "html renders the race section" true
-    (contains (Report.to_html a) "Policy race");
-  Alcotest.(check bool) "markdown renders the race table" true
-    (contains (Report.to_markdown a) "Policy race");
-  (* and a single-policy artifact set renders no race section at all *)
-  let b =
-    { Report.empty with Report.bench = [ mk ~samples:[| 1e6 |] () ] }
-  in
-  Alcotest.(check bool) "no race section without a second policy" false
-    (contains (Report.to_html b) "Policy race")
 
 let with_temp_file content f =
   let path = Filename.temp_file "rpb_report_jsonl" ".jsonl" in
@@ -397,8 +358,6 @@ let () =
             test_report_overheads;
           Alcotest.test_case "html and markdown render" `Quick
             test_report_render;
-          Alcotest.test_case "policy race winner table" `Quick
-            test_report_policy_races;
           Alcotest.test_case "classification and error capture" `Quick
             test_report_classify_and_errors;
           Alcotest.test_case "serve latency section" `Quick

@@ -277,79 +277,35 @@ let test_deterministic_across_worker_counts () =
   Alcotest.(check bool) "1 = 2 workers" true (r1 = r2);
   Alcotest.(check bool) "2 = 4 workers" true (r2 = r4)
 
-(* ---------- Splitter stress: thieves vs the may-inline fast path ---------- *)
+(* ---------- Splitter stress: thieves vs the inline leaf chain ---------- *)
 
-(* Three idle workers hammer the one worker chomping a grain-1 range inline:
-   under both splitters every index must run exactly once (no lost or
-   duplicated ranges however the fast path and the thieves interleave), and
-   the [Stats] task counter must reconcile with the leaves run.  Eager
-   splitting has a closed form — a binary split tree over n grain-1 leaves
-   spawns exactly [n - 1] tasks (each [join] pushes one branch, the root
-   leaf chain runs inline).  Lazy splitting spawns only what demand pulled:
-   at least the root split (the deque is empty when the loop starts, i.e.
-   drained), and never more than eager's [leaves - 1]. *)
+(* Three idle workers hammer the one worker splitting a grain-1 range: every
+   index must run exactly once (no lost or duplicated ranges however the
+   splitter and the thieves interleave), and the [Stats] task counter must
+   reconcile with the leaves run.  A binary split tree over n grain-1
+   leaves spawns exactly [n - 1] tasks (each [join] pushes one branch, the
+   root leaf chain runs inline). *)
 let test_splitter_thief_storm () =
   let n = 20_000 in
-  List.iter
-    (fun (policy : Pool.Policy.t) ->
-      let pool = Pool.create ~policy ~num_workers:4 () in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-      for round = 1 to 3 do
-        let hits = Rpb_prim.Atomic_array.make n 0 in
-        let before = Pool.Stats.tasks_executed (Pool.Stats.capture pool) in
-        Pool.run pool (fun () ->
-            Pool.parallel_for ~grain:1 ~start:0 ~finish:n
-              ~body:(fun i ->
-                ignore (Rpb_prim.Atomic_array.fetch_and_add hits i 1))
-              pool);
-        let delta =
-          Pool.Stats.tasks_executed (Pool.Stats.capture pool) - before
-        in
-        Array.iteri
-          (fun i c ->
-            if c <> 1 then
-              Alcotest.failf "%s round %d: index %d ran %d times"
-                policy.Pool.Policy.name round i c)
-          (Rpb_prim.Atomic_array.to_array hits);
-        match policy.Pool.Policy.splitter with
-        | Pool.Policy.Eager_grain ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s round %d: tasks executed = leaves - 1"
-               policy.Pool.Policy.name round)
-            (n - 1) delta
-        | Pool.Policy.Lazy_binary _ ->
-          if delta < 1 || delta > n - 1 then
-            Alcotest.failf
-              "%s round %d: %d tasks executed for %d grain-1 leaves \
-               (expected within [1, %d])"
-              policy.Pool.Policy.name round delta n (n - 1)
-      done)
-    [ Pool.Policy.default; Pool.Policy.lazy_split ]
-
-(* Interleaved constructs: eight concurrent async subtrees, each a grain-1
-   lazy [parallel_for] over its own slice, so fast-path chomping, half-range
-   publications and thief traffic from *other* constructs all overlap on the
-   same four deques.  Exactly-once coverage of the whole array is the
-   no-lost-ranges invariant across construct boundaries. *)
-let test_lazy_fast_path_under_concurrent_constructs () =
-  let pool = Pool.create ~policy:Pool.Policy.lazy_grain1 ~num_workers:4 () in
+  let pool = Pool.create ~num_workers:4 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let slices = 8 and slice = 4_096 in
-  let hits = Rpb_prim.Atomic_array.make (slices * slice) 0 in
-  Pool.run pool (fun () ->
-      let ps =
-        List.init slices (fun s ->
-            Pool.async pool (fun () ->
-                Pool.parallel_for ~start:(s * slice) ~finish:((s + 1) * slice)
-                  ~body:(fun i ->
-                    ignore (Rpb_prim.Atomic_array.fetch_and_add hits i 1))
-                  pool))
-      in
-      List.iter (fun p -> Pool.await pool p) ps);
-  Array.iteri
-    (fun i c ->
-      if c <> 1 then Alcotest.failf "index %d ran %d times" i c)
-    (Rpb_prim.Atomic_array.to_array hits)
+  for round = 1 to 3 do
+    let hits = Rpb_prim.Atomic_array.make n 0 in
+    let before = Pool.Stats.tasks_executed (Pool.Stats.capture pool) in
+    Pool.run pool (fun () ->
+        Pool.parallel_for ~grain:1 ~start:0 ~finish:n
+          ~body:(fun i -> ignore (Rpb_prim.Atomic_array.fetch_and_add hits i 1))
+          pool);
+    let delta = Pool.Stats.tasks_executed (Pool.Stats.capture pool) - before in
+    Array.iteri
+      (fun i c ->
+        if c <> 1 then
+          Alcotest.failf "round %d: index %d ran %d times" round i c)
+      (Rpb_prim.Atomic_array.to_array hits);
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: tasks executed = leaves - 1" round)
+      (n - 1) delta
+  done
 
 let () =
   Alcotest.run "rpb_stress"
@@ -389,8 +345,6 @@ let () =
         [
           Alcotest.test_case "thief storm: no lost ranges, counts reconcile"
             `Quick test_splitter_thief_storm;
-          Alcotest.test_case "lazy fast path vs concurrent constructs" `Quick
-            test_lazy_fast_path_under_concurrent_constructs;
         ] );
       ( "integration",
         [

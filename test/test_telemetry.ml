@@ -79,7 +79,6 @@ let sample_record =
       min_ns = 1200000.0;
       samples_ns = [| 1234567.875; 1303703.625; 1200000.0 |];
       smoke = false;
-      policy = "steal_half";
       verified = true;
       workers =
         [
@@ -158,8 +157,7 @@ let test_v1_document_still_parses () =
     (* v3 fields default sanely on pre-v3 records. *)
     Alcotest.(check int) "no sample vector" 0
       (Array.length r.Bench_json.samples_ns);
-    Alcotest.(check bool) "not a smoke run" false r.Bench_json.smoke;
-    Alcotest.(check string) "policy defaults" "default" r.Bench_json.policy
+    Alcotest.(check bool) "not a smoke run" false r.Bench_json.smoke
   | _ -> Alcotest.fail "expected exactly one record in the v1 document"
 
 (* A checked-in schema_version=2 document, as PR 4's writer emitted it (the
@@ -180,8 +178,7 @@ let test_v2_document_still_parses () =
     Alcotest.(check int) "repeats" 2 r.Bench_json.repeats;
     Alcotest.(check int) "no sample vector" 0
       (Array.length r.Bench_json.samples_ns);
-    Alcotest.(check bool) "not a smoke run" false r.Bench_json.smoke;
-    Alcotest.(check string) "policy defaults" "default" r.Bench_json.policy
+    Alcotest.(check bool) "not a smoke run" false r.Bench_json.smoke
   | _ -> Alcotest.fail "expected exactly one record in the v2 document"
 
 (* One document holding v1-, v2- and v3-shaped records at once: the reader is
@@ -206,14 +203,22 @@ let test_mixed_version_document () =
      \"samples_ns\":[3100.0,3000.0,2900.0],\"smoke\":true,\
      \"verified\":true,\"workers\":[]}"
   in
+  let v3_policy_shape =
+    (* As writers emitted v3 records while the scheduling-policy name was
+       still stamped: readers ignore the key. *)
+    "{\"bench\":\"dedup\",\"input\":\"words\",\"mode\":\"unsafe\",\"scale\":0,\
+     \"threads\":2,\"repeats\":1,\"mean_ns\":4000.0,\"min_ns\":4000.0,\
+     \"samples_ns\":[4000.0],\"smoke\":false,\"policy\":\"work_first\",\
+     \"verified\":true,\"workers\":[]}"
+  in
   let doc =
     Printf.sprintf
-      "{\"schema_version\":3,\"meta\":{},\"results\":[%s,%s,%s]}" v1_shape
-      v2_shape v3_shape
+      "{\"schema_version\":3,\"meta\":{},\"results\":[%s,%s,%s,%s]}" v1_shape
+      v2_shape v3_shape v3_policy_shape
   in
   let records = Bench_json.records_of_doc (Bench_json.of_string doc) in
   (match records with
-   | [ r1; r2; r3 ] ->
+   | [ r1; r2; r3; r4 ] ->
      Alcotest.(check int) "v1 record: no samples" 0
        (Array.length r1.Bench_json.samples_ns);
      Alcotest.(check bool) "v1 record: not smoke" false r1.Bench_json.smoke;
@@ -225,6 +230,8 @@ let test_mixed_version_document () =
        (Array.length r3.Bench_json.samples_ns);
      Alcotest.(check (float 1e-9)) "v3 record: first sample" 3100.0
        r3.Bench_json.samples_ns.(0);
+     Alcotest.(check string) "policy-stamped v3 record parses" "dedup"
+       r4.Bench_json.bench;
      (* Round-trip: re-emitting and re-reading preserves everything, with
         the defaulted fields now explicit. *)
      let again =
@@ -233,7 +240,7 @@ let test_mixed_version_document () =
             (Bench_json.to_string (Bench_json.doc ~meta:[] records)))
      in
      Alcotest.(check bool) "mixed document round-trips" true (again = records)
-   | _ -> Alcotest.fail "expected three records in the mixed document");
+   | _ -> Alcotest.fail "expected four records in the mixed document");
   (* A file round-trip of the same mixed document. *)
   let path = Filename.temp_file "rpb_mixed" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -290,30 +297,6 @@ let test_measure_entry_seq_mode () =
             0 record.Bench_json.workers
         in
         Alcotest.(check int) "sequential run never steals" 0 steals)
-
-(* The record carries the measuring pool's policy name, and it survives the
-   JSON round-trip — the attribution `rpb report`'s policy race relies on. *)
-let test_measure_entry_stamps_policy () =
-  let module Pool = Rpb_pool.Pool in
-  match (Registry.find "sort", Pool.Policy.find "steal_half") with
-  | None, _ -> Alcotest.fail "sort benchmark missing from registry"
-  | _, None -> Alcotest.fail "steal_half policy missing from registry"
-  | Some e, Some policy ->
-    let pool = Pool.create ~policy ~num_workers:2 () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    let record, _ =
-      Registry.measure_entry pool ~entry:e ~input:(List.hd e.Common.inputs)
-        ~scale:0 ~repeats:1 ~how:(`Par Mode.Unsafe)
-    in
-    Alcotest.(check string) "record carries the pool policy" "steal_half"
-      record.Bench_json.policy;
-    let back =
-      Bench_json.record_of_json
-        (Bench_json.of_string
-           (Bench_json.to_string (Bench_json.record_to_json record)))
-    in
-    Alcotest.(check string) "policy survives the JSON round-trip" "steal_half"
-      back.Bench_json.policy
 
 (* ---------- chrome trace output parses as JSON ---------- *)
 
@@ -376,8 +359,6 @@ let () =
             test_measure_entry_captures_stats;
           Alcotest.test_case "measure_entry seq" `Quick
             test_measure_entry_seq_mode;
-          Alcotest.test_case "measure_entry stamps the policy" `Quick
-            test_measure_entry_stamps_policy;
         ] );
       ( "trace",
         [
