@@ -46,7 +46,11 @@ let run_one ~name ~input ~scale ~threads ~mode ~repeats ~seq =
         i
       | None -> List.hd e.Common.inputs
     in
-    let pool = Rpb_pool.Pool.create ~num_workers:threads () in
+    match Rpb_pool.Pool.create ~num_workers:threads () with
+    | exception Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit_usage
+    | pool ->
     Fun.protect ~finally:(fun () -> Rpb_pool.Pool.shutdown pool) @@ fun () ->
     Rpb_pool.Pool.run pool (fun () ->
         let prepared = e.Common.prepare pool ~input ~scale in
@@ -161,10 +165,11 @@ let stats_run ~threads ~tasks ~work ~json ~trace =
   let module Pool = Rpb_pool.Pool in
   let pool = Pool.create ~num_workers:threads () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  if trace <> None then Pool.Trace.start ();
+  if trace <> None then Pool.Recorder.start ();
   let before = Pool.Stats.capture pool in
   let (), elapsed =
-    Rpb_prim.Timing.time (fun () -> stats_workload pool ~tasks ~work)
+    Rpb_prim.Timing.time (fun () ->
+        Pool.Recorder.with_root (fun () -> stats_workload pool ~tasks ~work))
   in
   let after = Pool.Stats.capture pool in
   let s = Pool.Stats.diff ~before ~after in
@@ -173,7 +178,7 @@ let stats_run ~threads ~tasks ~work ~json ~trace =
   (match trace with
    | None -> ()
    | Some path ->
-     let n = Pool.Trace.stop_to_file path in
+     let n = Rpb_obs.Profile.write_chrome path (Pool.Recorder.stop ()) in
      Printf.printf "wrote %d trace events to %s (chrome://tracing format)\n" n
        path);
   (match json with
@@ -199,12 +204,13 @@ let stats_run ~threads ~tasks ~work ~json ~trace =
        ~meta:[ ("generator", Bench_json.Str "rpb-stats") ]
        [ record ];
      Printf.printf "wrote telemetry record to %s\n" path);
-  0
+  exit_ok
 
 let stats_cmd =
   let doc =
     "Run a steal-heavy synthetic workload and report per-worker scheduler \
-     telemetry (Pool.Stats), optionally as JSON and/or a Chrome trace."
+     telemetry (Pool.Stats), optionally as JSON and/or a Chrome trace of \
+     the flight recorder's events."
   in
   let threads = Arg.(value & opt int 4 & info [ "threads"; "t" ] ~docv:"P") in
   let tasks =
@@ -220,10 +226,15 @@ let stats_cmd =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"record task spans and write Chrome-trace JSON")
+             ~doc:"record the run with the flight recorder and write its \
+                   work, phase and idle events as Chrome-trace JSON")
   in
   let run threads tasks work json trace =
-    exit (stats_run ~threads ~tasks ~work ~json ~trace)
+    exit
+      (try stats_run ~threads ~tasks ~work ~json ~trace
+       with Invalid_argument msg | Sys_error msg ->
+         Printf.eprintf "stats: %s\n" msg;
+         exit_usage)
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(const run $ threads $ tasks $ work $ json $ trace)
@@ -329,12 +340,15 @@ let profile_run ~bench ~input ~mode ~threads ~scale ~seed ~json =
   with
   | r ->
     print_string (Rpb_obs.Profile.summary r);
-    (match json with
-     | None -> ()
-     | Some path ->
-       Rpb_obs.Profile.write_json ~path r;
-       Printf.printf "\nwrote profile document to %s\n" path);
-    if r.Rpb_obs.Profile.verified then exit_ok else exit_violation
+    let write path =
+      Rpb_obs.Profile.write_json ~path r;
+      Printf.printf "\nwrote profile document to %s\n" path
+    in
+    (match Option.iter write json with
+     | () -> if r.Rpb_obs.Profile.verified then exit_ok else exit_violation
+     | exception Sys_error msg ->
+       Printf.eprintf "profile: %s\n" msg;
+       exit_usage)
   | exception Invalid_argument msg ->
     Printf.eprintf "%s (try `rpb list`)\n" msg;
     exit_usage

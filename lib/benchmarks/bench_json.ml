@@ -3,7 +3,8 @@
    The container has no yojson, so this module carries a small self-contained
    JSON value type with a compact printer and a recursive-descent parser —
    enough to emit BENCH_*.json documents, parse them back (the round-trip the
-   test suite checks), and parse the Chrome-trace files Pool.Trace writes. *)
+   test suite checks), and parse the Chrome-trace files the flight-recorder
+   exporter ([Rpb_obs.Profile.write_chrome]) writes. *)
 
 type json =
   | Null

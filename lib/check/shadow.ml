@@ -13,7 +13,7 @@ let race_to_string r =
     "race at index %d: src %d (task %d) vs src %d (task %d)" r.index
     r.first_src r.first_task r.second_src r.second_task
 
-(* Process-global switch, same discipline as Pool.Trace: the disabled path
+(* Process-global switch, same discipline as Pool.Recorder: the disabled path
    pays exactly one atomic load per write. *)
 let enabled_flag = Atomic.make false
 

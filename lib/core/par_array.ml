@@ -21,7 +21,7 @@ let mapi pool f a =
 let map pool f a = mapi pool (fun _ x -> f x) a
 
 let mapi_inplace pool f a =
-  Pool.Trace.span pool "par_array.map_inplace" @@ fun () ->
+  Pool.Recorder.span pool "par_array.map_inplace" @@ fun () ->
   Pool.parallel_for ~start:0 ~finish:(Array.length a)
     ~body:(fun i -> Array.unsafe_set a i (f i (Array.unsafe_get a i)))
     pool
@@ -44,7 +44,7 @@ let fill_stride pool a f =
     pool
 
 let reduce pool f id a =
-  Pool.Trace.span pool "par_array.reduce" @@ fun () ->
+  Pool.Recorder.span pool "par_array.reduce" @@ fun () ->
   Pool.parallel_for_reduce ~start:0 ~finish:(Array.length a)
     ~body:(fun i -> Array.unsafe_get a i)
     ~combine:f ~init:id pool

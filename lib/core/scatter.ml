@@ -108,7 +108,7 @@ let check_mark pool ~n offsets =
     mark_check pool ~slot:(Array.make n 0) ~epoch:1 ~n offsets
 
 let validate_offsets ?(strategy = Mark_table) pool ~n offsets =
-  Pool.Trace.span pool "scatter.validate" @@ fun () ->
+  Pool.Recorder.span pool "scatter.validate" @@ fun () ->
   match strategy with
   | Mark_table -> check_mark pool ~n offsets
   | Sort_based ->
@@ -120,7 +120,7 @@ let length_check ~offsets ~src =
     invalid_arg "Scatter: offsets and src length mismatch"
 
 let unchecked pool ~out ~offsets ~src =
-  Pool.Trace.span pool "scatter.unchecked" @@ fun () ->
+  Pool.Recorder.span pool "scatter.unchecked" @@ fun () ->
   length_check ~offsets ~src;
   let n = Array.length out in
   Pool.parallel_for ~start:0 ~finish:(Array.length src)
@@ -199,7 +199,7 @@ end
 
 module Make (S : STORE) = struct
   let unchecked pool ~out ~offsets ~src =
-    Pool.Trace.span pool "scatter.unchecked" @@ fun () ->
+    Pool.Recorder.span pool "scatter.unchecked" @@ fun () ->
     length_check ~offsets ~src;
     let n = S.length out in
     Pool.parallel_for ~start:0 ~finish:(Array.length src)
@@ -219,7 +219,7 @@ module Make (S : STORE) = struct
      validates nothing, which is exactly the point the paper makes about
      placating a race detector. *)
   let atomic pool ~out ~offsets ~src =
-    Pool.Trace.span pool "scatter.atomic" @@ fun () ->
+    Pool.Recorder.span pool "scatter.atomic" @@ fun () ->
     length_check ~offsets ~src;
     let n = S.length out in
     Pool.parallel_for ~start:0 ~finish:(Array.length src)

@@ -14,8 +14,11 @@
       torn interleavings because the values are monotone diagnostics.
     - {e gauges} — last-writer-wins floats, plus {e probes}: registered
       closures evaluated at snapshot time, which is how pool-level state
-      (deque depths, timer-wheel occupancy, GC samples) is exported without
-      [lib/pool] depending on this library.
+      (deque depths, timer-wheel occupancy) is exported without [lib/pool]
+      depending on this library.  Every snapshot also carries two built-in
+      GC probes, [gc.minor_collections] and [gc.minor_kwords], read from
+      one [Gc.quick_stat] — process-wide totals on OCaml 5, cumulative
+      (consumers take deltas).
     - {e histograms} — fixed 64-bucket log2(nanoseconds) latency
       histograms, striped like counters.  Bucket [b] holds samples in
       [\[2^b, 2^(b+1))] ns (bucket 0 also absorbs <= 1 ns); merge is
@@ -25,11 +28,10 @@
     {2 The switch}
 
     The whole plane sits behind one process-global enable flag in the
-    {!Rpb_pool.Pool.Trace} idiom: while {!enabled} is false every
+    {!Rpb_pool.Pool.Recorder} idiom: while {!enabled} is false every
     instrument call costs exactly one atomic load and allocates nothing;
     while true, a counter bump is that load plus one plain array increment
-    in the caller's own stripe.  {!enable} also arms the pool's per-worker
-    GC probe ({!Rpb_pool.Pool.set_gc_sampling}).
+    in the caller's own stripe.  The switch never touches the pool.
 
     {2 Snapshots}
 
@@ -109,9 +111,8 @@ val register_pool : Rpb_pool.Pool.t -> unit
 (** Register probes exporting a pool's scheduler state under [pool.*]:
     worker count, cumulative tasks/steals/failed-steals/idle episodes (from
     {!Rpb_pool.Pool.Stats.capture} — consumers take deltas), instantaneous
-    total and max deque depth, timer-wheel occupancy, and the per-worker
-    GC probe totals (minor collections, minor kwords).  Registering another
-    pool replaces the probes (latest pool wins). *)
+    total and max deque depth, and timer-wheel occupancy.  Registering
+    another pool replaces the probes (latest pool wins). *)
 
 (** {1 GC pause sampling}
 

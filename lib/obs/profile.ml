@@ -111,6 +111,9 @@ let summary r =
   end;
   if m.Sp_dag.per_worker <> [] then begin
     pf "\n  per worker:\n";
+    (* minor_gc / major_gc are process-wide collection counts over each
+       worker's own GC-sampling window (Sp_dag.worker), not the worker's own
+       collections: the windows overlap, so the column must not be summed. *)
     pf "    %-4s %12s %12s %8s %8s %10s %10s\n" "w" "work" "idle" "steals"
       "tasks" "minor_gc" "major_gc";
     List.iter
@@ -313,3 +316,45 @@ let read_json path =
     (fun () ->
       let n = in_channel_length ic in
       of_json (J.of_string (really_input_string ic n)))
+
+(* ---------- Chrome trace export ---------- *)
+
+let write_chrome path (recording : Pool.Recorder.recording) =
+  let complete name ~w ~begin_ns ~end_ns =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("ph", J.Str "X");
+        ("pid", J.Int 0);
+        ("tid", J.Int w);
+        ( "ts",
+          J.Float
+            (Rpb_prim.Timing.epoch_of_monotonic_us
+               (float_of_int begin_ns *. 1e-3)) );
+        ("dur", J.Float (float_of_int (end_ns - begin_ns) *. 1e-3));
+      ]
+  in
+  let events =
+    List.filter_map
+      (function
+        | Pool.Recorder.Work { w; begin_ns; end_ns; _ } ->
+          Some (complete "work" ~w ~begin_ns ~end_ns)
+        | Phase { name; w; begin_ns; end_ns } ->
+          Some (complete name ~w ~begin_ns ~end_ns)
+        | Idle { w; begin_ns; end_ns } ->
+          Some (complete "idle" ~w ~begin_ns ~end_ns)
+        | Fork _ | Join _ | Exec _ | Steal _ | Gc_sample _ -> None)
+      recording.Pool.Recorder.events
+  in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc "[";
+      List.iteri
+        (fun i e ->
+          output_string oc (if i > 0 then ",\n" else "\n");
+          output_string oc (J.to_string e))
+        events;
+      output_string oc "\n]\n");
+  List.length events

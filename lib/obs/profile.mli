@@ -57,3 +57,12 @@ val of_json : Rpb_benchmarks.Bench_json.json -> report
 
 val write_json : path:string -> report -> unit
 val read_json : string -> report
+
+val write_chrome : string -> Rpb_pool.Pool.Recorder.recording -> int
+(** [write_chrome path recording] writes the recording as a Chrome
+    trace-event JSON array (loadable in [chrome://tracing] or Perfetto) and
+    returns the number of events written.  Every event is a complete
+    (["ph":"X"]) event on [tid = w]: [Work] segments as [work], [Phase]
+    events under their span name, [Idle] episodes as [idle]; the other
+    recorder events are not exported.  Timestamps are mapped onto the Unix
+    epoch via [Rpb_prim.Timing.epoch_of_monotonic_us]. *)

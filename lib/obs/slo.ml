@@ -384,7 +384,7 @@ let feed_snapshot t j =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* The global level register: one atomic immediate, Trace-style.  The
+(* The global level register: one atomic immediate, Recorder-style.  The
    admission path reads it per request; with no engine running it stays
    Ok and costs one load. *)
 

@@ -46,7 +46,7 @@
     {2 The switch}
 
     The process-global {!current_level} register follows the
-    {!Metrics}/Trace switch discipline: reading it is one atomic load of
+    {!Metrics}/Recorder switch discipline: reading it is one atomic load of
     an immediate value — no allocation — so the admission path can consult
     it per request whether or not any engine is running.  With no engine
     it stays [Ok] and admission behaves exactly as before. *)

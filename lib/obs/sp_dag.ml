@@ -73,7 +73,9 @@ type wacc = {
   mutable a_steals : int;
   mutable a_tasks : int;
   (* first/last cumulative Gc.quick_stat samples; events arrive
-     timestamp-sorted, so first-seen is earliest. *)
+     timestamp-sorted, so first-seen is earliest.  The counters are
+     process-wide, so the delta is the whole program's GC over this
+     worker's sampling window, not this worker's own. *)
   mutable gc_first : (int * int * float * float) option;
   mutable gc_last : (int * int * float * float) option;
 }

@@ -16,7 +16,8 @@
       parallelism left after real scheduling burden.  GC pressure already
       lands inside the [Work] strand segments (a collection pauses the
       mutator mid-segment), so it inflates work and span directly; the
-      per-worker GC deltas break that pressure out for attribution.
+      per-worker GC fields show how much collection fell inside each
+      worker's sampling window.
 
     Reconstruction is tolerant of ring overflow: a construct whose [Fork]
     event was dropped is attached under the root, missing [Exec] events cost
@@ -31,14 +32,19 @@ type worker = {
   idle_ns : int;  (** time inside recorded sleep episodes *)
   steals : int;  (** successful steals by this worker *)
   tasks : int;  (** spawned branches this worker executed *)
-  minor_collections : int;  (** GC delta across the recording window *)
+  minor_collections : int;
   major_collections : int;
   promoted_words : float;
   minor_words : float;
+      (** The four GC fields are {e process-wide} [Gc.quick_stat] deltas
+          between this worker's first and last [Gc_sample] — the whole
+          program's collections over this worker's sampling window, not
+          collections this worker caused.  Windows of different workers
+          overlap, so the fields must not be summed across workers. *)
 }
 
 type phase = { name : string; count : int; total_ns : int }
-(** Aggregated {!Rpb_pool.Pool.Trace.span} phases (per-phase attribution of
+(** Aggregated {!Rpb_pool.Pool.Recorder.span} phases (per-phase attribution of
     the profiled run, e.g. the sort/scan/histogram spans in [lib/parseq]). *)
 
 type t = {

@@ -14,7 +14,7 @@ let histogram pool ~keys ~buckets =
   let nb = num_blocks pool n in
   let bsize = Rpb_prim.Util.ceil_div n (max nb 1) in
   let counts = Array.make (nb * buckets) 0 in
-  (Pool.Trace.span pool "hist.count" @@ fun () ->
+  (Pool.Recorder.span pool "hist.count" @@ fun () ->
    Pool.parallel_for ~grain:1 ~start:0 ~finish:nb
      ~body:(fun b ->
        let lo = b * bsize and hi = min n ((b + 1) * bsize) in
@@ -25,7 +25,7 @@ let histogram pool ~keys ~buckets =
        done)
      pool);
   let out = Array.make buckets 0 in
-  (Pool.Trace.span pool "hist.merge" @@ fun () ->
+  (Pool.Recorder.span pool "hist.merge" @@ fun () ->
    Pool.parallel_for ~start:0 ~finish:buckets
      ~body:(fun k ->
        let acc = ref 0 in
@@ -118,7 +118,7 @@ let histogram_stats ~mode pool ~keys ~values ~buckets =
     let nb = num_blocks pool n in
     let bsize = Rpb_prim.Util.ceil_div n (max nb 1) in
     let partial = Array.init nb (fun _ -> Array.init buckets (fun _ -> stats_empty ())) in
-    (Pool.Trace.span pool "hist.stats_count" @@ fun () ->
+    (Pool.Recorder.span pool "hist.stats_count" @@ fun () ->
      Pool.parallel_for ~grain:1 ~start:0 ~finish:nb
        ~body:(fun b ->
          let lo = b * bsize and hi = min n ((b + 1) * bsize) in
@@ -128,7 +128,7 @@ let histogram_stats ~mode pool ~keys ~values ~buckets =
          done)
        pool);
     let out = Array.init buckets (fun _ -> stats_empty ()) in
-    (Pool.Trace.span pool "hist.stats_merge" @@ fun () ->
+    (Pool.Recorder.span pool "hist.stats_merge" @@ fun () ->
      Pool.parallel_for ~start:0 ~finish:buckets
        ~body:(fun k ->
          for b = 0 to nb - 1 do

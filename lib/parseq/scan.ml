@@ -7,7 +7,7 @@ let num_blocks pool n =
 (* Two-pass block scan.  [write i acc] receives the exclusive prefix for
    index [i]; it returns the value to fold in. *)
 let block_scan pool f id a ~emit =
-  Pool.Trace.span pool "scan.block" @@ fun () ->
+  Pool.Recorder.span pool "scan.block" @@ fun () ->
   let n = Array.length a in
   if n = 0 then id
   else begin

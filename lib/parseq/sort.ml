@@ -29,7 +29,7 @@ let rec msort pool cmp src dst lo hi to_dst =
   end
 
 let merge_sort_inplace pool ~cmp a =
-  Pool.Trace.span pool "sort.merge" @@ fun () ->
+  Pool.Recorder.span pool "sort.merge" @@ fun () ->
   let n = Array.length a in
   if n > 1 then begin
     let buf = Array.copy a in
@@ -44,7 +44,7 @@ let merge_sort pool ~cmp a =
 (* ---------- sample sort ---------- *)
 
 let sample_sort_with ~oversample pool ~cmp a =
-  Pool.Trace.span pool "sort.sample" @@ fun () ->
+  Pool.Recorder.span pool "sort.sample" @@ fun () ->
   let n = Array.length a in
   if n <= seq_cutoff then begin
     let out = Array.copy a in

@@ -19,7 +19,7 @@ exception Stalled of string
    [outstanding] has drained to zero, so no task of a failed run is still
    touching caller state when [run] returns.  The happy-path cost is one
    atomic load per scheduling decision (split / join / task start), the same
-   budget as the [Trace] switch. *)
+   budget as the [Recorder] switch. *)
 
 type scope = {
   cancel_flag : bool Atomic.t;
@@ -69,16 +69,8 @@ let c_steals_failed = 2
 let c_idle = 3
 let c_max_depth = 4
 
-(* Per-worker GC samples for the live metrics plane: [Gc.quick_stat] can
-   only be read from the owning domain, so workers sample their own
-   minor-collection count and minor words (in kwords, to stay in an int)
-   every 64 tasks while the gc-sampling instrumentation bit is set.  Same
-   slab, same racy-read aggregation contract as the counters above. *)
-let c_gc_minors = 5
-let c_gc_minor_kwords = 6
-
 (* 8 words = 64 bytes of payload per slab: one full cache line, so two
-   workers' counters never share one. *)
+   workers' counters never share one.  Slots past [c_max_depth] are padding. *)
 let counter_slots = 8
 
 (* ------------------------------------------------------------------ *)
@@ -147,8 +139,8 @@ let my_index pool =
 
 let size pool = pool.num_workers
 
-(* Alias for annotating functions defined after [Stats]/[Trace], whose record
-   fields would otherwise shadow [t]'s during inference. *)
+(* Alias for annotating functions defined after [Stats], whose record fields
+   would otherwise shadow [t]'s during inference. *)
 type pool = t
 
 (* ------------------------------------------------------------------ *)
@@ -250,36 +242,10 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Instrumentation switch word.
-
-   One process-global atomic int holds a bit per optional instrumentation
-   layer — bit 0: Chrome-trace spans ([Trace]), bit 1: the flight recorder
-   ([Recorder]).  Shared hot sites ([Trace.span]) test the whole word once,
-   so "both off" still costs exactly one atomic load. *)
-
-let instr_flags = Atomic.make 0
-let tracing_bit = 1
-let recording_bit = 2
-
-(* Bit 2: periodic per-worker [Gc.quick_stat] sampling into the counter
-   slabs ([c_gc_minors] / [c_gc_minor_kwords]), polled by the live metrics
-   plane in [lib/obs].  Costs one atomic load per executed task while off —
-   the same contract as [Trace] / [Fault]. *)
-let gc_sampling_bit = 4
-
-let rec set_instr_bit bit on =
-  let cur = Atomic.get instr_flags in
-  let next = if on then cur lor bit else cur land lnot bit in
-  if not (Atomic.compare_and_set instr_flags cur next) then set_instr_bit bit on
-
-let set_gc_sampling on = set_instr_bit gc_sampling_bit on
-let gc_sampling () = Atomic.get instr_flags land gc_sampling_bit <> 0
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler flight recorder.
 
-   Off by default; every instrumented site is gated on one atomic load (the
-   [instr_flags] word above), so the scheduling hot paths keep their
+   Off by default; every instrumented site is gated on one atomic load of
+   the recorder's switch, so the scheduling hot paths keep their
    uninstrumented cost.  When armed, each domain appends task-lifecycle
    events into its own lock-free ring buffer — single writer, drop-oldest on
    overflow, with the drop count recoverable from the monotonically growing
@@ -334,7 +300,8 @@ module Recorder = struct
 
   type recording = { events : event list; dropped : int }
 
-  let enabled () = Atomic.get instr_flags land recording_bit <> 0
+  let armed = Atomic.make false
+  let enabled () = Atomic.get armed
   let now_ns = Rpb_prim.Timing.monotonic_ns
 
   (* Per-domain ring buffer: single writer (the owning domain), read only
@@ -498,8 +465,28 @@ module Recorder = struct
   let idle_event ~w ~begin_ns = emit (Idle { w; begin_ns; end_ns = now_ns () })
   let steal_event ~thief ~victim = emit (Steal { thief; victim; ts_ns = now_ns () })
 
-  let phase_event ~name ~w ~begin_ns ~end_ns =
-    emit (Phase { name; w; begin_ns; end_ns })
+  (* One atomic load and no allocation while the recorder is off; a [Phase]
+     event attributed to the calling worker while it is on.  A span still
+     open when [stop] runs emits nothing, so it cannot open a ring that
+     outlives the session. *)
+  let span pool name f =
+    if not (enabled ()) then f ()
+    else begin
+      let begin_ns = now_ns () in
+      let finish () =
+        if enabled () then begin
+          let w = match my_index pool with Some i -> i | None -> -1 in
+          emit (Phase { name; w; begin_ns; end_ns = now_ns () })
+        end
+      in
+      match f () with
+      | x ->
+        finish ();
+        x
+      | exception e ->
+        finish ();
+        raise e
+    end
 
   let with_root f =
     if not (enabled ()) then f ()
@@ -527,10 +514,10 @@ module Recorder = struct
     Mutex.unlock registry_mutex;
     Atomic.incr generation;
     Atomic.set next_construct 1;
-    set_instr_bit recording_bit true
+    Atomic.set armed true
 
   let stop () =
-    set_instr_bit recording_bit false;
+    Atomic.set armed false;
     Mutex.lock registry_mutex;
     let rs = !rings in
     rings := [];
@@ -555,127 +542,9 @@ module Recorder = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Task tracing.
-
-   Off by default and gated behind one atomic read per potential event, so
-   the instrumented hot paths stay at their uninstrumented cost when tracing
-   is disabled.  Events are buffered per domain (no shared structure on the
-   recording path) and serialized to the Chrome trace-event JSON format
-   ([chrome://tracing] / Perfetto) on [stop_to_file]. *)
-
-module Trace = struct
-  type event = { name : string; tid : int; ts_us : float; dur_us : float }
-
-  let registry_mutex = Mutex.create ()
-  let buffers : event list ref list ref = ref []
-
-  let buf_key : event list ref option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let my_buffer () =
-    let slot = Domain.DLS.get buf_key in
-    match !slot with
-    | Some b -> b
-    | None ->
-      let b = ref [] in
-      Mutex.lock registry_mutex;
-      buffers := b :: !buffers;
-      Mutex.unlock registry_mutex;
-      slot := Some b;
-      b
-
-  let enabled () = Atomic.get instr_flags land tracing_bit <> 0
-
-  (* Monotonic microseconds (Rpb_prim.Timing) — durations can never go
-     negative across NTP slews.  The wall-clock epoch is reapplied in one
-     place, at Chrome-trace serialization. *)
-  let now_us () = Rpb_prim.Timing.now_us ()
-
-  let record ~name ~tid ~ts_us ~dur_us =
-    if enabled () then begin
-      let b = my_buffer () in
-      b := { name; tid; ts_us; dur_us } :: !b
-    end
-
-  let start () =
-    Mutex.lock registry_mutex;
-    List.iter (fun b -> b := []) !buffers;
-    Mutex.unlock registry_mutex;
-    set_instr_bit tracing_bit true
-
-  let stop () =
-    set_instr_bit tracing_bit false;
-    Mutex.lock registry_mutex;
-    let evs = List.concat_map (fun b -> !b) !buffers in
-    List.iter (fun b -> b := []) !buffers;
-    Mutex.unlock registry_mutex;
-    List.sort (fun a b -> compare a.ts_us b.ts_us) evs
-
-  (* Feeds both optional layers: a Chrome-trace span when tracing is on, a
-     [Phase] flight-recorder event when recording is on — behind a single
-     atomic load of the shared switch word when both are off. *)
-  let span pool name f =
-    if Atomic.get instr_flags = 0 then f ()
-    else begin
-      let t0_ns = Rpb_prim.Timing.monotonic_ns () in
-      let finish () =
-        let t1_ns = Rpb_prim.Timing.monotonic_ns () in
-        let tid = match my_index pool with Some i -> i | None -> -1 in
-        if enabled () then
-          record ~name ~tid
-            ~ts_us:(float_of_int t0_ns *. 1e-3)
-            ~dur_us:(float_of_int (t1_ns - t0_ns) *. 1e-3);
-        if Recorder.enabled () then
-          Recorder.phase_event ~name ~w:tid ~begin_ns:t0_ns ~end_ns:t1_ns
-      in
-      match f () with
-      | x ->
-        finish ();
-        x
-      | exception e ->
-        finish ();
-        raise e
-    end
-
-  let escape name =
-    let b = Buffer.create (String.length name + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      name;
-    Buffer.contents b
-
-  let stop_to_file path =
-    let evs = stop () in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "[";
-        List.iteri
-          (fun i e ->
-            if i > 0 then output_string oc ",";
-            Printf.fprintf oc
-              "\n\
-               {\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-              (escape e.name) e.tid
-              (Rpb_prim.Timing.epoch_of_monotonic_us e.ts_us)
-              e.dur_us)
-          evs;
-        output_string oc "\n]\n");
-    List.length evs
-end
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler fault injection.
 
-   Follows the [Trace]/[Shadow] global-switch pattern: off by default, and
+   Follows the [Recorder]/[Shadow] global-switch pattern: off by default, and
    every injection site is gated on one atomic load ([armed ()]) so the
    scheduler hot paths keep their uninstrumented cost.  When enabled, each
    domain derives a private RNG from the configured seed (and its domain id),
@@ -1036,30 +905,8 @@ let try_find_task pool my_idx rng =
 let execute pool idx task =
   let c = pool.counters.(idx) in
   c.(c_tasks) <- c.(c_tasks) + 1;
-  (* Live-metrics GC probe: [Gc.quick_stat] is only meaningful on the owning
-     domain, so each worker samples its own counters here, at most once per
-     64 executed tasks.  One atomic load when the bit is off. *)
-  if
-    Atomic.get instr_flags land gc_sampling_bit <> 0
-    && c.(c_tasks) land 63 = 0
-  then begin
-    let s = Gc.quick_stat () in
-    c.(c_gc_minors) <- s.Gc.minor_collections;
-    c.(c_gc_minor_kwords) <- int_of_float (s.Gc.minor_words *. 1e-3)
-  end;
   if Fault.armed () then Fault.stall_site ();
-  if Trace.enabled () then begin
-    let t0 = Trace.now_us () in
-    match task () with
-    | () ->
-      Trace.record ~name:"task" ~tid:idx ~ts_us:t0
-        ~dur_us:(Trace.now_us () -. t0)
-    | exception e ->
-      Trace.record ~name:"task" ~tid:idx ~ts_us:t0
-        ~dur_us:(Trace.now_us () -. t0);
-      raise e
-  end
-  else task ()
+  task ()
 
 let worker_loop pool idx =
   Domain.DLS.get slot_key := Some (pool.id, idx);
@@ -1693,14 +1540,8 @@ let run ?deadline pool f =
 
 let current_worker = my_index
 
-(* Live scheduler gauges for the metrics plane: instantaneous per-worker
+(* Live scheduler gauge for the metrics plane: instantaneous per-worker
    deque depths (racy [Ws_deque.size] reads — a point-in-time occupancy
-   sketch, not an invariant) and the latest per-worker GC samples written by
-   the gated probe in [execute]. *)
+   sketch, not an invariant). *)
 let deque_depths pool =
   Array.init pool.num_workers (fun i -> Ws_deque.size pool.deques.(i))
-
-let gc_samples pool =
-  Array.init pool.num_workers (fun i ->
-      let c = pool.counters.(i) in
-      (c.(c_gc_minors), c.(c_gc_minor_kwords)))

@@ -22,7 +22,8 @@
 
     The scheduler is instrumented: every worker keeps private, cache-line
     padded counters (see {!Stats}) and every hot path carries an optional
-    tracing hook (see {!Trace}) that costs one atomic load when disabled.
+    flight-recorder hook (see {!Recorder}) that costs one atomic load when
+    disabled.
 
     {2 Failure semantics}
 
@@ -234,19 +235,6 @@ val deque_depths : t -> int array
 (** Instantaneous per-worker deque depths — racy point-in-time reads, a
     live-load sketch for the metrics plane, not a synchronized snapshot. *)
 
-val gc_samples : t -> (int * int) array
-(** Latest per-worker [(minor_collections, minor_kwords)] GC samples.  Only
-    populated while {!set_gc_sampling} is on: each worker samples its own
-    [Gc.quick_stat] at most once per 64 executed tasks (a domain's GC
-    counters can only be read from that domain).  Zeros otherwise. *)
-
-val set_gc_sampling : bool -> unit
-(** Arm or disarm the per-worker GC probe behind {!gc_samples}.  Shares the
-    process-global instrumentation switch word with {!Trace} / {!Recorder}:
-    one atomic load per executed task while off. *)
-
-val gc_sampling : unit -> bool
-
 (** {1 Scheduler telemetry}
 
     Every worker maintains private counters in its own cache line — the
@@ -302,47 +290,13 @@ module Stats : sig
   (** Multi-line form: totals plus one line per worker. *)
 end
 
-(** {1 Task tracing}
-
-    A process-global switch (the pool's hot paths only pay one atomic load
-    while it is off).  When enabled, every executed task and every
-    {!Trace.span} records a complete event — name, worker id, begin
-    timestamp, duration — into a per-domain buffer; {!Trace.stop_to_file}
-    serializes them in the Chrome trace-event JSON format, loadable in
-    [chrome://tracing] or Perfetto. *)
-
-module Trace : sig
-  type pool := t
-
-  val enabled : unit -> bool
-
-  val start : unit -> unit
-  (** Discard previously buffered events and begin recording. *)
-
-  val span : pool -> string -> (unit -> 'a) -> 'a
-  (** [span pool name f] runs [f] and, when tracing is enabled, records a
-      named span attributed to the calling worker (worker id [-1] outside the
-      pool).  When tracing is off the cost is a single atomic load. *)
-
-  val record : name:string -> tid:int -> ts_us:float -> dur_us:float -> unit
-  (** Low-level hook: append one complete event.  Timestamps are monotonic
-      microseconds, as given by [Rpb_prim.Timing.now_us] — the wall-clock
-      epoch is applied once, at Chrome-trace serialization.  Dropped when
-      disabled. *)
-
-  val stop_to_file : string -> int
-  (** Stop recording, write all buffered events as Chrome-trace JSON to the
-      given path, clear the buffers, and return the number of events.
-      Timestamps are mapped onto the Unix epoch here (and only here), via
-      [Rpb_prim.Timing.epoch_of_monotonic_us]. *)
-end
-
 (** {1 Scheduler flight recorder}
 
-    The raw-event layer behind the work/span profiler in [lib/obs] ([rpb
-    profile]).  Off by default; it shares one process-global switch word with
-    {!Trace}, so every instrumented scheduler site — including
-    {!Trace.span} — costs a single atomic load when both layers are off.
+    The one instrumentation event stream: the raw-event layer behind the
+    work/span profiler and the Chrome-trace exporter in [lib/obs] ([rpb
+    profile], [rpb stats --trace]).  Off by default behind one
+    process-global switch, so every instrumented scheduler site — including
+    {!Recorder.span} — costs a single atomic load while it is off.
 
     When armed ({!Recorder.start}), each domain appends task-lifecycle events
     into its own lock-free ring buffer: single writer, drop-oldest on
@@ -350,7 +304,7 @@ end
     {!Recorder.stop}.  The events carry series-parallel provenance — every
     {!join} (and through it every [parallel_for] split) allocates a fresh
     construct id and records which (construct, branch) strand forked it —
-    plus [Work] strand segments, steal and idle episodes, {!Trace.span}
+    plus [Work] strand segments, steal and idle episodes, {!Recorder.span}
     phases, and periodic per-domain [Gc.quick_stat] samples.  That is enough
     to reconstruct the fork-join DAG offline and compute work, span, and
     burdened parallelism; see [Rpb_obs.Sp_dag]. *)
@@ -381,7 +335,7 @@ module Recorder : sig
     | Steal of { thief : int; victim : int; ts_ns : int }
     | Idle of { w : int; begin_ns : int; end_ns : int }
     | Phase of { name : string; w : int; begin_ns : int; end_ns : int }
-        (** A {!Trace.span} observed while recording. *)
+        (** A {!Recorder.span} observed while recording. *)
     | Gc_sample of {
         w : int;
         ts_ns : int;
@@ -401,6 +355,12 @@ module Recorder : sig
 
   val enabled : unit -> bool
 
+  val span : t -> string -> (unit -> 'a) -> 'a
+  (** [span pool name f] runs [f] and, while recording, emits a [Phase]
+      event named [name] attributed to the calling worker (worker id [-1]
+      outside the pool).  While the recorder is off the cost is a single
+      atomic load and no allocation. *)
+
   val start : ?ring_capacity:int -> unit -> unit
   (** Arm the recorder with fresh per-domain rings of [ring_capacity] events
       each (rounded up to a power of two; default 32Ki).  Any events from a
@@ -418,7 +378,7 @@ end
 
 (** {1 Scheduler fault injection}
 
-    A process-global switch in the {!Trace} mold: while disabled (the
+    A process-global switch in the {!Recorder} mold: while disabled (the
     default) every injection site costs one atomic load.  When enabled, each
     domain derives a private RNG stream from the configured seed and flips a
     coin at every scheduler decision point — task start (inject an

@@ -270,12 +270,12 @@ let execute t job =
   let queue_ms = (Rpb_prim.Timing.now () -. job.enqueued_at) *. 1e3 in
   (* Request-scoped scheduler tracing: the whole run executes under a span
      named for the request, so when the flight recorder is armed (the
-     slow-request log, or an operator-started [Trace]/[Recorder] session)
-     every Phase event attributes scheduler behaviour to a request id.
-     One atomic load when all instrumentation is off. *)
+     slow-request log, or an operator-started [Recorder] session) every
+     Phase event attributes scheduler behaviour to a request id.  One atomic
+     load while the recorder is off. *)
   let span_name = Printf.sprintf "request:%d:%s" req.id req.bench in
   let attempt () =
-    Pool.Trace.span pool span_name (fun () ->
+    Pool.Recorder.span pool span_name (fun () ->
         if req.bench = "spin" then run_spin pool req else run_bench t req)
   in
   match

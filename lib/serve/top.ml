@@ -219,7 +219,7 @@ let render ?prev s =
     in
     line "gc         %s   %s   minors %.0f" (part "minor" minor)
       (part "major-slice" major)
-      (Option.value (gauge_of s "pool.gc_minor_collections") ~default:0.));
+      (Option.value (gauge_of s "gc.minor_collections") ~default:0.));
   (* SLO panel: present only when the server runs with --slo.  Objective
      names are recovered from the slo.<name>.level gauge family. *)
   let slo_objectives =

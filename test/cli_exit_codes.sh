@@ -39,7 +39,8 @@ expect_code 2 slo some.jsonl --hysteresis 0
 # with none failed, then the same with half failed.
 slo_tmp=${TMPDIR:-/tmp}/rpb-cli-slo-$$.jsonl
 kind_tmp=${TMPDIR:-/tmp}/rpb-cli-kind-$$.json
-trap 'rm -f "$slo_tmp" "$kind_tmp"' 0
+trace_tmp=${TMPDIR:-/tmp}/rpb-cli-trace-$$.json
+trap 'rm -f "$slo_tmp" "$kind_tmp" "$trace_tmp"' 0
 {
   printf '{"kind":"metrics","seq":1,"ts_s":1.0,"started_s":0.0,"counters":{"serve.ok":100,"serve.failed":0},"gauges":{},"histograms":{}}\n'
   printf '{"kind":"metrics","seq":2,"ts_s":2.0,"started_s":0.0,"counters":{"serve.ok":150,"serve.failed":50},"gauges":{},"histograms":{}}\n'
@@ -60,5 +61,18 @@ expect_code 2 profile --policy default
 expect_code 2 serve --policy default
 expect_code 2 loadgen --policy default
 expect_code 2 serve --minor-heap-kb 1
+
+# A worker count below 1 and an output path that cannot be written are
+# usage errors, not uncaught exceptions.
+unwritable=/nonexistent-dir/out.json
+expect_code 2 stats --threads 0
+expect_code 2 run hist -s 1 -t 0
+expect_code 2 stats --threads 2 --tasks 64 --json "$unwritable"
+expect_code 2 stats --threads 2 --tasks 64 --trace "$unwritable"
+expect_code 2 profile --bench hist --threads 2 --json "$unwritable"
+
+# rpb stats --trace writes the flight recorder's Chrome trace.
+expect_code 0 stats --threads 2 --tasks 64 --trace "$trace_tmp"
+[ -s "$trace_tmp" ] || fail "rpb stats --trace left no trace in $trace_tmp"
 
 echo "cli_exit_codes: ok"

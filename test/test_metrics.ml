@@ -102,12 +102,8 @@ let test_switch_gates_writes () =
   Alcotest.(check int) "disabled observe is a no-op" 0 (Metrics.hist_count h);
   Metrics.enable ();
   Alcotest.(check bool) "enabled" true (Metrics.enabled ());
-  Alcotest.(check bool) "enable arms the pool GC probe" true
-    (Pool.gc_sampling ());
   Metrics.incr c;
   Metrics.disable ();
-  Alcotest.(check bool) "disable disarms the pool GC probe" false
-    (Pool.gc_sampling ());
   Alcotest.(check int) "enabled incr lands" 1 (Metrics.counter_value c)
 
 (* ---------- percentiles ---------- *)
@@ -164,7 +160,7 @@ let test_disabled_path_allocation_free () =
   let c = Metrics.counter "test.alloc_c" in
   let h = Metrics.histogram "test.alloc_h" in
   (* Warm both paths, then measure: one atomic load per call, no
-     allocation — same contract as Pool.Trace.span off. *)
+     allocation — same contract as Pool.Recorder.span off. *)
   Metrics.incr c;
   Metrics.observe_ns h 100;
   let before = Gc.allocated_bytes () in
@@ -259,6 +255,37 @@ let test_register_pool_probes () =
     (J.get_float (J.member "pool.tasks" gauges) > 0.);
   Alcotest.(check bool) "timer probe present" true
     (J.member_opt "pool.timer_pending" gauges <> None)
+
+(* ---------- the process-wide GC gauge ---------- *)
+
+(* [gc.minor_collections] read from a snapshot, bracketed by two
+   [Gc.quick_stat] reads on this domain; retried until no minor collection
+   lands inside the bracket, so the snapshot must have seen exactly the
+   bracketing count. *)
+let rec gc_reading () =
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let s = Metrics.snapshot () in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  if before <> after then gc_reading ()
+  else
+    ( J.get_float (J.member "gc.minor_collections" (J.member "gauges" s)),
+      before )
+
+let test_gc_gauge_is_process_wide () =
+  fresh ();
+  let pool = Pool.create ~num_workers:4 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Metrics.enable ();
+  let g0, q0 = gc_reading () in
+  Pool.run pool (fun () ->
+      Pool.parallel_for ~grain:1 ~start:0 ~finish:16384
+        ~body:(fun i -> ignore (Sys.opaque_identity (Array.make 256 i)))
+        pool);
+  let g1, q1 = gc_reading () in
+  Metrics.disable ();
+  Alcotest.(check bool) "the run collected" true (q1 > q0);
+  Alcotest.(check (float 0.)) "gauge delta = Gc.quick_stat delta"
+    (float_of_int (q1 - q0)) (g1 -. g0)
 
 (* ---------- Latency summary edge cases ---------- *)
 
@@ -445,6 +472,8 @@ let () =
             test_disabled_path_allocation_free;
           Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
           Alcotest.test_case "pool probes" `Quick test_register_pool_probes;
+          Alcotest.test_case "gc gauge is process-wide" `Quick
+            test_gc_gauge_is_process_wide;
         ] );
       ( "latency",
         [

@@ -206,16 +206,16 @@ let test_disabled_paths_stay_cheap () =
       Pool.run pool (fun () ->
           Alcotest.(check bool) "recorder is off" false (R.enabled ());
           let f () = () in
-          (* Trace.span with both instrumentation layers off is a single
-             atomic load around the call: allocation-free. *)
-          Pool.Trace.span pool "warm" f;
+          (* Recorder.span with the recorder off is a single atomic load
+             around the call: allocation-free. *)
+          R.span pool "warm" f;
           let before = Gc.allocated_bytes () in
           for _ = 1 to 1000 do
-            Pool.Trace.span pool "off" f
+            R.span pool "off" f
           done;
           let per_span = (Gc.allocated_bytes () -. before) /. 1000.0 in
           Alcotest.(check bool)
-            (Printf.sprintf "disabled Trace.span allocation-free (%.1f B)"
+            (Printf.sprintf "disabled Recorder.span allocation-free (%.1f B)"
               per_span)
             true (per_span < 16.0);
           (* A join always allocates its promise, but with the recorder off

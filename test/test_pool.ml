@@ -371,24 +371,28 @@ let test_stats_depth_high_water_semantics () =
 
 let test_trace_span_records_events () =
   with_pool 2 (fun pool ->
-      Pool.Trace.start ();
-      Alcotest.(check bool) "enabled" true (Pool.Trace.enabled ());
-      Pool.run pool (fun () ->
-          Pool.Trace.span pool "outer" (fun () ->
-              Pool.parallel_for ~grain:8 ~start:0 ~finish:256
-                ~body:(fun _ -> ())
-                pool));
+      Pool.Recorder.start ();
+      Alcotest.(check bool) "enabled" true (Pool.Recorder.enabled ());
+      Pool.Recorder.with_root (fun () ->
+          Pool.run pool (fun () ->
+              Pool.Recorder.span pool "outer" (fun () ->
+                  Pool.parallel_for ~grain:8 ~start:0 ~finish:256
+                    ~body:(fun _ -> ())
+                    pool)));
+      let recording = Pool.Recorder.stop () in
+      Alcotest.(check bool) "disabled after stop" false
+        (Pool.Recorder.enabled ());
       let path = Filename.temp_file "rpb_trace" ".json" in
-      let n = Pool.Trace.stop_to_file path in
-      Alcotest.(check bool) "disabled after stop" false (Pool.Trace.enabled ());
-      Alcotest.(check bool) "recorded the span (and maybe tasks)" true (n >= 1);
+      let n = Rpb_obs.Profile.write_chrome path recording in
+      Alcotest.(check bool) "recorded the span (and work segments)" true
+        (n >= 1);
       let ic = open_in path in
       let len = in_channel_length ic in
       let body = really_input_string ic len in
       close_in ic;
       Sys.remove path;
       Alcotest.(check bool) "names the span" true
-        (let re = "outer" in
+        (let re = "\"outer\"" in
          let rec find i =
            i + String.length re <= String.length body
            && (String.sub body i (String.length re) = re || find (i + 1))

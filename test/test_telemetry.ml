@@ -1,6 +1,6 @@
 (* Tests for the machine-readable bench output (Bench_json): JSON printing /
    parsing, the BENCH_*.json schema round-trip, the per-run stat capture in
-   Registry.measure_entry, and the Chrome-trace output of Pool.Trace. *)
+   Registry.measure_entry, and the Chrome-trace export of the flight recorder. *)
 
 open Rpb_benchmarks
 
@@ -302,22 +302,29 @@ let test_measure_entry_seq_mode () =
 
 let test_trace_file_is_valid_json () =
   let module Pool = Rpb_pool.Pool in
+  let name = "span \"with\" quotes" in
   with_pool 2 (fun pool ->
-      Pool.Trace.start ();
-      Pool.run pool (fun () ->
-          Pool.Trace.span pool "span \"with\" quotes" (fun () ->
-              Pool.parallel_for ~grain:4 ~start:0 ~finish:64
-                ~body:(fun _ -> ())
-                pool));
+      Pool.Recorder.start ();
+      Pool.Recorder.with_root (fun () ->
+          Pool.run pool (fun () ->
+              Pool.Recorder.span pool name (fun () ->
+                  Pool.parallel_for ~grain:4 ~start:0 ~finish:64
+                    ~body:(fun _ -> ())
+                    pool)));
+      let recording = Pool.Recorder.stop () in
       let path = Filename.temp_file "rpb_trace" ".json" in
       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-      let n = Pool.Trace.stop_to_file path in
+      let n = Rpb_obs.Profile.write_chrome path recording in
       let ic = open_in_bin path in
       let body = really_input_string ic (in_channel_length ic) in
       close_in ic;
       let j = Bench_json.of_string body in
       let events = Bench_json.get_list j in
       Alcotest.(check int) "event count matches" n (List.length events);
+      Alcotest.(check bool) "the quoted span name round-trips" true
+        (List.exists
+           (fun e -> Bench_json.(get_str (member "name" e)) = name)
+           events);
       List.iter
         (fun e ->
           Alcotest.(check string) "complete event" "X"
