@@ -96,12 +96,14 @@ perf-gate:
 # plus mid-request client kills and reconnects.  loadgen exits 4 unless
 # every request is accounted for (no lost or duplicate replies), no reply
 # is malformed, and repeated runs of the same instance agree on the digest.
+# mis is in the mix because its digest is of an invariant (maximality and
+# independence), not of the raw output.
 # Both kind="serve" artifacts feed the dashboard's latency section.  The
 # outer timeout is the hang detector of last resort.
 serve-smoke:
 	timeout 300 dune exec bin/rpb.exe -- loadgen --boot \
 	  --socket /tmp/rpb-serve-smoke.sock \
-	  --clients 4 -n 12 --bench hist,sort --bench spin --spin-ms 25 \
+	  --clients 4 -n 12 --bench hist,sort,mis --bench spin --spin-ms 25 \
 	  --burst 32 --max-queue 16 --kill-every 9 --seed 42 \
 	  --json SERVE_loadgen.json --server-json SERVE_server.json
 	dune exec bin/rpb.exe -- report SERVE_loadgen.json SERVE_server.json \

@@ -25,6 +25,24 @@ let entry : Common.entry =
         let text = Rpb_text.Text_gen.wiki ~size ~seed:105 in
         let last = ref Rpb_text.Lcp.{ length = -1; position = 0 } in
         let seq_result = ref None in
+        (* The reported substring must occur at least twice. *)
+        let occurs_twice (r : Rpb_text.Lcp.lrs_result) =
+          let len = r.Rpb_text.Lcp.length in
+          len <= 0
+          || begin
+            let sub = String.sub text r.Rpb_text.Lcp.position len in
+            let count = ref 0 in
+            let i = ref 0 in
+            (try
+               while !count < 2 do
+                 let j = Str_search.find text sub !i in
+                 incr count;
+                 i := j + 1
+               done
+             with Not_found -> ());
+            !count >= 2
+          end
+        in
         {
           Common.size = Printf.sprintf "%d bytes" size;
           run_seq =
@@ -65,29 +83,17 @@ let entry : Common.entry =
             (fun () ->
               let r = !last in
               r.Rpb_text.Lcp.length >= 0
-              && begin
-                (* The reported substring must occur at least twice. *)
-                let len = r.Rpb_text.Lcp.length in
-                len = 0
-                || begin
-                  let sub = String.sub text r.Rpb_text.Lcp.position len in
-                  let count = ref 0 in
-                  let i = ref 0 in
-                  (try
-                     while !count < 2 do
-                       let j = Str_search.find text sub !i in
-                       incr count;
-                       i := j + 1
-                     done
-                   with Not_found -> ());
-                  !count >= 2
-                end
-              end
+              && occurs_twice r
               && match !seq_result with
-                 | Some l -> l = (!last).Rpb_text.Lcp.length
+                 | Some l -> l = r.Rpb_text.Lcp.length
                  | None -> true);
           (* Only the length is schedule-independent: distinct positions can
-             carry equally-long repeats and the arg-max tiebreak differs. *)
-          snapshot = (fun () -> [| (!last).Rpb_text.Lcp.length |]);
+             carry equally-long repeats and the arg-max tiebreak differs.  The
+             occurrence check rides along so that a snapshot equal to a
+             verified run's implies [verify]. *)
+          snapshot =
+            (fun () ->
+              let r = !last in
+              [| r.Rpb_text.Lcp.length; Common.digest_of_bool (occurs_twice r) |]);
         });
   }

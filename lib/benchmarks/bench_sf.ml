@@ -18,9 +18,10 @@ let entry : Common.entry =
         let g = Graph_inputs.load pool ~name:input ~scale ~weighted:false ~symmetric:true in
         let expected_size = Rpb_graph.Csr.n g - Rpb_graph.Reference.num_components g in
         let last = ref [||] in
-        (* acyclic: replay through a fresh union-find *)
+        (* acyclic: replay through a fresh union-find.  The edge array is
+           built once here, not on every check. *)
+        let edges = Rpb_graph.Csr.edges g in
         let acyclic forest =
-          let edges = Rpb_graph.Csr.edges g in
           let uf = Rpb_graph.Union_find.create (Rpb_graph.Csr.n g) in
           Array.for_all
             (fun e ->

@@ -14,7 +14,7 @@ let digest_of_string s = Array.init (String.length s) (fun i -> Char.code s.[i])
 
 let digest_sorted a =
   let c = Array.copy a in
-  Array.sort compare c;
+  Array.sort Int.compare c;
   c
 
 let digest_of_bool b = if b then 1 else 0

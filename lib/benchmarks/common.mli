@@ -6,7 +6,7 @@ type prepared = {
   size : string;  (** human-readable description of the generated input *)
   run_seq : unit -> unit;      (** the sequential baseline (PBBS stand-in) *)
   run_par : Mode.t -> unit;    (** the parallel implementation under a switch *)
-  verify : unit -> bool;       (** checks the most recent [run_par] output *)
+  verify : unit -> bool;       (** checks the most recent run's output *)
   snapshot : unit -> int array;
       (** canonical integer digest of the most recent run's output, for the
           differential oracle ([lib/check]): any two {e correct} runs on this
@@ -14,8 +14,15 @@ type prepared = {
           executor — must produce element-wise equal digests.  Benchmarks
           with a deterministic output digest the output itself (sorted keys,
           suffix array, distances...); benchmarks whose output is
-          schedule-dependent but specification-constrained (mis, mm, sf, dr)
-          digest the checked invariants instead. *)
+          schedule-dependent but specification-constrained (mis, mm, sf,
+          msf, dr, lrs) digest the checked invariants instead.
+
+          Contract: a snapshot carries everything [verify] checks.  If the
+          snapshot of a run equals the snapshot of a sequential run for
+          which [verify] held, then [verify] holds for that run too.  The
+          request server relies on this: it verifies the sequential run
+          once per prepared instance and then only compares each parallel
+          run's snapshot against it. *)
 }
 
 type entry = {

@@ -76,50 +76,66 @@ let is_independent_set g selected =
   done;
   !ok
 
-let is_maximal_independent_set g selected =
-  is_independent_set g selected
-  && begin
-    let ok = ref true in
-    for u = 0 to Csr.n g - 1 do
-      if not selected.(u) then begin
-        let has_selected_neighbor = ref false in
-        Csr.iter_neighbors g u (fun v -> if selected.(v) then has_selected_neighbor := true);
-        (* An isolated, unselected vertex would also violate maximality. *)
-        if not !has_selected_neighbor then ok := false
-      end
-    done;
-    !ok
-  end
-
-let is_matching _g ~edges ~selected =
-  let used = Hashtbl.create 64 in
-  let ok = ref true in
-  Array.iteri
-    (fun i (u, v) ->
-      if selected.(i) then begin
-        if u = v then ok := false;
-        if Hashtbl.mem used u || Hashtbl.mem used v then ok := false;
-        Hashtbl.replace used u ();
-        Hashtbl.replace used v ()
-      end)
-    edges;
+(* One pass over the CSR arrays, no closure: a selected vertex may have no
+   selected neighbour other than itself; an unselected one needs a selected
+   neighbour, and the scan of its row stops at the first.  An isolated,
+   unselected vertex violates maximality. *)
+let is_maximal_independent_set (g : Csr.t) selected =
+  let offsets = g.Csr.offsets and targets = g.Csr.targets in
+  let ok = ref true and next = ref 0 in
+  while !ok && !next < g.Csr.n do
+    let u = !next in
+    let e = ref offsets.(u) and stop = offsets.(u + 1) in
+    if selected.(u) then
+      while !ok && !e < stop do
+        let v = targets.(!e) in
+        if v <> u && selected.(v) then ok := false;
+        incr e
+      done
+    else begin
+      while !e < stop && not selected.(targets.(!e)) do
+        incr e
+      done;
+      if !e = stop then ok := false
+    end;
+    incr next
+  done;
   !ok
 
+(* Marks both endpoints of every selected edge in [matched]; false as soon
+   as a selected edge is a self-loop or touches an already-matched
+   vertex. *)
+let mark_matched matched ~edges ~selected =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length edges do
+    if selected.(!i) then begin
+      let u, v = edges.(!i) in
+      if u = v || matched.(u) || matched.(v) then ok := false
+      else begin
+        matched.(u) <- true;
+        matched.(v) <- true
+      end
+    end;
+    incr i
+  done;
+  !ok
+
+let is_matching g ~edges ~selected =
+  mark_matched (Array.make (Csr.n g) false) ~edges ~selected
+
+(* Maximal: no edge with both endpoints unmatched remains; self-loops can
+   never be matched, so they do not count. *)
 let is_maximal_matching g ~edges ~selected =
-  is_matching g ~edges ~selected
+  let matched = Array.make (Csr.n g) false in
+  mark_matched matched ~edges ~selected
   && begin
-    let matched = Array.make (Csr.n g) false in
-    Array.iteri
-      (fun i (u, v) ->
-        if selected.(i) then begin
-          matched.(u) <- true;
-          matched.(v) <- true
-        end)
-      edges;
-    (* Maximal: no edge with both endpoints unmatched remains. *)
-    Array.for_all
-      (fun (u, v) -> u = v || matched.(u) || matched.(v))
-      edges
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length edges do
+      let u, v = edges.(!i) in
+      if u <> v && not (matched.(u) || matched.(v)) then ok := false;
+      incr i
+    done;
+    !ok
   end
 
 let spanning_forest_weight g =

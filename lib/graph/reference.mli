@@ -18,12 +18,17 @@ val is_independent_set : Csr.t -> bool array -> bool
 (** No two selected vertices adjacent. *)
 
 val is_maximal_independent_set : Csr.t -> bool array -> bool
-(** Independent, and every unselected vertex has a selected neighbour. *)
+(** Independent (a self-loop does not count), and every unselected vertex
+    has a selected neighbour.  One allocation-free pass over the CSR
+    arrays. *)
 
 val is_matching : Csr.t -> edges:(int * int) array -> selected:bool array -> bool
-(** Selected edges pairwise share no endpoint. *)
+(** Selected edges pairwise share no endpoint, and no selected edge is a
+    self-loop.  Allocates one [bool] array of [n] matched flags. *)
 
 val is_maximal_matching : Csr.t -> edges:(int * int) array -> selected:bool array -> bool
+(** A matching, and every edge that is not a self-loop has a matched
+    endpoint. *)
 
 val spanning_forest_weight : Csr.t -> int
 (** Total weight of a minimum spanning forest (sequential Kruskal), for

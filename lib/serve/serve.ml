@@ -66,6 +66,7 @@ let m_slow_logged = Metrics.counter "serve.slow_logged"
 let m_queue_hist = Metrics.histogram "serve.queue_ms"
 let m_exec_hist = Metrics.histogram "serve.exec_ms"
 let m_total_hist = Metrics.histogram "serve.total_ms"
+let m_check_hist = Metrics.histogram "serve.check_ms"
 let m_ewma = Metrics.gauge "serve.ewma_service_ms"
 
 type stats = {
@@ -119,6 +120,15 @@ type slo_state = {
   mutable last : Slo.verdict list;
 }
 
+(* A prepared instance and what every run of it must reproduce: the
+   snapshot of its sequential run, verified once when the instance was
+   built, and that snapshot's digest. *)
+type instance = {
+  p : Common.prepared;
+  expected : int array;
+  digest : int;
+}
+
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
@@ -135,7 +145,7 @@ type t = {
   mutable records : req_record list;  (* newest first, capped *)
   mutable n_records : int;
   (* --- prepared-instance cache: executor-domain only --- *)
-  prepared : (string * string * int, Common.prepared) Hashtbl.t;
+  prepared : (string * string * int, instance) Hashtbl.t;
   (* --- connections, under [cmutex] --- *)
   cmutex : Mutex.t;
   mutable conn_threads : Thread.t list;
@@ -203,21 +213,38 @@ let err ?(id = -1) ?retry_after_ms kind msg =
 (* ------------------------------------------------------------------ *)
 (* Request execution (executor domain) *)
 
-exception Verify_failed
+exception Verify_failed of string
 
 let resolve_input entry = function
   | Some i -> i
   | None -> List.hd entry.Common.inputs
 
+(* Runs the sequential baseline once, requires [verify] on its output and
+   keeps its snapshot.  By the [Common.prepared] snapshot contract, a later
+   run whose snapshot equals it passes [verify] too, so a request needs only
+   that comparison. *)
+let instance_of (p : Common.prepared) =
+  p.run_seq ();
+  if not (p.verify ()) then
+    raise (Verify_failed "sequential run failed verify");
+  let expected = p.snapshot () in
+  { p; expected; digest = Protocol.digest_hash expected }
+
 let prepare_cached t entry ~input ~scale =
   let key = (entry.Common.name, input, scale) in
   match Hashtbl.find_opt t.prepared key with
-  | Some p -> (key, p)
+  | Some inst -> (key, inst)
   | None ->
     let pool = t.pool in
-    let p = Pool.run pool (fun () -> entry.Common.prepare pool ~input ~scale) in
-    Hashtbl.replace t.prepared key p;
-    (key, p)
+    let inst =
+      Pool.run pool (fun () ->
+          instance_of (entry.Common.prepare pool ~input ~scale))
+    in
+    Hashtbl.replace t.prepared key inst;
+    (key, inst)
+
+let observe_check_since t0 =
+  Metrics.observe_ms m_check_hist ((Rpb_prim.Timing.now () -. t0) *. 1e3)
 
 (* 1 ms of busy work per index; grain 1 so cancellation is observed at
    millisecond granularity. *)
@@ -232,31 +259,36 @@ let run_spin pool (req : Protocol.request) =
             ignore (Sys.opaque_identity 0)
           done)
         pool);
-  let exec_ms = (Rpb_prim.Timing.now () -. t0) *. 1e3 in
-  (Protocol.digest_hash [| req.spin_ms |], exec_ms)
+  let t1 = Rpb_prim.Timing.now () in
+  (* Spin has no output: its check is the digest of the request itself. *)
+  let digest = Protocol.digest_hash [| req.spin_ms |] in
+  observe_check_since t1;
+  (digest, (t1 -. t0) *. 1e3)
 
 let run_bench t (req : Protocol.request) =
   let pool = t.pool in
   let entry = Option.get (Registry.find req.bench) in
   let input = resolve_input entry req.input in
   let mode = Option.get (Mode.of_string req.mode) in
-  let key, prepared = prepare_cached t entry ~input ~scale:req.scale in
+  let key, inst = prepare_cached t entry ~input ~scale:req.scale in
   try
     let t0 = Rpb_prim.Timing.now () in
     Pool.run ?deadline:req.deadline_s pool (fun () ->
-        prepared.Common.run_par mode);
-    let exec_ms = (Rpb_prim.Timing.now () -. t0) *. 1e3 in
-    let ok, snap =
-      Pool.run pool (fun () ->
-          let ok = prepared.Common.verify () in
-          (ok, prepared.Common.snapshot ()))
+        inst.p.Common.run_par mode);
+    let t1 = Rpb_prim.Timing.now () in
+    (* The one check per request: equal snapshots carry equal digests, so
+       the reply reuses the sequential one. *)
+    let same =
+      Pool.run pool (fun () -> inst.p.Common.snapshot () = inst.expected)
     in
-    if not ok then raise Verify_failed;
-    (Protocol.digest_hash snap, exec_ms)
+    observe_check_since t1;
+    if not same then
+      raise (Verify_failed "output differs from the sequential output");
+    (inst.digest, (t1 -. t0) *. 1e3)
   with e ->
-    (* A stalled, cancelled or faulted run can leave the prepared instance's
-       output buffers partially written; drop it so the next request
-       re-prepares from scratch. *)
+    (* A stalled, cancelled, faulted or mismatched run can leave the prepared
+       instance's output buffers partially written; drop it so the next
+       request re-prepares from scratch. *)
     Hashtbl.remove t.prepared key;
     raise e
 
@@ -295,8 +327,10 @@ let execute t job =
     ("stalled", Some (err ~id:req.id Protocol.Stalled brief), 0.)
   | exception Pool.Cancelled ->
     ("cancelled", Some (err ~id:req.id Protocol.Cancelled "disconnected"), 0.)
-  | exception Verify_failed ->
-    ("failed", Some (err ~id:req.id Protocol.Failed "verification failed"), 0.)
+  | exception Verify_failed msg ->
+    ( "failed",
+      Some (err ~id:req.id Protocol.Failed ("verification failed: " ^ msg)),
+      0. )
   | exception Pool.Fault.Injected msg ->
     ("failed", Some (err ~id:req.id Protocol.Failed ("fault: " ^ msg)), 0.)
   | exception e ->
@@ -797,7 +831,7 @@ let preload_all t =
         log t "preloaded %s/%s scale=%d" bench input scale)
     t.cfg.preload
 
-let start cfg =
+let start ?(instances = []) cfg =
   (* A peer closing mid-write must surface as EPIPE, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -866,6 +900,19 @@ let start cfg =
         slo = slo_state;
       }
     in
+    (* A preload that fails (or fails its sequential check) refuses the
+       start; nothing but the pool is running yet. *)
+    (try
+       preload_all t;
+       List.iter
+         (fun (key, p) ->
+           let inst = Pool.run pool (fun () -> instance_of p) in
+           Hashtbl.replace t.prepared key inst)
+         instances
+     with e ->
+       Pool.shutdown pool;
+       (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+       raise e);
     (* The serving layer always runs with the metrics plane on: that is
        its whole observability story ([stats] verb, [rpb top], slow-request
        log).  Batch/bench paths leave it off and pay one atomic load. *)
@@ -890,7 +937,6 @@ let start cfg =
         let n = List.length t.live_conns in
         Mutex.unlock t.cmutex;
         float_of_int n);
-    preload_all t;
     (match cfg.metrics_path with
     | Some path ->
       let oc = open_out path in

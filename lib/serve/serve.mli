@@ -11,6 +11,19 @@
     deadline — a stalled or cancelled request replies with a structured
     error and leaves the pool reusable.
 
+    {2 Checking}
+
+    Preparing an instance (on first request or preload) also runs its
+    sequential baseline once, requires [verify] on that output, and caches
+    the output's snapshot and digest beside the instance.  A request then
+    runs [run_par] (the only phase timed as [exec_ms]), takes the snapshot,
+    and compares it element by element with the cached one.  A mismatch
+    replies [failed] and evicts the instance; a match replies [ok] with the
+    cached digest.  By the {!Rpb_benchmarks.Common.prepared} snapshot
+    contract, every [ok] reply is for an output that passes [verify], and
+    its digest is that of a verified sequential output.  [verify] itself is
+    never called per request.
+
     {2 Admission control}
 
     The queue is bounded: when [queued + in-flight >= max_queue] a request
@@ -44,7 +57,9 @@
 
     {!start} enables the process-global {!Rpb_obs.Metrics} plane and
     registers the pool's scheduler gauges.  Request handling feeds
-    [serve.*] counters and queue/exec/total latency histograms; the
+    [serve.*] counters and queue/exec/check/total latency histograms
+    ([serve.check_ms] times the snapshot comparison of every request that
+    reaches it, ok or mismatched); the
     [verb=stats] protocol request replies with a point-in-time
     [kind="metrics"] snapshot (served even while draining), which is what
     [rpb top] renders.  With [metrics_path] set, a sampler thread appends
@@ -108,7 +123,9 @@ type stats = {
   shed : int;  (** replied [overloaded] *)
   stalled : int;  (** per-request deadline fired *)
   cancelled : int;  (** cancelled by disconnect (incl. unsent replies) *)
-  failed : int;  (** job raised, or verification failed *)
+  failed : int;
+      (** job raised, or its output's snapshot differed from the verified
+          sequential snapshot *)
   rejected : int;  (** malformed / unknown bench / capped *)
   shutdown_replies : int;  (** queued requests replied [shutdown] at drain *)
   disconnects : int;
@@ -120,10 +137,20 @@ type stats = {
 
 type t
 
-val start : config -> (t, string) result
+val start :
+  ?instances:((string * string * int) * Rpb_benchmarks.Common.prepared) list ->
+  config ->
+  (t, string) result
 (** Bind and listen on [socket_path] (any stale socket file is replaced),
     create the pool, prepare the preloads, and launch the accept thread and
-    the executor domain.  [Error msg] if the socket can't be bound. *)
+    the executor domain.  [Error msg] if the socket can't be bound or a
+    preload fails.
+
+    [instances] (default none) puts hand-built instances in the
+    prepared-instance cache under [(bench, input, scale)] keys, checked
+    exactly like a preload.  A request for such a key is served from that
+    instance until a run of it fails; tests use this to drive the
+    snapshot-mismatch path. *)
 
 val stop : t -> unit
 (** Graceful drain as described above.  Idempotent; blocks until every

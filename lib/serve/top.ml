@@ -185,7 +185,7 @@ let render ?prev s =
       | Some h ->
         line "%-16s %6d %8.2f %8.2f %8.2f %8.2f" name h.count (pct h 50.)
           (pct h 95.) (pct h 99.) h.max_ms)
-    [ "serve.queue_ms"; "serve.exec_ms"; "serve.total_ms" ];
+    [ "serve.queue_ms"; "serve.exec_ms"; "serve.check_ms"; "serve.total_ms" ];
   line "";
   (match gauge_of s "pool.workers" with
   | Some w ->
@@ -304,6 +304,16 @@ let check_invariants ~prev s =
   let* () = reconcile "serve.exec_ms" (hcount "serve.exec_ms") ok "serve.ok" in
   let* () =
     reconcile "serve.total_ms" (hcount "serve.total_ms") ok "serve.ok"
+  in
+  (* Every ok request passed the check; a failed one may have failed it (a
+     snapshot mismatch) or raised before reaching it. *)
+  let* () =
+    let hc = hcount "serve.check_ms" and failed = counter_of s "serve.failed" in
+    if hc < ok || hc > ok + failed + 1 then
+      fail "serve.check_ms count %d does not reconcile with serve.ok %d + \
+            serve.failed %d"
+        hc ok failed
+    else Ok ()
   in
   let executor_terminal =
     ok

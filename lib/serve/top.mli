@@ -19,7 +19,9 @@
     [--check] mode replaces the display with snapshot-invariant assertions
     (the CI metrics-smoke contract): every counter is monotone across
     consecutive snapshots, [serve.exec_ms].count reconciles with the
-    [serve.ok] counter, and [serve.queue_ms].count with the sum of
+    [serve.ok] counter, [serve.check_ms].count lies between [serve.ok] and
+    [serve.ok + serve.failed] (a failed request may have failed the check
+    or never reached it), and [serve.queue_ms].count with the sum of
     executor-terminal counters.  Reconciliation allows a histogram total
     to lead its counters by at most the one in-flight request (the
     executor observes the histogram, then bumps the counter; a snapshot

@@ -82,6 +82,107 @@ let test_mm_self_loops_never_selected () =
       Alcotest.(check bool) "loop 2" false sel.(2);
       Alcotest.(check bool) "real edge selected" true sel.(1))
 
+(* ---------- Reference checks against naive definitions ---------- *)
+
+(* A random graph on up to 12 vertices from a raw edge list (self-loops,
+   duplicates and isolated vertices all occur), as a directed CSR and as its
+   symmetric closure. *)
+let csr_of_edges ~n edge_list =
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) edge_list in
+  let offsets = Array.make (n + 1) 0 in
+  List.iter (fun (u, _) -> offsets.(u + 1) <- offsets.(u + 1) + 1) sorted;
+  for u = 1 to n do
+    offsets.(u) <- offsets.(u) + offsets.(u - 1)
+  done;
+  Csr.make ~offsets ~targets:(Array.of_list (List.map snd sorted)) ()
+
+let random_graphs st =
+  let n = 1 + Random.State.int st 12 in
+  let m = Random.State.int st (3 * n) in
+  let es =
+    List.init m (fun _ -> (Random.State.int st n, Random.State.int st n))
+  in
+  ( csr_of_edges ~n es,
+    csr_of_edges ~n (es @ List.map (fun (u, v) -> (v, u)) es) )
+
+let neighbours g u =
+  List.init (Csr.degree g u) (fun k -> g.Csr.targets.(g.Csr.offsets.(u) + k))
+
+let naive_mis g sel =
+  List.for_all
+    (fun u ->
+      if sel.(u) then List.for_all (fun v -> v = u || not sel.(v)) (neighbours g u)
+      else List.exists (fun v -> sel.(v)) (neighbours g u))
+    (List.init (Csr.n g) Fun.id)
+
+(* No vertex is an endpoint of two selected edge ends (a selected self-loop
+   counts its vertex twice). *)
+let naive_matching g ~edges ~selected =
+  let ends =
+    List.concat
+      (List.mapi
+         (fun i (u, v) -> if selected.(i) then [ u; v ] else [])
+         (Array.to_list edges))
+  in
+  List.for_all
+    (fun x -> List.length (List.filter (( = ) x) ends) <= 1)
+    (List.init (Csr.n g) Fun.id)
+
+let naive_maximal_matching g ~edges ~selected =
+  let covered x =
+    let hit = ref false in
+    Array.iteri
+      (fun i (u, v) -> if selected.(i) && (u = x || v = x) then hit := true)
+      edges;
+    !hit
+  in
+  naive_matching g ~edges ~selected
+  && Array.for_all (fun (u, v) -> u = v || covered u || covered v) edges
+
+let random_mask st len =
+  let p = Random.State.float st 1.0 in
+  Array.init len (fun _ -> Random.State.float st 1.0 < p)
+
+(* One flipped entry turns a valid selection into a near miss. *)
+let flip_one st a =
+  let a = Array.copy a in
+  if Array.length a > 0 then begin
+    let i = Random.State.int st (Array.length a) in
+    a.(i) <- not a.(i)
+  end;
+  a
+
+let prop_reference_checks_agree_with_naive =
+  QCheck.Test.make
+    ~name:"fused MIS and matching checks = naive definitions" ~count:300
+    QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let directed, sym = random_graphs st in
+      let mis_agrees g sel =
+        Reference.is_maximal_independent_set g sel = naive_mis g sel
+      in
+      let mm_agrees g sel =
+        let edges = Csr.edges g in
+        Reference.is_matching g ~edges ~selected:sel
+        = naive_matching g ~edges ~selected:sel
+        && Reference.is_maximal_matching g ~edges ~selected:sel
+           = naive_maximal_matching g ~edges ~selected:sel
+      in
+      let real_mis = Mis.compute_seq ~seed sym in
+      let edges = Csr.edges sym in
+      let real_mm = Matching.compute_seq ~seed ~n:(Csr.n sym) edges in
+      List.for_all
+        (fun g ->
+          mis_agrees g (random_mask st (Csr.n g))
+          && mm_agrees g (random_mask st (Csr.m g)))
+        [ directed; sym ]
+      && Reference.is_maximal_independent_set sym real_mis
+      && naive_mis sym real_mis
+      && mis_agrees sym (flip_one st real_mis)
+      && Reference.is_maximal_matching sym ~edges ~selected:real_mm
+      && naive_maximal_matching sym ~edges ~selected:real_mm
+      && mm_agrees sym (flip_one st real_mm))
+
 (* ---------- Spanning forest ---------- *)
 
 let test_sf_spans () =
@@ -213,6 +314,8 @@ let () =
           Alcotest.test_case "matches seq" `Quick test_mm_matches_seq;
           Alcotest.test_case "self loops" `Quick test_mm_self_loops_never_selected;
         ] );
+      ( "reference",
+        [ QCheck_alcotest.to_alcotest prop_reference_checks_agree_with_naive ] );
       ( "spanning_forest",
         [
           Alcotest.test_case "spans" `Quick test_sf_spans;

@@ -17,8 +17,8 @@ let fresh_sock () =
     (Filename.get_temp_dir_name ())
     (Unix.getpid ()) !sock_counter
 
-let with_server ?(threads = 2) ?(max_queue = 16) ?(preload = []) ?json_path
-    f =
+let with_server ?(threads = 2) ?(max_queue = 16) ?(preload = []) ?instances
+    ?json_path f =
   let cfg =
     {
       (Serve.default_config ~socket_path:(fresh_sock ())) with
@@ -30,7 +30,7 @@ let with_server ?(threads = 2) ?(max_queue = 16) ?(preload = []) ?json_path
       quiet = true;
     }
   in
-  match Serve.start cfg with
+  match Serve.start ?instances cfg with
   | Error e -> Alcotest.fail ("server start: " ^ e)
   | Ok t -> Fun.protect ~finally:(fun () -> Serve.stop t) (fun () -> f t)
 
@@ -432,6 +432,91 @@ let test_serve_stats_verb () =
       | Protocol.Err_reply _ ->
         Alcotest.fail "connection should survive an unknown verb")
 
+(* A hand-built instance whose parallel output differs from its sequential
+   one while [verify] accepts both: only the per-request snapshot check can
+   catch it.  The reply must be [failed], the failed counters must move, and
+   the instance must be evicted, so the next request for the same key
+   re-prepares the real benchmark and matches the sequential oracle. *)
+let test_serve_snapshot_mismatch () =
+  let entry = Option.get (Registry.find "hist") in
+  let key = ("hist", List.hd entry.Common.inputs, 0) in
+  let last = ref [||] in
+  let wrong =
+    {
+      Common.size = "hand-built";
+      run_seq = (fun () -> last := [| 1; 2; 3 |]);
+      run_par = (fun _ -> last := [| 1; 2; 4 |]);
+      verify = (fun () -> true);
+      snapshot = (fun () -> Array.copy !last);
+    }
+  in
+  let oracle = oracle_digest "hist" 0 in
+  with_server ~instances:[ (key, wrong) ] (fun t ->
+      let conn = connect t in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let get name (s : Top.snap) =
+        Option.value (List.assoc_opt name s.Top.counters) ~default:0
+      in
+      let hist_count name (s : Top.snap) =
+        match List.assoc_opt name s.Top.hists with
+        | Some h -> h.Top.count
+        | None -> 0
+      in
+      let s0 = stats_snapshot conn in
+      let failed0 = (Serve.stats t).Serve.failed in
+      (match rpc conn (Protocol.request ~id:1 ~bench:"hist" ()) with
+      | Protocol.Err_reply { kind = Protocol.Failed; id; _ } ->
+        Alcotest.(check int) "id echoed" 1 id
+      | Protocol.Err_reply { kind; msg; _ } ->
+        Alcotest.fail
+          (Printf.sprintf "expected failed, got %s: %s"
+             (Protocol.error_kind_name kind)
+             msg)
+      | Protocol.Ok_reply _ -> Alcotest.fail "mismatched output replied ok");
+      let s1 = stats_snapshot conn in
+      Alcotest.(check int) "server failed count" (failed0 + 1)
+        (Serve.stats t).Serve.failed;
+      Alcotest.(check int) "serve.failed counter" 1
+        (get "serve.failed" s1 - get "serve.failed" s0);
+      Alcotest.(check int) "serve.ok unchanged" 0
+        (get "serve.ok" s1 - get "serve.ok" s0);
+      Alcotest.(check int) "the mismatch reached the check" 1
+        (hist_count "serve.check_ms" s1 - hist_count "serve.check_ms" s0);
+      (match Top.check_invariants ~prev:(Some s0) s1 with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail ("invariant: " ^ msg));
+      match rpc conn (Protocol.request ~id:2 ~bench:"hist" ()) with
+      | Protocol.Ok_reply { digest; _ } ->
+        Alcotest.(check int) "evicted: re-prepared instance matches oracle"
+          oracle digest
+      | Protocol.Err_reply { msg; _ } ->
+        Alcotest.fail ("hand-built instance was not evicted: " ^ msg))
+
+(* An instance whose sequential run fails [verify] is never cached: here it
+   is a startup instance, so the server refuses to start. *)
+let test_serve_unverified_instance_refused () =
+  let bad =
+    {
+      Common.size = "hand-built";
+      run_seq = ignore;
+      run_par = ignore;
+      verify = (fun () -> false);
+      snapshot = (fun () -> [||]);
+    }
+  in
+  let cfg =
+    {
+      (Serve.default_config ~socket_path:(fresh_sock ())) with
+      threads = 1;
+      quiet = true;
+    }
+  in
+  match Serve.start ~instances:[ (("hist", "uniform", 0), bad) ] cfg with
+  | Ok t ->
+    Serve.stop t;
+    Alcotest.fail "an instance failing verify was accepted"
+  | Error _ -> ()
+
 (* ---------- the health verb and budget-aware admission ---------- *)
 
 let test_serve_health_verb () =
@@ -640,6 +725,10 @@ let () =
             test_serve_disconnect_cancels;
           Alcotest.test_case "drain replies to queued" `Quick
             test_serve_drain_replies_to_queued;
+          Alcotest.test_case "snapshot mismatch fails and evicts" `Quick
+            test_serve_snapshot_mismatch;
+          Alcotest.test_case "unverified instance refused" `Quick
+            test_serve_unverified_instance_refused;
           Alcotest.test_case "stats verb reconciles" `Quick
             test_serve_stats_verb;
           Alcotest.test_case "health verb without slo" `Quick
