@@ -1,4 +1,4 @@
-.PHONY: all build typecheck test bench examples doc clean check-race check-fault \
+.PHONY: all build typecheck test examples doc clean check-race check-fault \
 	profile-smoke report-smoke perf-gate flake-check \
 	serve-smoke metrics-smoke slo-smoke
 
@@ -40,23 +40,10 @@ flake-check:
 	  echo "flake-check: $$name passed 20/20"; \
 	done
 
-bench:
-	dune exec bench/main.exe
-
-# BENCH_ARGS threads extra flags through, e.g.
-#   make bench-quick BENCH_ARGS="--json BENCH_quick.json"
-bench-quick:
-	dune exec bench/main.exe -- table1 table2 table3 fig3 fig6 --scale 0 --repeats 1 $(BENCH_ARGS)
-
-# CI bench-smoke job: one timed run per benchmark with per-worker scheduler
-# counters, written as a machine-readable BENCH_*.json artifact.
-bench-smoke:
-	dune exec bench/main.exe -- table1 --scale 0 --repeats 1 --json BENCH_smoke.json
-
-# CI profile-smoke job: the work/span profiler on one benchmark per fear
-# tier — sort (F, divide-and-conquer), sa (C, checked scatter), hist (S,
-# arbitrary writes) — each written as a machine-readable PROFILE_*.json
-# (Bench_json schema v2) artifact.
+# The work/span profiler on one benchmark per fear tier — sort (F,
+# divide-and-conquer), sa (C, checked scatter), hist (S, arbitrary writes) —
+# each written as a machine-readable PROFILE_*.json (Bench_json schema v2)
+# artifact.  The first step of CI's report-smoke job.
 profile-smoke:
 	dune exec bin/rpb.exe -- profile --bench sort --threads 4 --scale 0 --json PROFILE_sort.json
 	dune exec bin/rpb.exe -- profile --bench sa   --threads 4 --scale 0 --json PROFILE_sa.json
@@ -182,13 +169,14 @@ slo-smoke:
 	  -o REPORT_slo.html --md REPORT_slo.md
 	grep -q 'SLO & error budget' REPORT_slo.md
 
-# One unified dashboard out of freshly generated artifacts (bench + profile).
-# fig4 times every benchmark sequentially, on 1 worker and on P workers,
-# which is what the speedup-curve section draws.
+# CI report-smoke job's second step: the dashboard out of fresh artifacts.
+# A quick bench/perf run of the fear workload supplies the paper's tables
+# (Table 1 / Fig. 4, Fig. 5), the profile-smoke documents the work/span
+# section.
 report-smoke:
-	dune exec bench/main.exe -- fig4 --scale 0 --repeats 3 --json BENCH_report_smoke.json
-	dune exec bin/rpb.exe -- profile --bench sort --threads 4 --scale 0 --json PROFILE_report_smoke.json
-	dune exec bin/rpb.exe -- report BENCH_report_smoke.json PROFILE_report_smoke.json -o REPORT_smoke.html --md REPORT_smoke.md
+	sh bench/perf/run.sh fear --quick --json BENCH_smoke_fear.json
+	dune exec bin/rpb.exe -- report BENCH_smoke_fear.json PROFILE_*.json \
+	  -o REPORT_smoke.html --md REPORT_smoke.md
 	test -s REPORT_smoke.html
 
 examples:
@@ -197,7 +185,6 @@ examples:
 	dune exec examples/text_index.exe
 	dune exec examples/graph_analytics.exe
 	dune exec examples/mesh_refinement.exe
-	dune exec examples/transactions.exe
 	dune exec examples/failure_semantics.exe
 
 doc:

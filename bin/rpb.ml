@@ -7,7 +7,7 @@
    rpb stats --threads 4 --json stats.json --trace trace.json
    rpb check --seed 42 --json CHECK_report.json
    rpb profile --bench sort --threads 8 --json PROFILE_sort.json
-   rpb report BENCH_run.json PROFILE_sort.json -o REPORT.html *)
+   rpb report perf.json PROFILE_sort.json -o REPORT.html *)
 
 open Cmdliner
 open Rpb_benchmarks
@@ -86,8 +86,18 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
+(* Fig. 3 of the paper: each pattern's share of the parallel-region access
+   sites across RPB, in percent. *)
+let paper_fig3 =
+  Rpb_core.Pattern.
+    [ (RO, 11.0); (Stride, 52.0); (Block, 3.0); (DandC, 5.0); (SngInd, 13.0);
+      (RngInd, 7.0); (AW, 9.0) ]
+
 let patterns_cmd =
-  let doc = "Show the pattern taxonomy and fear spectrum (paper Table 3)." in
+  let doc =
+    "Show the pattern taxonomy and fear spectrum (paper Table 3 / Fig. 2) and \
+     the distribution of access sites against the paper's (Fig. 3)."
+  in
   let run () =
     List.iter
       (fun p ->
@@ -95,7 +105,23 @@ let patterns_cmd =
           (Rpb_core.Pattern.access_name p)
           (Rpb_core.Pattern.expression p)
           (Rpb_core.Pattern.fear_name (Rpb_core.Pattern.safety p)))
-      Rpb_core.Pattern.all_accesses
+      Rpb_core.Pattern.all_accesses;
+    Printf.printf "\nFig. 3: distribution of access patterns (ours vs paper)\n";
+    Printf.printf "%-8s %8s %8s %8s\n" "pattern" "sites" "ours(%)" "paper(%)";
+    let irregular =
+      List.fold_left
+        (fun acc (p, c, pct) ->
+          Printf.printf "%-8s %8d %8.1f %8.1f\n"
+            (Rpb_core.Pattern.access_name p)
+            c pct (List.assoc p paper_fig3);
+          match p with
+          | Rpb_core.Pattern.SngInd | RngInd | AW -> acc +. pct
+          | _ -> acc)
+        0.0
+        (Registry.access_distribution ())
+    in
+    Printf.printf "irregular share (SngInd+RngInd+AW): ours %.1f%%, paper 29%%\n"
+      irregular
   in
   Cmd.v (Cmd.info "patterns" ~doc) Term.(const run $ const ())
 
@@ -1096,16 +1122,7 @@ let report_run ~files ~out ~md =
     (fun (path, msg) -> Printf.eprintf "report: skipping %s: %s\n" path msg)
     a.Rpb_obs.Report.errors;
   Rpb_obs.Report.write_html ~path:out a;
-  Printf.printf
-    "wrote %s (%d bench record(s), %d profile(s), %d check(s), %d fault \
-     sweep(s), %d serve report(s), %d slo replay(s))\n"
-    out
-    (List.length a.Rpb_obs.Report.bench)
-    (List.length a.Rpb_obs.Report.profiles)
-    (List.length a.Rpb_obs.Report.checks)
-    (List.length a.Rpb_obs.Report.faults)
-    (List.length a.Rpb_obs.Report.serves)
-    (List.length a.Rpb_obs.Report.slos);
+  Printf.printf "wrote %s (%s)\n" out (Rpb_obs.Report.summary a);
   (match md with
    | None -> ()
    | Some path ->
@@ -1122,10 +1139,10 @@ let report_run ~files ~out ~md =
 
 let report_cmd =
   let doc =
-    "Merge BENCH/PROFILE/CHECK/FAULT/serve/slo/metrics JSON artifacts into \
-     one self-contained HTML dashboard: speedup curves, the fear-spectrum \
-     overhead table, per-benchmark work/span/parallelism, correctness and \
-     fault verdicts, serving latency and error budgets."
+    "Merge bench/perf, PROFILE, CHECK, FAULT, serve, slo and metrics JSON \
+     artifacts into one self-contained HTML dashboard: the paper's Table 1 \
+     / Fig. 4 and Fig. 5 ratios per benchmark, work/span/parallelism, \
+     correctness and fault verdicts, serving latency and error budgets."
   in
   let files =
     Arg.(non_empty & pos_all string []

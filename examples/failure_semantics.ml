@@ -1,5 +1,5 @@
 (* Exception-safe fork-join, made concrete: structured cancellation,
-   unstructured futures, deadlines, and scheduler fault injection.
+   deadlines, and scheduler fault injection.
 
    Run with:  dune exec examples/failure_semantics.exe *)
 
@@ -37,22 +37,9 @@ let () =
   in
   Printf.printf "   pool reusable afterwards: sum 0..999 = %d\n\n" sum;
 
-  (* 2. Unstructured async/await: an awaited failure is a value-like result
-     at the await site — it does not cancel the scope.  This is what
-     speculation and futures build on. *)
-  print_endline "2. unstructured async/await";
-  Pool.run pool (fun () ->
-      let p = Pool.async pool (fun () -> raise (Bad_leaf 7)) in
-      let q = Pool.async pool (fun () -> 21 * 2) in
-      (match Pool.await pool p with
-      | () -> print_endline "   BUG: awaited failure vanished"
-      | exception Bad_leaf i ->
-        Printf.printf "   awaited promise re-raised Bad_leaf %d\n" i);
-      Printf.printf "   sibling promise unaffected: %d\n\n" (Pool.await pool q));
-
-  (* 3. Deadlines: a run that overstays raises Pool.Stalled with a dump of
+  (* 2. Deadlines: a run that overstays raises Pool.Stalled with a dump of
      the per-worker scheduler counters instead of hanging. *)
-  print_endline "3. run deadline watchdog";
+  print_endline "2. run deadline watchdog";
   (match
      Pool.run ~deadline:0.05 pool @@ fun () ->
      Pool.parallel_for ~grain:1 ~start:0 ~finish:64 pool ~body:(fun _ ->
@@ -63,10 +50,10 @@ let () =
     Printf.printf "   Pool.Stalled: %s...\n\n"
       (String.sub msg 0 (min 60 (String.length msg))));
 
-  (* 4. Fault injection: arm a seeded fault plan and watch a reduction
+  (* 3. Fault injection: arm a seeded fault plan and watch a reduction
      either survive the injected chaos or fail cleanly — never hang,
      never return a wrong answer silently. *)
-  print_endline "4. scheduler fault injection";
+  print_endline "3. scheduler fault injection";
   Pool.Fault.enable { Pool.Fault.off with seed = 42; task_exn = 0.02 };
   (match
      Pool.run pool @@ fun () ->

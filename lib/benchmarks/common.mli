@@ -51,21 +51,3 @@ val digest_sorted : int array -> int array
     schedule-dependent (hash-set contents, etc.). *)
 
 val digest_of_bool : bool -> int
-
-type measurement = {
-  mean_s : float;  (** arithmetic mean over the repeats *)
-  min_s : float;   (** noise-robust min over the repeats *)
-  samples_s : float array;
-      (** every per-repeat elapsed time, in run order — the raw data both
-          point estimates above are derived from, carried through to the
-          [BENCH_*.json] v3 records for noise-aware regression testing *)
-  pool_stats : Rpb_pool.Pool.Stats.t;
-      (** per-worker scheduler activity across all the repeats *)
-}
-
-val measure : Rpb_pool.Pool.t -> repeats:int -> (unit -> unit) -> measurement
-(** [measure pool ~repeats f] runs [f] exactly [repeats] times, snapshotting
-    the pool's per-worker counters around the whole window — the per-run stat
-    capture behind both the human tables and the [BENCH_*.json] records.
-    Every estimator is derived from the one sample vector; the workload is
-    never re-run per estimator. *)

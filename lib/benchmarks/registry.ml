@@ -38,40 +38,6 @@ let access_distribution () =
       (p, c, if total = 0 then 0.0 else 100.0 *. float_of_int c /. float_of_int total))
     counts
 
-(* Prepare, warm up, and measure one (benchmark, input, mode) combination,
-   returning the typed record the JSON emitters consume plus the input-size
-   string for the human tables. *)
-let measure_entry ?(smoke = false) pool ~(entry : Common.entry) ~input ~scale
-    ~repeats ~how =
-  Rpb_pool.Pool.run pool (fun () ->
-      let prepared = entry.Common.prepare pool ~input ~scale in
-      let run =
-        match how with
-        | `Seq -> prepared.Common.run_seq
-        | `Par mode -> fun () -> prepared.Common.run_par mode
-      in
-      run ();
-      (* warm-up *)
-      let m = Common.measure pool ~repeats run in
-      let ok = prepared.Common.verify () in
-      let record =
-        {
-          Bench_json.bench = entry.Common.name;
-          input;
-          mode = (match how with `Seq -> "seq" | `Par m -> Mode.name m);
-          scale;
-          threads = Rpb_pool.Pool.size pool;
-          repeats;
-          mean_ns = m.Common.mean_s *. 1e9;
-          min_ns = m.Common.min_s *. 1e9;
-          samples_ns = Array.map (fun s -> s *. 1e9) m.Common.samples_s;
-          smoke;
-          verified = ok;
-          workers = Bench_json.workers_of_pool_stats m.Common.pool_stats;
-        }
-      in
-      (record, prepared.Common.size))
-
 let benchmarks_with p =
   List.filter_map
     (fun e -> if List.mem p e.Common.patterns then Some e.Common.name else None)

@@ -16,19 +16,3 @@ val access_distribution : unit -> (Pattern.access * int * float) list
 
 val benchmarks_with : Pattern.access -> string list
 (** Which benchmarks use a pattern — Table 1 column. *)
-
-val measure_entry :
-  ?smoke:bool ->
-  Rpb_pool.Pool.t ->
-  entry:Common.entry ->
-  input:string ->
-  scale:int ->
-  repeats:int ->
-  how:[ `Seq | `Par of Mode.t ] ->
-  Bench_json.record * string
-(** Prepare, warm up, time and verify one benchmark configuration inside
-    [Pool.run], capturing per-worker scheduler counters and the per-repeat
-    sample vector across the repeats.  Returns the machine-readable record
-    and the input-size description.  [smoke] (default [false]) marks the
-    record as a one-shot smoke run, which [rpb report] keeps out of its
-    derived views. *)

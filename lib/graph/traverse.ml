@@ -4,7 +4,10 @@ open Rpb_pool
    the best-known distances; a popped task (d, v) is stale if d exceeds the
    current label and is dropped, otherwise v's edges are relaxed and improved
    neighbours are (re)pushed at their new priority. *)
-let search ~queues_per_worker pool g ~src ~relax_weight =
+(* MultiQueue lanes per worker. *)
+let queues_per_worker = 4
+
+let search pool g ~src ~relax_weight =
   let n = Csr.n g in
   let num_workers = Pool.size pool in
   let dist = Rpb_prim.Atomic_array.make n max_int in
@@ -24,8 +27,8 @@ let search ~queues_per_worker pool g ~src ~relax_weight =
             if nd < prev then Rpb_mq.Multiqueue.Scheduler.push sched ~pri:nd w));
   Rpb_prim.Atomic_array.to_array dist
 
-let bfs ?(queues_per_worker = 4) pool g ~src =
-  search ~queues_per_worker pool g ~src ~relax_weight:(fun _ -> 1)
+let bfs pool g ~src =
+  search pool g ~src ~relax_weight:(fun _ -> 1)
 
-let sssp ?(queues_per_worker = 4) pool g ~src =
-  search ~queues_per_worker pool g ~src ~relax_weight:Fun.id
+let sssp pool g ~src =
+  search pool g ~src ~relax_weight:Fun.id

@@ -5,11 +5,12 @@
 
 open Rpb_pool
 
-val bfs : ?queues_per_worker:int -> Pool.t -> Csr.t -> src:int -> int array
+val bfs : Pool.t -> Csr.t -> src:int -> int array
 (** Hop distances from [src] ([max_int] when unreachable), computed by
-    worker domains popping (distance, vertex) tasks from a MultiQueue. *)
+    worker domains popping (distance, vertex) tasks from a MultiQueue of
+    four queues per worker. *)
 
-val sssp : ?queues_per_worker:int -> Pool.t -> Csr.t -> src:int -> int array
+val sssp : Pool.t -> Csr.t -> src:int -> int array
 (** Weighted distances (non-negative weights), delta-less relaxed Dijkstra:
     the MultiQueue's probabilistic ordering means a vertex may be popped with
     a stale distance; the atomic fetch-min plus re-push keeps it correct. *)

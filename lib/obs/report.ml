@@ -1,11 +1,12 @@
 (* The unified `rpb report` dashboard.
 
-   Merges every machine-readable artifact the harness emits — BENCH_*.json
-   (benchmark records, schema v1..v3), PROFILE_*.json (work/span metrics),
-   CHECK_*.json (differential oracle), FAULT_*.json (fault sweep), and the
-   serve, metrics and slo documents — into one self-contained HTML file: no
-   external assets, inline CSS and SVG only, light and dark mode from one
-   set of custom properties.
+   Merges every machine-readable artifact the harness emits — bench/perf
+   documents (kind "perf": the paper's Table 1 / Fig. 4 and Fig. 5 ratios),
+   PROFILE_*.json (work/span metrics), CHECK_*.json (differential oracle),
+   FAULT_*.json (fault sweep), and the serve, metrics and slo documents —
+   into one self-contained HTML file: no external assets, inline CSS and SVG
+   only, light and dark mode from one set of custom properties.  The same
+   table of sections renders the markdown digest.
 
    Chart conventions follow the repo's dashboard style contract: categorical
    series colors are assigned in fixed slot order (at most three per chart),
@@ -19,8 +20,33 @@ module J = Rpb_benchmarks.Bench_json
 
 type source = { path : string; kind : string }
 
+type perf_bench = {
+  name : string;
+  scale : int;
+  seq_ms : float;
+  t1_ms : float;
+  tp_ms : float;
+  checked_ms : float;
+  sync_ms : float;
+  t1_over_seq : float;
+  tp_over_seq : float;
+  checked_over_unsafe : float;
+  sync_over_unsafe : float;
+}
+
+type perf = {
+  workload : string;
+  p : int;
+  ocaml : string;
+  git_sha : string;
+  host_ok : bool;
+  seed : int;
+  correct : bool;
+  benches : perf_bench list;
+}
+
 type artifacts = {
-  bench : J.record list;
+  perfs : perf list;
   profiles : Profile.report list;
   checks : J.json list;
   faults : J.json list;
@@ -33,7 +59,7 @@ type artifacts = {
 
 let empty =
   {
-    bench = [];
+    perfs = [];
     profiles = [];
     checks = [];
     faults = [];
@@ -49,25 +75,65 @@ let classify_doc j =
   | Some (J.Str k) -> k
   | _ -> "bench"
 
+(* A number of a bench/perf document; NaN (written as null) stays NaN. *)
+let num = function
+  | J.Float f -> f
+  | J.Int i -> float_of_int i
+  | _ -> Float.nan
+
+let perf_of_json j =
+  let meta = J.member "meta" j in
+  let median key b =
+    match J.member_opt key b with
+    | Some c -> num (J.member "median" c)
+    | None -> Float.nan
+  in
+  let bench b =
+    {
+      name = J.get_str (J.member "name" b);
+      scale = J.get_int (J.member "scale" b);
+      seq_ms = median "seq_ms" b;
+      t1_ms = median "t1_ms" b;
+      tp_ms = median "tp_ms" b;
+      checked_ms = median "checked_ms" b;
+      sync_ms = median "sync_ms" b;
+      t1_over_seq = num (J.member "t1_over_seq" b);
+      tp_over_seq = num (J.member "tp_over_seq" b);
+      checked_over_unsafe = num (J.member "checked_over_unsafe" b);
+      sync_over_unsafe = num (J.member "sync_over_unsafe" b);
+    }
+  in
+  {
+    workload = J.get_str (J.member "workload" j);
+    p = J.get_int (J.member "p" meta);
+    ocaml = J.get_str (J.member "ocaml" meta);
+    git_sha = J.get_str (J.member "git_sha" meta);
+    host_ok = J.get_bool (J.member "host_ok" meta);
+    seed = J.get_int (J.member "seed" meta);
+    correct = J.get_bool (J.member "correct" j);
+    benches = List.map bench (J.get_list (J.member "benchmarks" j));
+  }
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* A document of a kind the report has no reader for (the plain benchmark
+   records of [rpb stats --json], an old "compare") raises like a malformed
+   one; [add_file] skips it into errors. *)
 let add_doc acc j =
   match classify_doc j with
+  | "perf" -> { acc with perfs = perf_of_json j :: acc.perfs }
   | "profile" -> { acc with profiles = Profile.of_json j :: acc.profiles }
   | "check" -> { acc with checks = j :: acc.checks }
   | "fault" -> { acc with faults = j :: acc.faults }
   | "serve" -> { acc with serves = j :: acc.serves }
   | "metrics" -> { acc with metrics = j :: acc.metrics }
   | "slo" -> { acc with slos = j :: acc.slos }
-  | _ -> { acc with bench = acc.bench @ J.records_of_doc j }
+  | _ -> raise (J.Parse_error "no reader for this kind")
 
-(* A document of a kind the report has no reader for (bench/perf's "perf",
-   an old "compare") fails as a bench document; like an unparseable file,
-   it lands in errors and is skipped. *)
 let add_file acc path =
   let skip msg = { acc with errors = (path, msg) :: acc.errors } in
   match read_file path with
@@ -81,7 +147,8 @@ let add_file acc path =
         skip (Printf.sprintf "kind %s: %s" (classify_doc j) msg))
     | exception J.Parse_error msg -> (
       (* Not one document — maybe a JSONL stream (the --metrics-json
-         format: snapshots interleaved with slow-request profiles).  Each
+         format: snapshots interleaved with slow-request profiles; a
+         BENCH_pr*.json perf trajectory, one workload per line).  Each
          line classifies on its own; the file parses if any line does. *)
       let add_line (acc, n) line =
         match add_doc acc (J.of_string line) with
@@ -95,7 +162,7 @@ let add_file acc path =
 let load_files paths =
   let a = List.fold_left add_file empty paths in
   {
-    a with
+    perfs = List.rev a.perfs;
     profiles = List.rev a.profiles;
     checks = List.rev a.checks;
     faults = List.rev a.faults;
@@ -106,139 +173,13 @@ let load_files paths =
     errors = List.rev a.errors;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Derived views of the benchmark records.                             *)
-
-(* Robust point estimate of one record: median of the per-repeat samples,
-   falling back to the stored mean for pre-v3 records. *)
-let estimate_ns (r : J.record) =
-  if Array.length r.J.samples_ns >= 1 then Stats.median r.J.samples_ns
-  else r.J.mean_ns
-
-(* Speedup curves, Fig. 4-style: for every (bench, input, mode, scale) with
-   at least two distinct thread counts, the speedup of each thread count
-   relative to the group's baseline — the sequential record of the same
-   (bench, input, scale) when one exists, otherwise the group's smallest
-   thread count. *)
-type curve = {
-  curve_bench : string;
-  curve_input : string;
-  curve_mode : string;
-  curve_scale : int;
-  base_ns : float;
-  base_label : string;  (* "seq" or "1t" *)
-  points : (int * float * float) list;  (* threads, time ns, speedup *)
-}
-
-let speedup_curves records =
-  let live = List.filter (fun (r : J.record) -> not r.J.smoke) records in
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun (r : J.record) ->
-      if r.J.mode <> "seq" then begin
-        let k = (r.J.bench, r.J.input, r.J.mode, r.J.scale) in
-        Hashtbl.replace groups k
-          (r :: Option.value ~default:[] (Hashtbl.find_opt groups k))
-      end)
-    live;
-  let seq_base bench input scale =
-    List.find_opt
-      (fun (r : J.record) ->
-        r.J.mode = "seq" && r.J.bench = bench && r.J.input = input
-        && r.J.scale = scale)
-      live
-  in
-  Hashtbl.fold (fun k rs acc -> (k, rs) :: acc) groups []
-  |> List.sort compare
-  |> List.filter_map (fun ((bench, input, mode, scale), rs) ->
-         (* Last record per thread count wins. *)
-         let by_threads = Hashtbl.create 8 in
-         List.iter
-           (fun (r : J.record) -> Hashtbl.replace by_threads r.J.threads r)
-           (List.rev rs)
-         |> ignore;
-         let pts =
-           Hashtbl.fold (fun t r acc -> (t, r) :: acc) by_threads []
-           |> List.sort compare
-         in
-         if List.length pts < 2 then None
-         else begin
-           let base_ns, base_label =
-             match seq_base bench input scale with
-             | Some r -> (estimate_ns r, "seq")
-             | None ->
-               let _, r = List.hd pts in
-               (estimate_ns r, "1t")
-           in
-           if base_ns <= 0.0 then None
-           else
-             Some
-               {
-                 curve_bench = bench;
-                 curve_input = input;
-                 curve_mode = mode;
-                 curve_scale = scale;
-                 base_ns;
-                 base_label;
-                 points =
-                   List.map
-                     (fun (t, r) ->
-                       let ns = estimate_ns r in
-                       (t, ns, if ns > 0.0 then base_ns /. ns else 0.0))
-                     pts;
-               }
-         end)
-
-(* Fear-spectrum overheads, Fig. 5-style: checked/unsafe and sync/unsafe
-   ratios for every configuration measured in both modes. *)
-type overhead = {
-  o_bench : string;
-  o_input : string;
-  o_threads : int;
-  o_scale : int;
-  o_vs : string;  (* "checked" | "sync" *)
-  o_unsafe_ns : float;
-  o_other_ns : float;
-  o_ratio : float;
-}
-
-let overheads records =
-  let live = List.filter (fun (r : J.record) -> not r.J.smoke) records in
-  let index = Hashtbl.create 32 in
-  List.iter
-    (fun (r : J.record) ->
-      Hashtbl.replace index
-        (r.J.bench, r.J.input, r.J.mode, r.J.threads, r.J.scale)
-        r)
-    live;
-  List.concat_map
-    (fun (r : J.record) ->
-      if r.J.mode <> "unsafe" then []
-      else
-        let u = estimate_ns r in
-        List.filter_map
-          (fun vs ->
-            match
-              Hashtbl.find_opt index
-                (r.J.bench, r.J.input, vs, r.J.threads, r.J.scale)
-            with
-            | Some other when u > 0.0 ->
-              let o = estimate_ns other in
-              Some
-                {
-                  o_bench = r.J.bench;
-                  o_input = r.J.input;
-                  o_threads = r.J.threads;
-                  o_scale = r.J.scale;
-                  o_vs = vs;
-                  o_unsafe_ns = u;
-                  o_other_ns = o;
-                  o_ratio = o /. u;
-                }
-            | _ -> None)
-          [ "checked"; "sync" ])
-    live
-  |> List.sort_uniq compare
+let summary a =
+  Printf.sprintf
+    "%d perf document(s), %d profile(s), %d check report(s), %d fault \
+     report(s), %d serve report(s), %d metrics snapshot(s), %d SLO replay(s)"
+    (List.length a.perfs) (List.length a.profiles) (List.length a.checks)
+    (List.length a.faults) (List.length a.serves) (List.length a.metrics)
+    (List.length a.slos)
 
 (* ------------------------------------------------------------------ *)
 (* HTML helpers.                                                       *)
@@ -438,204 +379,230 @@ let svg_ratio_bar ~w ~ratio ~max_ratio ~color ~tip buf =
     ratio;
   pf "</svg>"
 
+
 (* ------------------------------------------------------------------ *)
-(* Sections.                                                           *)
+(* Section bodies.                                                     *)
 
-let section_speedup buf records =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let curves = speedup_curves records in
-  pf "<h2>Speedup curves</h2>";
-  pf
-    "<p class=\"sub\">Fig.&nbsp;4-style: measured speedup against the \
-     group's baseline (sequential run when present, otherwise the smallest \
-     thread count), per benchmark &times; input &times; mode.</p>";
-  if curves = [] then
-    pf
-      "<div class=\"card\"><p class=\"sub\">No configuration was measured \
-       at two or more thread counts — <code>bench/main.exe fig4 \
-       --json FILE</code> populates this section.</p></div>"
-  else begin
-    pf "<div class=\"grid-charts\">";
-    List.iter
-      (fun c ->
-        pf "<div class=\"card\">";
-        pf
-          "<div class=\"t\" style=\"font-size:13px;color:var(--ink)\"> \
-           %s/%s</div><div class=\"sub\">mode %s, scale %d, baseline %s \
-           (%s ms)</div>"
-          (html_escape c.curve_bench) (html_escape c.curve_input)
-          (html_escape c.curve_mode) c.curve_scale c.base_label
-          (ms c.base_ns);
-        let pts =
-          List.map
-            (fun (t, ns, sp) ->
-              ( t,
-                ( sp,
-                  Printf.sprintf "%d threads: %s ms, speedup %.2fx" t
-                    (ms ns) sp ) ))
-            c.points
-        in
-        let y_max =
-          List.fold_left (fun acc (_, (sp, _)) -> Float.max acc sp) 1.0 pts
-        in
-        svg_line_chart ~w:300 ~h:170 ~x_label:"threads"
-          ~y_max:(Float.max 1.0 (y_max *. 1.15))
-          ~series:[ ("speedup", pts) ]
-          buf;
-        pf
-          "<details><summary>table</summary><table><tr><th \
-           class=\"num\">threads</th><th class=\"num\">time (ms)</th><th \
-           class=\"num\">speedup</th></tr>";
-        List.iter
-          (fun (t, ns, sp) ->
-            pf
-              "<tr><td class=\"num\">%d</td><td class=\"num\">%s</td><td \
-               class=\"num\">%.2fx</td></tr>"
-              t (ms ns) sp)
-          c.points;
-        pf "</table></details></div>")
-      curves;
-    pf "</div>"
-  end
+(* The paper's tables, one block per bench/perf workload document.  The
+   ratios are the document's own (medians of per-round ratios), never
+   recomputed from the medians of the times. *)
 
-let section_overhead buf records =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let os = overheads records in
-  pf "<h2>Fear-spectrum overhead</h2>";
-  pf
-    "<p class=\"sub\">Fig.&nbsp;5-style: run time of the checked and \
-     synchronized modes relative to the unsafe switch (1.00x = free). The \
-     hairline marks 1x.</p>";
-  if os = [] then
-    pf
-      "<div class=\"card\"><p class=\"sub\">No configuration was measured \
-       in both unsafe and checked/sync modes.</p></div>"
-  else begin
-    let max_ratio =
-      Float.max 2.0
-        (List.fold_left (fun acc o -> Float.max acc o.o_ratio) 0.0 os)
-    in
-    pf
-      "<div class=\"card\"><table><tr><th>configuration</th><th>vs</th><th \
-       class=\"num\">unsafe (ms)</th><th class=\"num\">%s (ms)</th><th \
-       style=\"width:45%%\">overhead</th></tr>"
-      "mode";
-    List.iter
-      (fun o ->
-        let color =
-          if o.o_vs = "checked" then series_var 0 else series_var 1
-        in
-        pf
-          "<tr><td class=\"l\">%s/%s t=%d s=%d</td><td \
-           class=\"l\">%s</td><td class=\"num\">%s</td><td \
-           class=\"num\">%s</td><td>"
-          (html_escape o.o_bench) (html_escape o.o_input) o.o_threads
-          o.o_scale (html_escape o.o_vs) (ms o.o_unsafe_ns)
-          (ms o.o_other_ns);
-        svg_ratio_bar ~w:380 ~ratio:o.o_ratio ~max_ratio ~color
-          ~tip:
-            (Printf.sprintf "%s/%s: %s %.2fx the unsafe time" o.o_bench
-               o.o_input o.o_vs o.o_ratio)
-          buf;
-        pf "</td></tr>")
-      os;
-    pf "</table>";
-    pf
-      "<div class=\"legend\"><span class=\"key\" \
-       style=\"background:%s\"></span>checked / unsafe<span class=\"key\" \
-       style=\"background:%s\"></span>sync / unsafe</div>"
-      (series_var 0) (series_var 1);
-    pf "</div>"
-  end
+let ratio x = Printf.sprintf "%.2f" x
 
-let section_profiles buf (profiles : Profile.report list) =
+let perf_header p =
+  Printf.sprintf "%s: P=%d, OCaml %s, git %s, seed %d, host_ok %b%s" p.workload
+    p.p p.ocaml p.git_sha p.seed p.host_ok
+    (if p.correct then "" else ", FAILED CHECKS")
+
+(* T_P is a parallel time: on a host where the P domains did not run in
+   parallel it is not comparable, and its columns say so. *)
+let tp_mark p = if p.host_ok then "" else " †"
+
+let tp_note =
+  "† host_ok false: the P domains did not run in parallel on this host, so \
+   T_P is not comparable."
+
+let perf_card buf p ~head ~row =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "<h2>Work / span</h2>";
+  pf "<div class=\"card\"><div class=\"t\" style=\"font-size:13px;color:var(--ink)\">%s</div>"
+    (html_escape (perf_header p));
+  pf "<table><tr><th>bench</th>%s</tr>" head;
+  List.iter
+    (fun b ->
+      pf "<tr><td class=\"l\">%s</td>" (html_escape b.name);
+      row b;
+      pf "</tr>")
+    p.benches;
+  pf "</table>";
+  if not p.host_ok then pf "<p class=\"sub\">%s</p>" (html_escape tp_note);
+  pf "</div>"
+
+let max_ratio rs = List.fold_left Float.max 2.0 (List.filter Float.is_finite rs)
+
+let bar_cell buf ~ratio ~max_ratio ~color ~tip =
+  Buffer.add_string buf "<td>";
+  if Float.is_finite ratio then svg_ratio_bar ~w:220 ~ratio ~max_ratio ~color ~tip buf
+  else Buffer.add_string buf "–";
+  Buffer.add_string buf "</td>"
+
+let table1_html buf a =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  List.iter
+    (fun p ->
+      let mr = max_ratio (List.map (fun b -> b.t1_over_seq) p.benches) in
+      let m = tp_mark p in
+      perf_card buf p
+        ~head:
+          (Printf.sprintf
+             "<th class=\"num\">scale</th><th class=\"num\">seq (ms)</th><th \
+              class=\"num\">T<sub>1</sub> (ms)</th><th class=\"num\">T<sub>P</sub> \
+              (ms)%s</th><th style=\"width:30%%\">T<sub>1</sub>/T<sub>seq</sub></th><th \
+              class=\"num\">T<sub>P</sub>/T<sub>seq</sub>%s</th>"
+             m m)
+        ~row:(fun b ->
+          pf
+            "<td class=\"num\">%d</td><td class=\"num\">%.3f</td><td \
+             class=\"num\">%.3f</td><td class=\"num\">%.3f</td>"
+            b.scale b.seq_ms b.t1_ms b.tp_ms;
+          bar_cell buf ~ratio:b.t1_over_seq ~max_ratio:mr ~color:(series_var 0)
+            ~tip:(Printf.sprintf "%s: T1 is %.2fx the sequential time" b.name b.t1_over_seq);
+          pf "<td class=\"num\">%s</td>" (ratio b.tp_over_seq)))
+    a.perfs
+
+let fig5_html buf a =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  List.iter
+    (fun p ->
+      let mr =
+        max_ratio
+          (List.concat_map (fun b -> [ b.checked_over_unsafe; b.sync_over_unsafe ]) p.benches)
+      in
+      perf_card buf p
+        ~head:
+          (Printf.sprintf
+             "<th class=\"num\">unsafe T<sub>P</sub> (ms)%s</th><th \
+              class=\"num\">checked (ms)</th><th class=\"num\">sync (ms)</th><th \
+              style=\"width:25%%\">checked/unsafe</th><th \
+              style=\"width:25%%\">sync/unsafe</th>"
+             (tp_mark p))
+        ~row:(fun b ->
+          pf "<td class=\"num\">%.3f</td><td class=\"num\">%.3f</td><td class=\"num\">%.3f</td>"
+            b.tp_ms b.checked_ms b.sync_ms;
+          bar_cell buf ~ratio:b.checked_over_unsafe ~max_ratio:mr ~color:(series_var 0)
+            ~tip:(Printf.sprintf "%s: checked %.2fx the unsafe time" b.name b.checked_over_unsafe);
+          bar_cell buf ~ratio:b.sync_over_unsafe ~max_ratio:mr ~color:(series_var 1)
+            ~tip:(Printf.sprintf "%s: sync %.2fx the unsafe time" b.name b.sync_over_unsafe)))
+    a.perfs;
   pf
-    "<p class=\"sub\">Per-benchmark DAG metrics from the flight recorder \
-     (<code>rpb profile</code>): work T<sub>1</sub>, span T<sub>∞</sub>, \
-     parallelism and the burdened parallelism left after measured steal \
-     delays.</p>";
-  if profiles = [] then begin
-    pf
-      "<div class=\"card\"><p class=\"sub\">No PROFILE_*.json artifacts \
-       given.</p></div>"
-  end
-  else begin
-    pf
-      "<div class=\"card\"><table><tr><th>bench</th><th>mode</th><th \
-       class=\"num\">threads</th><th class=\"num\">work (ms)</th><th \
-       class=\"num\">span (ms)</th><th class=\"num\">parallelism</th><th \
-       class=\"num\">burdened</th><th class=\"num\">tasks</th><th \
-       class=\"num\">steals</th><th class=\"num\">dropped</th><th></th></tr>";
-    List.iter
-      (fun (r : Profile.report) ->
-        let m = r.Profile.metrics in
-        pf
-          "<tr><td class=\"l\">%s/%s</td><td class=\"l\">%s</td><td \
-           class=\"num\">%d</td><td class=\"num\">%s</td><td \
-           class=\"num\">%s</td><td class=\"num\">%.2f</td><td \
-           class=\"num\">%.2f</td><td class=\"num\">%d</td><td \
-           class=\"num\">%d</td><td class=\"num\">%d</td><td \
-           class=\"l\">%s</td></tr>"
-          (html_escape r.Profile.bench)
-          (html_escape r.Profile.input)
-          (html_escape r.Profile.mode)
-          r.Profile.threads
-          (ms (float_of_int m.Sp_dag.work_ns))
-          (ms (float_of_int m.Sp_dag.span_ns))
-          m.Sp_dag.parallelism m.Sp_dag.burdened_parallelism m.Sp_dag.tasks
-          m.Sp_dag.steals m.Sp_dag.dropped
-          (if r.Profile.verified then
-             "<span class=\"badge ok\">verified</span>"
-           else "<span class=\"badge bad\">verify failed</span>"))
-      profiles;
-    pf "</table></div>";
-    (* Predicted speedup curves: burdened estimate vs DAG upper bound. *)
-    pf "<div class=\"grid-charts\">";
-    List.iter
-      (fun (r : Profile.report) ->
-        let m = r.Profile.metrics in
-        let p_max = max 2 r.Profile.threads in
-        let curve f label =
-          List.init p_max (fun i ->
-              let p = i + 1 in
-              let v = f p in
-              (p, (v, Printf.sprintf "%s at %d threads: %.2fx" label p v)))
-        in
-        let burdened = curve (Sp_dag.predicted_speedup m) "burdened" in
-        let upper =
-          curve
-            (fun p -> Float.min (float_of_int p) m.Sp_dag.parallelism)
-            "upper bound"
-        in
-        let y_max =
-          List.fold_left
-            (fun acc (_, (v, _)) -> Float.max acc v)
-            1.0 (burdened @ upper)
-        in
-        pf "<div class=\"card\">";
-        pf
-          "<div class=\"t\" \
-           style=\"font-size:13px;color:var(--ink)\">%s/%s</div><div \
-           class=\"sub\">predicted speedup (mode %s)</div>"
-          (html_escape r.Profile.bench)
-          (html_escape r.Profile.input)
-          (html_escape r.Profile.mode);
-        svg_line_chart ~w:300 ~h:170 ~x_label:"threads"
-          ~y_max:(y_max *. 1.15)
-          ~series:[ ("burdened", burdened); ("upper bound", upper) ]
-          buf;
-        pf
-          "<div class=\"legend\"><span class=\"key\" \
-           style=\"background:%s\"></span>burdened estimate<span \
-           class=\"key\" style=\"background:%s\"></span>DAG upper \
-           bound</div>"
-          (series_var 0) (series_var 1);
-        pf "</div>")
-      profiles;
-    pf "</div>"
-  end
+    "<div class=\"legend\"><span class=\"key\" style=\"background:%s\"></span>checked \
+     / unsafe<span class=\"key\" style=\"background:%s\"></span>sync / unsafe</div>"
+    (series_var 0) (series_var 1)
+
+(* [head] pairs each column title with whether it is a T_P column. *)
+let perf_md buf a ~head ~row =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  List.iter
+    (fun p ->
+      pf "### %s\n\n| bench | %s |\n|---|%s\n" (perf_header p)
+        (String.concat " | "
+           (List.map (fun (h, tp) -> if tp then h ^ tp_mark p else h) head))
+        (String.concat "" (List.map (fun _ -> "---|") head));
+      List.iter (fun b -> pf "| %s | %s |\n" b.name (String.concat " | " (row b))) p.benches;
+      if not p.host_ok then pf "\n%s\n" tp_note;
+      pf "\n")
+    a.perfs
+
+let table1_md buf a =
+  perf_md buf a
+    ~head:
+      [
+        ("scale", false); ("seq (ms)", false); ("T1 (ms)", false); ("TP (ms)", true);
+        ("T1/Tseq", false); ("TP/Tseq", true);
+      ]
+    ~row:(fun b ->
+      [
+        string_of_int b.scale;
+        Printf.sprintf "%.3f" b.seq_ms;
+        Printf.sprintf "%.3f" b.t1_ms;
+        Printf.sprintf "%.3f" b.tp_ms;
+        ratio b.t1_over_seq;
+        ratio b.tp_over_seq;
+      ])
+
+let fig5_md buf a =
+  perf_md buf a
+    ~head:
+      [
+        ("unsafe TP (ms)", true); ("checked (ms)", false); ("sync (ms)", false);
+        ("checked/unsafe", false); ("sync/unsafe", false);
+      ]
+    ~row:(fun b ->
+      [
+        Printf.sprintf "%.3f" b.tp_ms;
+        Printf.sprintf "%.3f" b.checked_ms;
+        Printf.sprintf "%.3f" b.sync_ms;
+        ratio b.checked_over_unsafe;
+        ratio b.sync_over_unsafe;
+      ])
+
+
+(* Bodies of the other artifact kinds. *)
+
+let profiles_html buf (profiles : Profile.report list) =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pf
+    "<div class=\"card\"><table><tr><th>bench</th><th>mode</th><th \
+     class=\"num\">threads</th><th class=\"num\">work (ms)</th><th \
+     class=\"num\">span (ms)</th><th class=\"num\">parallelism</th><th \
+     class=\"num\">burdened</th><th class=\"num\">tasks</th><th \
+     class=\"num\">steals</th><th class=\"num\">dropped</th><th></th></tr>";
+  List.iter
+    (fun (r : Profile.report) ->
+      let m = r.Profile.metrics in
+      pf
+        "<tr><td class=\"l\">%s/%s</td><td class=\"l\">%s</td><td \
+         class=\"num\">%d</td><td class=\"num\">%s</td><td \
+         class=\"num\">%s</td><td class=\"num\">%.2f</td><td \
+         class=\"num\">%.2f</td><td class=\"num\">%d</td><td \
+         class=\"num\">%d</td><td class=\"num\">%d</td><td \
+         class=\"l\">%s</td></tr>"
+        (html_escape r.Profile.bench)
+        (html_escape r.Profile.input)
+        (html_escape r.Profile.mode)
+        r.Profile.threads
+        (ms (float_of_int m.Sp_dag.work_ns))
+        (ms (float_of_int m.Sp_dag.span_ns))
+        m.Sp_dag.parallelism m.Sp_dag.burdened_parallelism m.Sp_dag.tasks
+        m.Sp_dag.steals m.Sp_dag.dropped
+        (if r.Profile.verified then
+           "<span class=\"badge ok\">verified</span>"
+         else "<span class=\"badge bad\">verify failed</span>"))
+    profiles;
+  pf "</table></div>";
+  (* Predicted speedup curves: burdened estimate vs DAG upper bound. *)
+  pf "<div class=\"grid-charts\">";
+  List.iter
+    (fun (r : Profile.report) ->
+      let m = r.Profile.metrics in
+      let p_max = max 2 r.Profile.threads in
+      let curve f label =
+        List.init p_max (fun i ->
+            let p = i + 1 in
+            let v = f p in
+            (p, (v, Printf.sprintf "%s at %d threads: %.2fx" label p v)))
+      in
+      let burdened = curve (Sp_dag.predicted_speedup m) "burdened" in
+      let upper =
+        curve
+          (fun p -> Float.min (float_of_int p) m.Sp_dag.parallelism)
+          "upper bound"
+      in
+      let y_max =
+        List.fold_left
+          (fun acc (_, (v, _)) -> Float.max acc v)
+          1.0 (burdened @ upper)
+      in
+      pf "<div class=\"card\">";
+      pf
+        "<div class=\"t\" \
+         style=\"font-size:13px;color:var(--ink)\">%s/%s</div><div \
+         class=\"sub\">predicted speedup (mode %s)</div>"
+        (html_escape r.Profile.bench)
+        (html_escape r.Profile.input)
+        (html_escape r.Profile.mode);
+      svg_line_chart ~w:300 ~h:170 ~x_label:"threads"
+        ~y_max:(y_max *. 1.15)
+        ~series:[ ("burdened", burdened); ("upper bound", upper) ]
+        buf;
+      pf
+        "<div class=\"legend\"><span class=\"key\" \
+         style=\"background:%s\"></span>burdened estimate<span \
+         class=\"key\" style=\"background:%s\"></span>DAG upper \
+         bound</div>"
+        (series_var 0) (series_var 1);
+      pf "</div>")
+    profiles;
+  pf "</div>"
 
 let get_int_opt key j =
   match J.member_opt key j with Some (J.Int i) -> Some i | _ -> None
@@ -643,115 +610,97 @@ let get_int_opt key j =
 let get_bool_or key default j =
   match J.member_opt key j with Some (J.Bool b) -> b | _ -> default
 
-let section_checks buf checks =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "<h2>Correctness: differential oracle</h2>";
-  pf
-    "<p class=\"sub\">CHECK_*.json: every benchmark under the \
-     deterministic sequential executor, its shuffled variant and the \
-     work-stealing pool, digests diffed element-wise; plus the shadow-array \
-     race-detector self-check.</p>";
-  if checks = [] then
-    pf
-      "<div class=\"card\"><p class=\"sub\">No CHECK_*.json artifacts \
-       given.</p></div>"
-  else
-    List.iter
-      (fun j ->
-        let ok = get_bool_or "ok" false j in
-        let outcomes =
-          match J.member_opt "oracle" j with
-          | Some (J.List l) -> l
-          | _ -> []
-        in
-        let failing =
-          List.filter
-            (fun o ->
-              not
-                (get_bool_or "verified" false o
-                 && get_bool_or "equal" false o
-                 && J.member_opt "error" o = Some J.Null))
-            outcomes
-        in
-        let shadow = J.member_opt "shadow" j in
-        pf "<div class=\"cards\">";
-        pf
-          "<div class=\"card tile\"><div class=\"label\">oracle \
-           verdict</div><div class=\"value\">%s</div><div \
-           class=\"hint\">seed %d, %d configurations</div></div>"
-          (if ok then "<span class=\"badge ok\">OK</span>"
-           else "<span class=\"badge bad\">FAIL</span>")
-          (Option.value ~default:0 (get_int_opt "seed" j))
-          (List.length outcomes);
-        pf
-          "<div class=\"card tile\"><div class=\"label\">failing \
-           configurations</div><div class=\"value\">%d</div></div>"
-          (List.length failing);
-        (match shadow with
-         | Some s ->
-           let races =
-             match J.member_opt "races" s with
-             | Some (J.List l) -> List.length l
-             | _ -> 0
-           in
-           pf
-             "<div class=\"card tile\"><div class=\"label\">shadow \
-              races</div><div class=\"value\">%d</div><div \
-              class=\"hint\">%d instrumented ops; canary %s</div></div>"
-             races
-             (Option.value ~default:0 (get_int_opt "ops" s))
-             (if get_bool_or "canary_ok" false s then "detected"
-              else "MISSED")
-         | None -> ());
-        pf "</div>")
-      checks
 
-let section_faults buf faults =
+let checks_html buf checks =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "<h2>Robustness: fault-injection sweep</h2>";
-  pf
-    "<p class=\"sub\">FAULT_*.json: seeded scheduler fault schedules; every \
-     run must complete with the clean digest or fail cleanly before its \
-     deadline.</p>";
-  if faults = [] then
-    pf
-      "<div class=\"card\"><p class=\"sub\">No FAULT_*.json artifacts \
-       given.</p></div>"
-  else
-    List.iter
-      (fun j ->
-        let ok = get_bool_or "ok" false j in
-        let runs =
-          match J.member_opt "runs" j with Some (J.List l) -> l | _ -> []
-        in
-        let count p = List.length (List.filter p runs) in
-        let completed = count (fun r -> get_bool_or "completed" false r) in
-        let violations = count (fun r -> not (get_bool_or "ok" false r)) in
-        let injected =
-          List.fold_left
-            (fun acc r -> acc + Option.value ~default:0 (get_int_opt "injected" r))
-            0 runs
-        in
-        pf "<div class=\"cards\">";
-        pf
-          "<div class=\"card tile\"><div class=\"label\">fault \
-           verdict</div><div class=\"value\">%s</div><div class=\"hint\">%d \
-           runs, %d injections</div></div>"
-          (if ok then "<span class=\"badge ok\">OK</span>"
-           else "<span class=\"badge bad\">FAIL</span>")
-          (List.length runs) injected;
-        pf
-          "<div class=\"card tile\"><div class=\"label\">completed with \
-           clean digest</div><div class=\"value\">%d</div><div \
-           class=\"hint\">%d failed cleanly</div></div>"
-          completed
-          (List.length runs - completed);
-        pf
-          "<div class=\"card tile\"><div class=\"label\">contract \
-           violations</div><div class=\"value\">%d</div></div>"
-          violations;
-        pf "</div>")
-      faults
+  List.iter
+    (fun j ->
+      let ok = get_bool_or "ok" false j in
+      let outcomes =
+        match J.member_opt "oracle" j with
+        | Some (J.List l) -> l
+        | _ -> []
+      in
+      let failing =
+        List.filter
+          (fun o ->
+            not
+              (get_bool_or "verified" false o
+               && get_bool_or "equal" false o
+               && J.member_opt "error" o = Some J.Null))
+          outcomes
+      in
+      let shadow = J.member_opt "shadow" j in
+      pf "<div class=\"cards\">";
+      pf
+        "<div class=\"card tile\"><div class=\"label\">oracle \
+         verdict</div><div class=\"value\">%s</div><div \
+         class=\"hint\">seed %d, %d configurations</div></div>"
+        (if ok then "<span class=\"badge ok\">OK</span>"
+         else "<span class=\"badge bad\">FAIL</span>")
+        (Option.value ~default:0 (get_int_opt "seed" j))
+        (List.length outcomes);
+      pf
+        "<div class=\"card tile\"><div class=\"label\">failing \
+         configurations</div><div class=\"value\">%d</div></div>"
+        (List.length failing);
+      (match shadow with
+       | Some s ->
+         let races =
+           match J.member_opt "races" s with
+           | Some (J.List l) -> List.length l
+           | _ -> 0
+         in
+         pf
+           "<div class=\"card tile\"><div class=\"label\">shadow \
+            races</div><div class=\"value\">%d</div><div \
+            class=\"hint\">%d instrumented ops; canary %s</div></div>"
+           races
+           (Option.value ~default:0 (get_int_opt "ops" s))
+           (if get_bool_or "canary_ok" false s then "detected"
+            else "MISSED")
+       | None -> ());
+      pf "</div>")
+    checks
+
+
+let faults_html buf faults =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  List.iter
+    (fun j ->
+      let ok = get_bool_or "ok" false j in
+      let runs =
+        match J.member_opt "runs" j with Some (J.List l) -> l | _ -> []
+      in
+      let count p = List.length (List.filter p runs) in
+      let completed = count (fun r -> get_bool_or "completed" false r) in
+      let violations = count (fun r -> not (get_bool_or "ok" false r)) in
+      let injected =
+        List.fold_left
+          (fun acc r -> acc + Option.value ~default:0 (get_int_opt "injected" r))
+          0 runs
+      in
+      pf "<div class=\"cards\">";
+      pf
+        "<div class=\"card tile\"><div class=\"label\">fault \
+         verdict</div><div class=\"value\">%s</div><div class=\"hint\">%d \
+         runs, %d injections</div></div>"
+        (if ok then "<span class=\"badge ok\">OK</span>"
+         else "<span class=\"badge bad\">FAIL</span>")
+        (List.length runs) injected;
+      pf
+        "<div class=\"card tile\"><div class=\"label\">completed with \
+         clean digest</div><div class=\"value\">%d</div><div \
+         class=\"hint\">%d failed cleanly</div></div>"
+        completed
+        (List.length runs - completed);
+      pf
+        "<div class=\"card tile\"><div class=\"label\">contract \
+         violations</div><div class=\"value\">%d</div></div>"
+        violations;
+      pf "</div>")
+    faults
+
 
 (* Serving latency: kind="serve" documents from `rpb serve` (role=server)
    and `rpb loadgen` (role=loadgen).  Latency summaries are already in
@@ -782,46 +731,39 @@ let serve_latency j =
       num l "p95_ms", num l "p99_ms", num l "max_ms" )
   | None -> (0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-let section_serves buf serves =
+
+let serves_html buf serves =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if serves <> [] then begin
-    pf "<h2>Serving latency</h2>";
-    pf
-      "<p class=\"sub\">From <code>rpb serve</code> / <code>rpb \
-       loadgen</code>: request latency percentiles (nearest-rank over \
-       successful replies) and the robustness counters — sheds, stalls, \
-       cancellations and losses under load.</p>";
-    pf
-      "<div class=\"card\"><table><tr><th>role</th><th \
-       class=\"num\">n</th><th class=\"num\">mean (ms)</th><th \
-       class=\"num\">p50</th><th class=\"num\">p95</th><th \
-       class=\"num\">p99</th><th class=\"num\">max</th><th \
-       class=\"num\">ok</th><th class=\"num\">shed</th><th \
-       class=\"num\">stalled</th><th class=\"num\">cancelled</th><th \
-       class=\"num\">failed</th><th class=\"num\">lost</th></tr>";
-    List.iter
-      (fun j ->
-        let role = serve_role j in
-        let n, mean, p50, p95, p99, mx = serve_latency j in
-        let shed =
-          serve_counter j (if role = "server" then "shed" else "shed_replies")
-        in
-        let badge_class = if serve_counter j "lost" > 0 then "bad" else "ok" in
-        pf
-          "<tr><td class=\"l\"><span class=\"badge %s\">%s</span></td><td \
-           class=\"num\">%d</td><td class=\"num\">%.2f</td><td \
-           class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
-           class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
-           class=\"num\">%d</td><td class=\"num\">%d</td><td \
-           class=\"num\">%d</td><td class=\"num\">%d</td><td \
-           class=\"num\">%d</td><td class=\"num\">%d</td></tr>"
-          badge_class (html_escape role) n mean p50 p95 p99 mx
-          (serve_counter j "ok") shed (serve_counter j "stalled")
-          (serve_counter j "cancelled") (serve_counter j "failed")
-          (serve_counter j "lost"))
-      serves;
-    pf "</table></div>"
-  end
+  pf
+    "<div class=\"card\"><table><tr><th>role</th><th \
+     class=\"num\">n</th><th class=\"num\">mean (ms)</th><th \
+     class=\"num\">p50</th><th class=\"num\">p95</th><th \
+     class=\"num\">p99</th><th class=\"num\">max</th><th \
+     class=\"num\">ok</th><th class=\"num\">shed</th><th \
+     class=\"num\">stalled</th><th class=\"num\">cancelled</th><th \
+     class=\"num\">failed</th><th class=\"num\">lost</th></tr>";
+  List.iter
+    (fun j ->
+      let role = serve_role j in
+      let n, mean, p50, p95, p99, mx = serve_latency j in
+      let shed =
+        serve_counter j (if role = "server" then "shed" else "shed_replies")
+      in
+      let badge_class = if serve_counter j "lost" > 0 then "bad" else "ok" in
+      pf
+        "<tr><td class=\"l\"><span class=\"badge %s\">%s</span></td><td \
+         class=\"num\">%d</td><td class=\"num\">%.2f</td><td \
+         class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
+         class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
+         class=\"num\">%d</td><td class=\"num\">%d</td><td \
+         class=\"num\">%d</td><td class=\"num\">%d</td><td \
+         class=\"num\">%d</td><td class=\"num\">%d</td></tr>"
+        badge_class (html_escape role) n mean p50 p95 p99 mx
+        (serve_counter j "ok") shed (serve_counter j "stalled")
+        (serve_counter j "cancelled") (serve_counter j "failed")
+        (serve_counter j "lost"))
+    serves;
+  pf "</table></div>"
 
 (* Live metrics: kind="metrics" snapshots (the [stats] verb /
    --metrics-json JSONL format).  A snapshot stream becomes three time
@@ -900,86 +842,77 @@ let metrics_series metrics =
     snaps;
   (List.rev !throughput, List.rev !occupancy, List.rev !p95)
 
-let section_metrics buf metrics =
+
+let metrics_html buf metrics =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if metrics <> [] then begin
-    pf "<h2>Live metrics</h2>";
+  pf "<p class=\"sub\">%d snapshot(s).</p>" (List.length metrics);
+  let throughput, occupancy, p95 = metrics_series metrics in
+  let chart title y_label pts =
+    if List.length pts >= 2 then begin
+      pf "<div class=\"card\">";
+      pf
+        "<div class=\"t\" style=\"font-size:13px;color:var(--ink)\">%s</div>\
+         <div class=\"sub\">%s</div>"
+        (html_escape title) (html_escape y_label);
+      let y_max =
+        List.fold_left (fun acc (_, (y, _)) -> Float.max acc y) 0.0 pts
+      in
+      svg_line_chart ~w:300 ~h:170 ~x_label:"snapshot"
+        ~y_max:(Float.max 1e-9 (y_max *. 1.15))
+        ~series:[ (title, pts) ] buf;
+      pf "</div>"
+    end
+  in
+  pf "<div class=\"grid-charts\">";
+  chart "throughput" "successful replies per second" throughput;
+  chart "queue occupancy" "queued + in-flight requests" occupancy;
+  chart "exec p95" "milliseconds" p95;
+  pf "</div>";
+  (* Final-snapshot summary: the counters and histogram totals the CI
+     smoke job asserts against. *)
+  match List.rev (metrics_sorted metrics) with
+  | [] -> ()
+  | last :: _ ->
     pf
-      "<p class=\"sub\">From the serving layer's metrics plane \
-       (<code>rpb serve --metrics-json</code> / the <code>stats</code> \
-       verb): %d snapshot(s).  Throughput is the delta of the \
-       <code>serve.ok</code> counter between consecutive snapshots; \
-       latency percentiles interpolate inside log2(ns) histogram \
-       buckets.</p>"
-      (List.length metrics);
-    let throughput, occupancy, p95 = metrics_series metrics in
-    let chart title y_label pts =
-      if List.length pts >= 2 then begin
-        pf "<div class=\"card\">";
-        pf
-          "<div class=\"t\" style=\"font-size:13px;color:var(--ink)\">%s</div>\
-           <div class=\"sub\">%s</div>"
-          (html_escape title) (html_escape y_label);
-        let y_max =
-          List.fold_left (fun acc (_, (y, _)) -> Float.max acc y) 0.0 pts
-        in
-        svg_line_chart ~w:300 ~h:170 ~x_label:"snapshot"
-          ~y_max:(Float.max 1e-9 (y_max *. 1.15))
-          ~series:[ (title, pts) ] buf;
-        pf "</div>"
-      end
-    in
-    pf "<div class=\"grid-charts\">";
-    chart "throughput" "successful replies per second" throughput;
-    chart "queue occupancy" "queued + in-flight requests" occupancy;
-    chart "exec p95" "milliseconds" p95;
-    pf "</div>";
-    (* Final-snapshot summary: the counters and histogram totals the CI
-       smoke job asserts against. *)
-    match List.rev (metrics_sorted metrics) with
-    | [] -> ()
-    | last :: _ ->
-      pf
-        "<div class=\"card\"><details><summary>final snapshot (seq \
-         %.0f)</summary><table><tr><th>counter</th><th \
-         class=\"num\">value</th></tr>"
-        (m_float last "seq");
-      (match J.member_opt "counters" last with
-      | Some (J.Obj fields) ->
-        List.iter
-          (fun (name, v) ->
-            match v with
-            | J.Int n ->
-              pf
-                "<tr><td class=\"l\"><code>%s</code></td><td \
-                 class=\"num\">%d</td></tr>"
-                (html_escape name) n
-            | _ -> ())
-          fields
-      | _ -> ());
-      pf "</table>";
-      pf
-        "<table><tr><th>histogram</th><th class=\"num\">n</th><th \
-         class=\"num\">p50</th><th class=\"num\">p95</th><th \
-         class=\"num\">p99</th><th class=\"num\">max (ms)</th></tr>";
-      (match J.member_opt "histograms" last with
-      | Some (J.Obj fields) ->
-        List.iter
-          (fun (name, _) ->
-            let f field =
-              Option.value (m_hist_field last name field) ~default:0.
-            in
+      "<div class=\"card\"><details><summary>final snapshot (seq \
+       %.0f)</summary><table><tr><th>counter</th><th \
+       class=\"num\">value</th></tr>"
+      (m_float last "seq");
+    (match J.member_opt "counters" last with
+    | Some (J.Obj fields) ->
+      List.iter
+        (fun (name, v) ->
+          match v with
+          | J.Int n ->
             pf
               "<tr><td class=\"l\"><code>%s</code></td><td \
-               class=\"num\">%.0f</td><td class=\"num\">%.2f</td><td \
-               class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
-               class=\"num\">%.2f</td></tr>"
-              (html_escape name) (f "count") (f "p50_ms") (f "p95_ms")
-              (f "p99_ms") (f "max_ms"))
-          fields
-      | _ -> ());
-      pf "</table></details></div>"
-  end
+               class=\"num\">%d</td></tr>"
+              (html_escape name) n
+          | _ -> ())
+        fields
+    | _ -> ());
+    pf "</table>";
+    pf
+      "<table><tr><th>histogram</th><th class=\"num\">n</th><th \
+       class=\"num\">p50</th><th class=\"num\">p95</th><th \
+       class=\"num\">p99</th><th class=\"num\">max (ms)</th></tr>";
+    (match J.member_opt "histograms" last with
+    | Some (J.Obj fields) ->
+      List.iter
+        (fun (name, _) ->
+          let f field =
+            Option.value (m_hist_field last name field) ~default:0.
+          in
+          pf
+            "<tr><td class=\"l\"><code>%s</code></td><td \
+             class=\"num\">%.0f</td><td class=\"num\">%.2f</td><td \
+             class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
+             class=\"num\">%.2f</td></tr>"
+            (html_escape name) (f "count") (f "p50_ms") (f "p95_ms")
+            (f "p99_ms") (f "max_ms"))
+        fields
+    | _ -> ());
+    pf "</table></details></div>"
 
 (* SLO & error budget: kind="slo" documents from `rpb slo --json`.  Tiles
    for the headline verdict, a per-objective table of the final burn
@@ -1000,120 +933,327 @@ let level_badge = function
   | "warn" -> "<span class=\"badge warn\">warn</span>"
   | s -> Printf.sprintf "<span class=\"badge bad\">%s</span>" (html_escape s)
 
-let section_slos buf slos =
+
+let slos_html buf slos =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if slos <> [] then begin
-    pf "<h2>SLO &amp; error budget</h2>";
-    pf
-      "<p class=\"sub\">From <code>rpb slo</code>: multi-window burn rates \
-       (windowed error rate over the error budget) replayed against the \
-       metrics stream.  Burn 1.0 spends exactly the whole budget if \
-       sustained; the page/warn thresholds fire only when both the fast \
-       and the slow window agree.</p>";
-    List.iter
-      (fun j ->
-        let worst = m_str j "worst" in
-        let violated = get_bool_or "violation" false j in
-        pf "<div class=\"cards\">";
+  List.iter
+    (fun j ->
+      let worst = m_str j "worst" in
+      let violated = get_bool_or "violation" false j in
+      pf "<div class=\"cards\">";
+      pf
+        "<div class=\"card tile\"><div class=\"label\">worst \
+         level</div><div class=\"value\">%s</div><div class=\"hint\">%d \
+         snapshot(s), %d skipped</div></div>"
+        (level_badge worst)
+        (Option.value ~default:0 (get_int_opt "snapshots" j))
+        (Option.value ~default:0 (get_int_opt "skipped" j));
+      pf
+        "<div class=\"card tile\"><div class=\"label\">error \
+         budget</div><div class=\"value\">%s</div><div \
+         class=\"hint\"><code>%s</code></div></div>"
+        (if violated then "<span class=\"badge bad\">violated</span>"
+         else "<span class=\"badge ok\">within budget</span>")
+        (html_escape (m_str j "spec"));
+      pf "</div>";
+      let objectives = slo_objectives j in
+      if objectives <> [] then begin
         pf
-          "<div class=\"card tile\"><div class=\"label\">worst \
-           level</div><div class=\"value\">%s</div><div class=\"hint\">%d \
-           snapshot(s), %d skipped</div></div>"
-          (level_badge worst)
-          (Option.value ~default:0 (get_int_opt "snapshots" j))
-          (Option.value ~default:0 (get_int_opt "skipped" j));
-        pf
-          "<div class=\"card tile\"><div class=\"label\">error \
-           budget</div><div class=\"value\">%s</div><div \
-           class=\"hint\"><code>%s</code></div></div>"
-          (if violated then "<span class=\"badge bad\">violated</span>"
-           else "<span class=\"badge ok\">within budget</span>")
-          (html_escape (m_str j "spec"));
-        pf "</div>";
-        let objectives = slo_objectives j in
-        if objectives <> [] then begin
-          pf
-            "<div class=\"card\"><table><tr><th>objective</th><th \
-             class=\"num\">budget</th><th>level</th><th \
-             class=\"num\">fast burn</th><th class=\"num\">slow \
-             burn</th><th class=\"num\">budget left</th></tr>";
-          List.iter
-            (fun o ->
-              let final = J.member_opt "final" o in
-              let fnum name =
-                match final with
-                | Some f -> m_float f name
-                | None -> 0.
+          "<div class=\"card\"><table><tr><th>objective</th><th \
+           class=\"num\">budget</th><th>level</th><th \
+           class=\"num\">fast burn</th><th class=\"num\">slow \
+           burn</th><th class=\"num\">budget left</th></tr>";
+        List.iter
+          (fun o ->
+            let final = J.member_opt "final" o in
+            let fnum name =
+              match final with
+              | Some f -> m_float f name
+              | None -> 0.
+            in
+            pf
+              "<tr><td class=\"l\"><code>%s</code></td><td \
+               class=\"num\">%.3f</td><td class=\"l\">%s</td><td \
+               class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
+               class=\"num\">%.0f%%</td></tr>"
+              (html_escape (m_str o "name"))
+              (m_float o "budget")
+              (level_badge
+                 (match final with Some f -> m_str f "level" | None -> "?"))
+              (fnum "fast_burn") (fnum "slow_burn")
+              (100. *. fnum "budget_remaining"))
+          objectives;
+        pf "</table></div>"
+      end;
+      (* Fast-burn time series, one line per objective (first three). *)
+      let series = slo_series j in
+      let names =
+        List.filteri (fun i _ -> i < 3)
+          (List.map (fun o -> m_str o "name") objectives)
+      in
+      if List.length series >= 2 && names <> [] then begin
+        let burn_series =
+          List.mapi
+            (fun oi name ->
+              let pts =
+                List.mapi
+                  (fun x entry ->
+                    let v =
+                      match J.member_opt "fast" entry with
+                      | Some (J.List l) -> (
+                        match List.nth_opt l oi with
+                        | Some (J.Float f) -> f
+                        | Some (J.Int n) -> float_of_int n
+                        | _ -> 0.)
+                      | _ -> 0.
+                    in
+                    ( x,
+                      ( v,
+                        Printf.sprintf "snapshot %d: fast burn %.2f" x v )
+                    ))
+                  series
               in
-              pf
-                "<tr><td class=\"l\"><code>%s</code></td><td \
-                 class=\"num\">%.3f</td><td class=\"l\">%s</td><td \
-                 class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
-                 class=\"num\">%.0f%%</td></tr>"
-                (html_escape (m_str o "name"))
-                (m_float o "budget")
-                (level_badge
-                   (match final with Some f -> m_str f "level" | None -> "?"))
-                (fnum "fast_burn") (fnum "slow_burn")
-                (100. *. fnum "budget_remaining"))
-            objectives;
-          pf "</table></div>"
-        end;
-        (* Fast-burn time series, one line per objective (first three). *)
-        let series = slo_series j in
-        let names =
-          List.filteri (fun i _ -> i < 3)
-            (List.map (fun o -> m_str o "name") objectives)
+              (name, pts))
+            names
         in
-        if List.length series >= 2 && names <> [] then begin
-          let burn_series =
-            List.mapi
-              (fun oi name ->
-                let pts =
-                  List.mapi
-                    (fun x entry ->
-                      let v =
-                        match J.member_opt "fast" entry with
-                        | Some (J.List l) -> (
-                          match List.nth_opt l oi with
-                          | Some (J.Float f) -> f
-                          | Some (J.Int n) -> float_of_int n
-                          | _ -> 0.)
-                        | _ -> 0.
-                      in
-                      ( x,
-                        ( v,
-                          Printf.sprintf "snapshot %d: fast burn %.2f" x v )
-                      ))
-                    series
-                in
-                (name, pts))
-              names
-          in
-          let y_max =
-            List.fold_left
-              (fun acc (_, pts) ->
-                List.fold_left (fun a (_, (v, _)) -> Float.max a v) acc pts)
-              1.0 burn_series
-          in
-          pf "<div class=\"card\">";
-          pf
-            "<div class=\"t\" style=\"font-size:13px;color:var(--ink)\">fast \
-             burn rate</div><div class=\"sub\">per replayed snapshot</div>";
-          svg_line_chart ~w:620 ~h:190 ~x_label:"snapshot"
-            ~y_max:(y_max *. 1.15) ~series:burn_series buf;
-          pf "<div class=\"legend\">";
-          List.iteri
-            (fun i name ->
-              pf "<span class=\"key\" style=\"background:%s\"></span>%s"
-                (series_var i) (html_escape name))
-            names;
-          pf "</div></div>"
-        end)
-      slos
-  end
+        let y_max =
+          List.fold_left
+            (fun acc (_, pts) ->
+              List.fold_left (fun a (_, (v, _)) -> Float.max a v) acc pts)
+            1.0 burn_series
+        in
+        pf "<div class=\"card\">";
+        pf
+          "<div class=\"t\" style=\"font-size:13px;color:var(--ink)\">fast \
+           burn rate</div><div class=\"sub\">per replayed snapshot</div>";
+        svg_line_chart ~w:620 ~h:190 ~x_label:"snapshot"
+          ~y_max:(y_max *. 1.15) ~series:burn_series buf;
+        pf "<div class=\"legend\">";
+        List.iteri
+          (fun i name ->
+            pf "<span class=\"key\" style=\"background:%s\"></span>%s"
+              (series_var i) (html_escape name))
+          names;
+        pf "</div></div>"
+      end)
+    slos
+
+
+let serves_md buf serves =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pf
+    "| role | n | mean (ms) | p50 | p95 | p99 | max | ok | shed | stalled \
+     | cancelled | failed | lost |\n";
+  pf "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n";
+  List.iter
+    (fun j ->
+      let role = serve_role j in
+      let n, mean, p50, p95, p99, mx = serve_latency j in
+      let shed =
+        serve_counter j (if role = "server" then "shed" else "shed_replies")
+      in
+      pf "| %s | %d | %.2f | %.2f | %.2f | %.2f | %.2f | %d | %d | %d | \
+          %d | %d | %d |\n"
+        role n mean p50 p95 p99 mx (serve_counter j "ok") shed
+        (serve_counter j "stalled")
+        (serve_counter j "cancelled")
+        (serve_counter j "failed") (serve_counter j "lost"))
+    serves
+
+let metrics_md buf metrics =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let sorted = metrics_sorted metrics in
+  let last = List.hd (List.rev sorted) in
+  pf
+    "%d snapshot(s), final seq %.0f, uptime %.1fs: ok=%d shed=%d \
+     rejected=%d stalled=%d cancelled=%d failed=%d slow_logged=%d"
+    (List.length sorted) (m_float last "seq") (m_float last "uptime_s")
+    (m_counter last "serve.ok") (m_counter last "serve.shed")
+    (m_counter last "serve.rejected")
+    (m_counter last "serve.stalled")
+    (m_counter last "serve.cancelled")
+    (m_counter last "serve.failed")
+    (m_counter last "serve.slow_logged");
+  (match
+     ( m_hist_field last "serve.exec_ms" "p50_ms",
+       m_hist_field last "serve.exec_ms" "p95_ms",
+       m_hist_field last "serve.exec_ms" "p99_ms" )
+   with
+  | Some p50, Some p95, Some p99 ->
+    pf "; exec p50/p95/p99 = %.2f/%.2f/%.2f ms" p50 p95 p99
+  | _ -> ());
+  pf "\n"
+
+let slos_md buf slos =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  List.iter
+    (fun j ->
+      pf
+        "`%s`: worst level **%s**, budget **%s** (%d snapshot(s))\n\n"
+        (m_str j "spec") (m_str j "worst")
+        (if get_bool_or "violation" false j then "VIOLATED"
+         else "within budget")
+        (Option.value ~default:0 (get_int_opt "snapshots" j));
+      let objectives = slo_objectives j in
+      if objectives <> [] then begin
+        pf
+          "| objective | budget | level | fast burn | slow burn | budget \
+           left |\n";
+        pf "|---|---|---|---|---|---|\n";
+        List.iter
+          (fun o ->
+            let final = J.member_opt "final" o in
+            let fnum name =
+              match final with Some f -> m_float f name | None -> 0.
+            in
+            pf "| %s | %.3f | %s | %.2f | %.2f | %.0f%% |\n"
+              (m_str o "name") (m_float o "budget")
+              (match final with Some f -> m_str f "level" | None -> "?")
+              (fnum "fast_burn") (fnum "slow_burn")
+              (100. *. fnum "budget_remaining"))
+          objectives;
+        pf "\n"
+      end)
+    slos
+
+let profiles_md buf (profiles : Profile.report list) =
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pf
+    "| bench | mode | threads | work (ms) | span (ms) | parallelism | \
+     burdened | verified |\n";
+  pf "|---|---|---|---|---|---|---|---|\n";
+  List.iter
+    (fun (r : Profile.report) ->
+      let m = r.Profile.metrics in
+      pf "| %s/%s | %s | %d | %s | %s | %.2f | %.2f | %s |\n"
+        r.Profile.bench r.Profile.input r.Profile.mode r.Profile.threads
+        (ms (float_of_int m.Sp_dag.work_ns))
+        (ms (float_of_int m.Sp_dag.span_ns))
+        m.Sp_dag.parallelism m.Sp_dag.burdened_parallelism
+        (if r.Profile.verified then "yes" else "NO"))
+    profiles
+
+let verdicts_md buf docs =
+  List.iter
+    (fun j ->
+      Printf.bprintf buf "verdict: **%s**\n\n"
+        (if get_bool_or "ok" false j then "OK" else "FAIL"))
+    docs
 
 (* ------------------------------------------------------------------ *)
+(* The dashboard: one table of sections, walked by both renderers.     *)
+
+type section = {
+  title : string;
+  blurb : string;  (** HTML paragraph under the heading *)
+  absent : string option;
+      (** HTML card when the section has nothing to show; [None] omits the
+          section entirely *)
+  shown : artifacts -> bool;
+  html : Buffer.t -> artifacts -> unit;
+  md : Buffer.t -> artifacts -> unit;
+}
+
+let sections =
+  let perf_absent =
+    Some
+      "No bench/perf document given — <code>sh bench/perf/run.sh WORKLOAD \
+       --json FILE</code> writes one."
+  in
+  [
+    {
+      title = "Table 1 / Fig. 4: T1 and TP against sequential";
+      blurb =
+        "From bench/perf: per benchmark, the medians of the sequential \
+         baseline, of the parallel code on one worker (T<sub>1</sub>) and on \
+         P workers (T<sub>P</sub>), unsafe switch.  T<sub>1</sub>/T<sub>seq</sub> \
+         is the strict zero-cost test (1.00 = free); the hairline marks 1.";
+      absent = perf_absent;
+      shown = (fun a -> a.perfs <> []);
+      html = table1_html;
+      md = table1_md;
+    };
+    {
+      title = "Fig. 5(a)/(b): checked and sync against unsafe";
+      blurb =
+        "From bench/perf: run time of the checked (Fig.&nbsp;5(a)) and \
+         synchronized (Fig.&nbsp;5(b)) modes relative to the unsafe switch on \
+         P workers (1.00 = the safety was free).  The hairline marks 1.";
+      absent = perf_absent;
+      shown = (fun a -> a.perfs <> []);
+      html = fig5_html;
+      md = fig5_md;
+    };
+    {
+      title = "Serving latency";
+      blurb =
+        "From <code>rpb serve</code> / <code>rpb loadgen</code>: request \
+         latency percentiles (nearest-rank over successful replies) and the \
+         robustness counters — sheds, stalls, cancellations and losses under \
+         load.";
+      absent = None;
+      shown = (fun a -> a.serves <> []);
+      html = (fun buf a -> serves_html buf a.serves);
+      md = (fun buf a -> serves_md buf a.serves);
+    };
+    {
+      title = "Live metrics";
+      blurb =
+        "From the serving layer's metrics plane (<code>rpb serve \
+         --metrics-json</code> / the <code>stats</code> verb).  Throughput is \
+         the delta of the <code>serve.ok</code> counter between consecutive \
+         snapshots; latency percentiles interpolate inside log2(ns) histogram \
+         buckets.";
+      absent = None;
+      shown = (fun a -> a.metrics <> []);
+      html = (fun buf a -> metrics_html buf a.metrics);
+      md = (fun buf a -> metrics_md buf a.metrics);
+    };
+    {
+      title = "SLO & error budget";
+      blurb =
+        "From <code>rpb slo</code>: multi-window burn rates (windowed error \
+         rate over the error budget) replayed against the metrics stream.  \
+         Burn 1.0 spends exactly the whole budget if sustained; the page/warn \
+         thresholds fire only when both the fast and the slow window agree.";
+      absent = None;
+      shown = (fun a -> a.slos <> []);
+      html = (fun buf a -> slos_html buf a.slos);
+      md = (fun buf a -> slos_md buf a.slos);
+    };
+    {
+      title = "Work / span";
+      blurb =
+        "Per-benchmark DAG metrics from the flight recorder (<code>rpb \
+         profile</code>): work T<sub>1</sub>, span T<sub>∞</sub>, parallelism \
+         and the burdened parallelism left after measured steal delays.";
+      absent = Some "No PROFILE_*.json artifacts given.";
+      shown = (fun a -> a.profiles <> []);
+      html = (fun buf a -> profiles_html buf a.profiles);
+      md = (fun buf a -> profiles_md buf a.profiles);
+    };
+    {
+      title = "Correctness: differential oracle";
+      blurb =
+        "CHECK_*.json: every benchmark under the deterministic sequential \
+         executor, its shuffled variant and the work-stealing pool, digests \
+         diffed element-wise; plus the shadow-array race-detector self-check.";
+      absent = Some "No CHECK_*.json artifacts given.";
+      shown = (fun a -> a.checks <> []);
+      html = (fun buf a -> checks_html buf a.checks);
+      md = (fun buf a -> verdicts_md buf a.checks);
+    };
+    {
+      title = "Robustness: fault-injection sweep";
+      blurb =
+        "FAULT_*.json: seeded scheduler fault schedules; every run must \
+         complete with the clean digest or fail cleanly before its deadline.";
+      absent = Some "No FAULT_*.json artifacts given.";
+      shown = (fun a -> a.faults <> []);
+      html = (fun buf a -> faults_html buf a.faults);
+      md = (fun buf a -> verdicts_md buf a.faults);
+    };
+  ]
 
 let to_html a =
   let buf = Buffer.create (1 lsl 16) in
@@ -1122,14 +1262,8 @@ let to_html a =
     {|<!DOCTYPE html><html lang="en"><head><meta charset="utf-8"><meta name="viewport" content="width=device-width, initial-scale=1"><title>rpb report</title><style>%s</style></head><body class="viz-root"><main>|}
     css;
   pf "<h1>rpb report</h1>";
-  pf
-    "<p class=\"sub\">Unified dashboard over %d artifact file(s): %d \
-     benchmark record(s), %d profile(s), %d check report(s), %d fault \
-     report(s), %d serve report(s), %d metrics snapshot(s), %d SLO \
-     replay(s).</p>"
-    (List.length a.sources) (List.length a.bench) (List.length a.profiles)
-    (List.length a.checks) (List.length a.faults)
-    (List.length a.serves) (List.length a.metrics) (List.length a.slos);
+  pf "<p class=\"sub\">Unified dashboard over %d artifact file(s): %s.</p>"
+    (List.length a.sources) (html_escape (summary a));
   if a.errors <> [] then begin
     pf "<div class=\"card\">";
     List.iter
@@ -1141,14 +1275,17 @@ let to_html a =
       a.errors;
     pf "</div>"
   end;
-  section_serves buf a.serves;
-  section_metrics buf a.metrics;
-  section_slos buf a.slos;
-  section_speedup buf a.bench;
-  section_overhead buf a.bench;
-  section_profiles buf a.profiles;
-  section_checks buf a.checks;
-  section_faults buf a.faults;
+  List.iter
+    (fun s ->
+      let shown = s.shown a in
+      if shown || s.absent <> None then begin
+        pf "<h2>%s</h2><p class=\"sub\">%s</p>" (html_escape s.title) s.blurb;
+        match s.absent with
+        | Some msg when not shown ->
+          pf "<div class=\"card\"><p class=\"sub\">%s</p></div>" msg
+        | _ -> s.html buf a
+      end)
+    sections;
   pf "<footer>sources:<br>";
   List.iter
     (fun s ->
@@ -1160,151 +1297,16 @@ let to_html a =
 
 let to_markdown a =
   let buf = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "# rpb report\n\n";
-  pf
-    "%d artifact file(s): %d benchmark record(s), %d profile(s), %d check \
-     report(s), %d fault report(s), %d serve report(s), %d metrics \
-     snapshot(s), %d SLO replay(s).\n\n"
-    (List.length a.sources) (List.length a.bench) (List.length a.profiles)
-    (List.length a.checks) (List.length a.faults)
-    (List.length a.serves) (List.length a.metrics) (List.length a.slos);
-  if a.serves <> [] then begin
-    pf "## Serving latency\n\n";
-    pf
-      "| role | n | mean (ms) | p50 | p95 | p99 | max | ok | shed | stalled \
-       | cancelled | failed | lost |\n";
-    pf "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n";
-    List.iter
-      (fun j ->
-        let role = serve_role j in
-        let n, mean, p50, p95, p99, mx = serve_latency j in
-        let shed =
-          serve_counter j (if role = "server" then "shed" else "shed_replies")
-        in
-        pf "| %s | %d | %.2f | %.2f | %.2f | %.2f | %.2f | %d | %d | %d | \
-            %d | %d | %d |\n"
-          role n mean p50 p95 p99 mx (serve_counter j "ok") shed
-          (serve_counter j "stalled")
-          (serve_counter j "cancelled")
-          (serve_counter j "failed") (serve_counter j "lost"))
-      a.serves;
-    pf "\n"
-  end;
-  if a.metrics <> [] then begin
-    let sorted = metrics_sorted a.metrics in
-    let last = List.hd (List.rev sorted) in
-    pf "## Live metrics\n\n";
-    pf
-      "%d snapshot(s), final seq %.0f, uptime %.1fs: ok=%d shed=%d \
-       rejected=%d stalled=%d cancelled=%d failed=%d slow_logged=%d"
-      (List.length sorted) (m_float last "seq") (m_float last "uptime_s")
-      (m_counter last "serve.ok") (m_counter last "serve.shed")
-      (m_counter last "serve.rejected")
-      (m_counter last "serve.stalled")
-      (m_counter last "serve.cancelled")
-      (m_counter last "serve.failed")
-      (m_counter last "serve.slow_logged");
-    (match
-       ( m_hist_field last "serve.exec_ms" "p50_ms",
-         m_hist_field last "serve.exec_ms" "p95_ms",
-         m_hist_field last "serve.exec_ms" "p99_ms" )
-     with
-    | Some p50, Some p95, Some p99 ->
-      pf "; exec p50/p95/p99 = %.2f/%.2f/%.2f ms" p50 p95 p99
-    | _ -> ());
-    pf "\n\n"
-  end;
-  if a.slos <> [] then begin
-    pf "## SLO & error budget\n\n";
-    List.iter
-      (fun j ->
-        pf
-          "`%s`: worst level **%s**, budget **%s** (%d snapshot(s))\n\n"
-          (m_str j "spec") (m_str j "worst")
-          (if get_bool_or "violation" false j then "VIOLATED"
-           else "within budget")
-          (Option.value ~default:0 (get_int_opt "snapshots" j));
-        let objectives = slo_objectives j in
-        if objectives <> [] then begin
-          pf
-            "| objective | budget | level | fast burn | slow burn | budget \
-             left |\n";
-          pf "|---|---|---|---|---|---|\n";
-          List.iter
-            (fun o ->
-              let final = J.member_opt "final" o in
-              let fnum name =
-                match final with Some f -> m_float f name | None -> 0.
-              in
-              pf "| %s | %.3f | %s | %.2f | %.2f | %.0f%% |\n"
-                (m_str o "name") (m_float o "budget")
-                (match final with Some f -> m_str f "level" | None -> "?")
-                (fnum "fast_burn") (fnum "slow_burn")
-                (100. *. fnum "budget_remaining"))
-            objectives;
-          pf "\n"
-        end)
-      a.slos
-  end;
-  let curves = speedup_curves a.bench in
-  if curves <> [] then begin
-    pf "## Speedup curves\n\n";
-    pf "| configuration | baseline |";
-    List.iter (fun (t, _, _) -> pf " %dt |" t) (List.hd curves).points;
-    pf "\n|---|---|%s\n"
-      (String.concat ""
-         (List.map (fun _ -> "---|") (List.hd curves).points));
-    List.iter
-      (fun c ->
-        pf "| %s/%s %s s=%d | %s %sms |" c.curve_bench c.curve_input
-          c.curve_mode c.curve_scale c.base_label (ms c.base_ns);
-        List.iter (fun (_, _, sp) -> pf " %.2fx |" sp) c.points;
-        pf "\n")
-      curves;
-    pf "\n"
-  end;
-  let os = overheads a.bench in
-  if os <> [] then begin
-    pf "## Fear-spectrum overhead\n\n";
-    pf "| configuration | vs | unsafe (ms) | mode (ms) | ratio |\n";
-    pf "|---|---|---|---|---|\n";
-    List.iter
-      (fun o ->
-        pf "| %s/%s t=%d s=%d | %s | %s | %s | %.2fx |\n" o.o_bench
-          o.o_input o.o_threads o.o_scale o.o_vs (ms o.o_unsafe_ns)
-          (ms o.o_other_ns) o.o_ratio)
-      os;
-    pf "\n"
-  end;
-  if a.profiles <> [] then begin
-    pf "## Work / span\n\n";
-    pf
-      "| bench | mode | threads | work (ms) | span (ms) | parallelism | \
-       burdened | verified |\n";
-    pf "|---|---|---|---|---|---|---|---|\n";
-    List.iter
-      (fun (r : Profile.report) ->
-        let m = r.Profile.metrics in
-        pf "| %s/%s | %s | %d | %s | %s | %.2f | %.2f | %s |\n"
-          r.Profile.bench r.Profile.input r.Profile.mode r.Profile.threads
-          (ms (float_of_int m.Sp_dag.work_ns))
-          (ms (float_of_int m.Sp_dag.span_ns))
-          m.Sp_dag.parallelism m.Sp_dag.burdened_parallelism
-          (if r.Profile.verified then "yes" else "NO"))
-      a.profiles;
-    pf "\n"
-  end;
+  Printf.bprintf buf "# rpb report\n\n%d artifact file(s): %s.\n\n"
+    (List.length a.sources) (summary a);
   List.iter
-    (fun j ->
-      pf "## Differential oracle\n\nverdict: **%s**\n\n"
-        (if get_bool_or "ok" false j then "OK" else "FAIL"))
-    a.checks;
-  List.iter
-    (fun j ->
-      pf "## Fault sweep\n\nverdict: **%s**\n\n"
-        (if get_bool_or "ok" false j then "OK" else "FAIL"))
-    a.faults;
+    (fun s ->
+      if s.shown a then begin
+        Printf.bprintf buf "## %s\n\n" s.title;
+        s.md buf a;
+        Buffer.add_char buf '\n'
+      end)
+    sections;
   Buffer.contents buf
 
 let write_html ~path a =

@@ -1,25 +1,58 @@
 (** The unified [rpb report] dashboard.
 
-    Merges every machine-readable artifact the harness emits — [BENCH_*.json]
-    benchmark documents (schema v1..v3), [PROFILE_*.json] work/span reports,
+    Merges every machine-readable artifact the harness emits — bench/perf
+    documents ([kind="perf"], one per workload, or a [BENCH_pr*.json]
+    trajectory of them one per line), [PROFILE_*.json] work/span reports,
     [CHECK_*.json] differential-oracle reports, [FAULT_*.json] fault sweeps
     and the serve, metrics and slo documents — into one self-contained HTML
     page (inline CSS and SVG, light/dark from one set of custom properties)
     or a markdown digest suitable for a CI job summary.
 
-    The HTML carries Fig. 4-style speedup curves (measured, plus the
-    burdened-DAG prediction from profiles), the Fig. 5-style fear-spectrum
-    overhead table (checked/unsafe and sync/unsafe ratios), per-benchmark
+    The paper's tables come from the bench/perf documents: Table 1 / Fig. 4
+    (the seq, T{_1} and T{_P} medians and the T{_1}/T{_seq} and
+    T{_P}/T{_seq} ratios per benchmark) and Fig. 5(a)/(b) (checked/unsafe
+    and sync/unsafe).  The other sections carry per-benchmark
     work/span/parallelism from {!Sp_dag}, correctness and fault verdict
     tiles, serving latency, live metrics and SLO error budgets. *)
 
 type source = { path : string; kind : string }
 (** One input file and the document kind it classified as:
-    ["bench" | "profile" | "check" | "fault" | "serve" | "metrics" |
-    "slo"], or ["jsonl"] for a multi-line stream. *)
+    ["perf" | "profile" | "check" | "fault" | "serve" | "metrics" | "slo"],
+    or ["jsonl"] for a multi-line stream. *)
+
+type perf_bench = {
+  name : string;
+  scale : int;
+  seq_ms : float;  (** median sequential baseline *)
+  t1_ms : float;  (** median parallel code on one worker, unsafe switch *)
+  tp_ms : float;  (** median on P workers, unsafe switch *)
+  checked_ms : float;
+  sync_ms : float;
+  t1_over_seq : float;
+  tp_over_seq : float;
+  checked_over_unsafe : float;
+  sync_over_unsafe : float;
+      (** the document's ratios (medians of per-round ratios), as written *)
+}
+(** One row of a bench/perf document's [benchmarks] section. *)
+
+type perf = {
+  workload : string;
+  p : int;
+  ocaml : string;
+  git_sha : string;
+  host_ok : bool;
+      (** [false]: the P domains did not run in parallel on the measuring
+          host, so T{_P} is not comparable and is flagged as such *)
+  seed : int;
+  correct : bool;
+  benches : perf_bench list;
+}
+(** A [kind="perf"] document of bench/perf: the paper's per-benchmark
+    ratios for one workload. *)
 
 type artifacts = {
-  bench : Rpb_benchmarks.Bench_json.record list;
+  perfs : perf list;
   profiles : Profile.report list;
   checks : Rpb_benchmarks.Bench_json.json list;
   faults : Rpb_benchmarks.Bench_json.json list;
@@ -50,46 +83,17 @@ val add_file : artifacts -> string -> artifacts
 (** Parse and classify one file.  A file that fails whole-document parsing
     is retried as JSONL — one document per line, each classified on its
     own, which is how [--metrics-json] streams (snapshots interleaved with
-    slow-request profiles) load.  I/O and parse failures, and documents of
-    a kind the report cannot read (bench/perf's ["perf"], for one), land in
+    slow-request profiles) and [BENCH_pr*.json] perf trajectories load.
+    I/O and parse failures, and documents of a kind the report cannot read
+    (the plain benchmark records of [rpb stats --json], for one), land in
     {!artifacts.errors} instead of raising, so one bad artifact never sinks
     the report. *)
 
 val load_files : string list -> artifacts
 (** {!add_file} over the list, preserving order. *)
 
-(** {1 Derived views} (exposed for tests) *)
-
-type curve = {
-  curve_bench : string;
-  curve_input : string;
-  curve_mode : string;
-  curve_scale : int;
-  base_ns : float;
-  base_label : string;  (** ["seq"] or ["1t"] — what the speedup is against *)
-  points : (int * float * float) list;
-      (** (threads, time ns, speedup), ascending threads *)
-}
-
-val speedup_curves : Rpb_benchmarks.Bench_json.record list -> curve list
-(** Every non-smoke (bench, input, mode, scale) group measured at two or
-    more thread counts, against the matching sequential record when one
-    exists.  Duplicate thread counts: last record wins. *)
-
-type overhead = {
-  o_bench : string;
-  o_input : string;
-  o_threads : int;
-  o_scale : int;
-  o_vs : string;  (** ["checked"] or ["sync"] *)
-  o_unsafe_ns : float;
-  o_other_ns : float;
-  o_ratio : float;  (** other / unsafe; 1.0 = the safety was free *)
-}
-
-val overheads : Rpb_benchmarks.Bench_json.record list -> overhead list
-(** Fear-spectrum ratios for every configuration measured both under
-    ["unsafe"] and under ["checked"]/["sync"]. *)
+val summary : artifacts -> string
+(** One line counting the documents of each kind. *)
 
 (** {1 Rendering} *)
 
@@ -97,7 +101,7 @@ val to_html : artifacts -> string
 (** The full self-contained dashboard. *)
 
 val to_markdown : artifacts -> string
-(** The digest: summary line plus speedup / overhead / work-span / verdict
-    tables. *)
+(** The digest: the summary line, then every non-empty section of the
+    dashboard as markdown tables. *)
 
 val write_html : path:string -> artifacts -> unit

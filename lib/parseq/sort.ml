@@ -43,7 +43,10 @@ let merge_sort pool ~cmp a =
 
 (* ---------- sample sort ---------- *)
 
-let sample_sort_with ~oversample pool ~cmp a =
+(* Samples per bucket when picking pivots. *)
+let oversample = 8
+
+let sample_sort pool ~cmp a =
   Pool.Recorder.span pool "sort.sample" @@ fun () ->
   let n = Array.length a in
   if n <= seq_cutoff then begin
@@ -52,7 +55,6 @@ let sample_sort_with ~oversample pool ~cmp a =
     out
   end
   else begin
-    assert (oversample >= 1);
     let nbuckets =
       min 256 (max 2 (int_of_float (sqrt (float_of_int n)) / 16))
     in
@@ -95,8 +97,6 @@ let sample_sort_with ~oversample pool ~cmp a =
       pool;
     out
   end
-
-let sample_sort pool ~cmp a = sample_sort_with ~oversample:8 pool ~cmp a
 
 let is_sorted pool ~cmp a =
   let n = Array.length a in

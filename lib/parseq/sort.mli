@@ -20,9 +20,4 @@ val merge_sort_inplace : Pool.t -> cmp:('a -> 'a -> int) -> 'a array -> unit
 val sample_sort : Pool.t -> cmp:('a -> 'a -> int) -> 'a array -> 'a array
 (** Out-of-place stable sample sort; the input is not modified. *)
 
-val sample_sort_with :
-  oversample:int -> Pool.t -> cmp:('a -> 'a -> int) -> 'a array -> 'a array
-(** [sample_sort] with an explicit oversampling factor (ablation hook;
-    default 8). *)
-
 val is_sorted : Pool.t -> cmp:('a -> 'a -> int) -> 'a array -> bool

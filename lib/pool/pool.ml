@@ -1,7 +1,6 @@
 type task = unit -> unit
 
 type 'a state = Pending | Done of 'a | Raised of exn
-type 'a promise = 'a state Atomic.t
 
 exception Shutdown
 exception Cancelled
@@ -11,15 +10,15 @@ exception Stalled of string
 (* Structured cancellation.
 
    Every [run] owns one scope.  Tasks spawned during the run carry a
-   reference to it; the first exception escaping a *structured* task (a
-   [join] branch, and with it every [parallel_for]/[parallel_for_reduce]
-   subtree) records itself in [first_exn] and flips [cancel_flag], after
-   which splitters stop descending, not-yet-started tasks of the scope are
-   skipped, and [run] re-raises the recorded exception — but only once
-   [outstanding] has drained to zero, so no task of a failed run is still
-   touching caller state when [run] returns.  The happy-path cost is one
-   atomic load per scheduling decision (split / join / task start), the same
-   budget as the [Recorder] switch. *)
+   reference to it; the first exception escaping a task (a [join] branch,
+   and with it every [parallel_for]/[parallel_for_reduce] subtree) records
+   itself in [first_exn] and flips [cancel_flag], after which splitters stop
+   descending, not-yet-started tasks of the scope are skipped, and [run]
+   re-raises the recorded exception — but only once [outstanding] has
+   drained to zero, so no task of a failed run is still touching caller
+   state when [run] returns.  The happy-path cost is one atomic load per
+   scheduling decision (split / join / task start), the same budget as the
+   [Recorder] switch. *)
 
 type scope = {
   cancel_flag : bool Atomic.t;
@@ -89,7 +88,7 @@ let spin_budget = 64
 (* A helping [await]'s sleep when it finds no work to steal. *)
 let idle_sleep_s = 5e-5
 
-(* Off-pool waiters poll at [backoff_min_s], doubling up to [backoff_max_s]. *)
+(* A draining scope polls at [backoff_min_s], doubling up to [backoff_max_s]. *)
 let backoff_min_s = 1e-6
 let backoff_max_s = 1e-3
 
@@ -114,8 +113,6 @@ type t = {
   sched : sched;
   deques : task Ws_deque.t array;
   mutable domains : unit Domain.t array;
-  injector : task Queue.t;
-  inj_mutex : Mutex.t;
   idle_mutex : Mutex.t;
   idle_cond : Condition.t;
   wake_version : int Atomic.t;
@@ -855,24 +852,9 @@ let push_local pool idx task =
   if depth > c.(c_max_depth) then c.(c_max_depth) <- depth;
   signal_work pool
 
-let push_external pool task =
-  Mutex.lock pool.inj_mutex;
-  Queue.push task pool.injector;
-  Mutex.unlock pool.inj_mutex;
-  signal_work pool
-
-let take_injected pool =
-  if Queue.is_empty pool.injector then None
-  else begin
-    Mutex.lock pool.inj_mutex;
-    let t = Queue.take_opt pool.injector in
-    Mutex.unlock pool.inj_mutex;
-    t
-  end
-
 (* One attempt to find work: own deque first (depth-first order), then one
    sweep over the victims starting at a uniform-random worker, stealing one
-   task per successful visit, then the injector. *)
+   task per successful visit. *)
 let try_find_task pool my_idx rng =
   match Ws_deque.pop pool.deques.(my_idx) with
   | Some _ as t -> t
@@ -898,9 +880,7 @@ let try_find_task pool my_idx rng =
             sweep (k + 1)
       end
     in
-    (match sweep 0 with
-     | Some _ as t -> t
-     | None -> take_injected pool)
+    sweep 0
 
 let execute pool idx task =
   let c = pool.counters.(idx) in
@@ -976,8 +956,6 @@ let make_pool ~num_workers ~sched =
       sched;
       deques = Array.init num_workers (fun _ -> Ws_deque.create ());
       domains = [||];
-      injector = Queue.create ();
-      inj_mutex = Mutex.create ();
       idle_mutex = Mutex.create ();
       idle_cond = Condition.create ();
       wake_version = Atomic.make 0;
@@ -1016,17 +994,9 @@ let deterministic pool =
    [shutdown_flag] set the wrapper fails the promise with [Shutdown] (and with
    a cancelled scope, with [Cancelled]) without touching user code.  Called
    after the worker domains have been joined, so the queues are no longer
-   being consumed concurrently — but [Ws_deque.steal] and the injector mutex
-   make the sweep safe even against a racing producer. *)
+   being consumed concurrently — but [Ws_deque.steal] makes the sweep safe
+   even against a racing producer. *)
 let fail_pending pool =
-  let rec drain_injector () =
-    match take_injected pool with
-    | Some task ->
-      task ();
-      drain_injector ()
-    | None -> ()
-  in
-  drain_injector ();
   Array.iter
     (fun dq ->
       let rec go () =
@@ -1053,13 +1023,10 @@ let shutdown pool =
 
 let check_alive pool = if Atomic.get pool.shutdown_flag then raise Shutdown
 
-(* The task wrapper.  Structured tasks ([join] branches, and through them
-   every [parallel_for] subtree) publish their exception to the scope before
-   resolving the promise; unstructured tasks (public [async]) keep the
-   exception private to the promise, because callers like [Speculate] and
-   [Future] legitimately await-and-handle failures without wanting to tear
-   down the whole run. *)
-let make_task pool ~structured scope f p () =
+(* The task wrapper.  A task is a [join] branch (and through [join] every
+   [parallel_for] subtree): it publishes its exception to the scope before
+   resolving the promise. *)
+let make_task pool scope f p () =
   (if Atomic.get pool.shutdown_flag then Atomic.set p (Raised Shutdown)
    else if Atomic.get scope.cancel_flag then
      (* The scope failed before this task started: abandon it. *)
@@ -1079,103 +1046,53 @@ let make_task pool ~structured scope f p () =
       | exception e ->
         decr d;
         let bt = Printexc.get_raw_backtrace () in
-        if structured then scope_cancel scope e bt;
+        scope_cancel scope e bt;
         Atomic.set p (Raised e))
    end);
   Atomic.decr scope.outstanding
 
-let spawn_task pool ~structured scope f =
+let spawn_task pool idx scope f =
   let p = Atomic.make Pending in
   Atomic.incr scope.outstanding;
-  let t = make_task pool ~structured scope f p in
-  (match my_index pool with
-   | Some idx -> push_local pool idx t
-   | None ->
-     if pool.num_workers = 1 then
-       (* No workers to pick the task up: run it eagerly. *)
-       t ()
-     else push_external pool t);
+  push_local pool idx (make_task pool scope f p);
   p
 
-let async pool f =
-  check_alive pool;
-  let p = spawn_task pool ~structured:false (Atomic.get pool.scope) f in
-  (* Close the race with a concurrent [shutdown]: if the flag flipped after
-     [check_alive], [shutdown]'s own drain may already have swept past our
-     freshly pushed task — resolve whatever is still queued ourselves. *)
-  if Atomic.get pool.shutdown_flag then fail_pending pool;
-  p
-
-(* Helping wait: while the promise is pending, execute other pool tasks.  A
-   worker never blocks here, so nested fork-join cannot deadlock. *)
-let await pool p =
-  let finish () =
+(* Helping wait on worker [idx]: while the promise is pending, execute other
+   pool tasks.  A worker never blocks here, so nested fork-join cannot
+   deadlock. *)
+let await pool idx p =
+  let rng = Rpb_prim.Rng.create (0xA3A17 + idx) in
+  let c = pool.counters.(idx) in
+  let rec help spins =
     match Atomic.get p with
-    | Done x -> x
-    | Raised e -> raise e
-    | Pending -> assert false
-  in
-  (match my_index pool with
-   | Some idx ->
-     let rng = Rpb_prim.Rng.create (0xA3A17 + idx) in
-     let c = pool.counters.(idx) in
-     let rec help spins =
-       match Atomic.get p with
-       | Pending ->
-         (match try_find_task pool idx rng with
-          | Some task ->
-            execute pool idx task;
-            help spin_budget
-          | None ->
-            if spins > 0 then begin
-              Domain.cpu_relax ();
-              help (spins - 1)
-            end
-            else begin
-              (* The task is running on another worker; yield the core. *)
-              c.(c_idle) <- c.(c_idle) + 1;
-              let idle_t0 =
-                if Recorder.enabled () then Recorder.now_ns () else 0
-              in
-              Unix.sleepf idle_sleep_s;
-              if idle_t0 <> 0 && Recorder.enabled () then
-                Recorder.idle_event ~w:idx ~begin_ns:idle_t0;
-              help spin_budget
-            end)
-       | Done _ | Raised _ -> ()
-     in
-     help spin_budget
-   | None ->
-     (* Off-pool waiter: spin briefly, then back off exponentially (1 µs up
-        to 1 ms) — a freshly failed or resolved task is observed promptly
-        without burning a core, and the worst-case poll latency stays three
-        orders of magnitude below the old fixed 100 µs × forever loop's
-        pathological wakeup storms under load. *)
-     let rec wait delay =
-       match Atomic.get p with
-       | Pending ->
-         Unix.sleepf delay;
-         wait (Float.min (delay *. 2.) backoff_max_s)
-       | Done _ | Raised _ -> ()
-     in
-     let rec spin k =
-       match Atomic.get p with
-       | Pending ->
-         if k > 0 then begin
+    | Pending ->
+      (match try_find_task pool idx rng with
+       | Some task ->
+         execute pool idx task;
+         help spin_budget
+       | None ->
+         if spins > 0 then begin
            Domain.cpu_relax ();
-           spin (k - 1)
+           help (spins - 1)
          end
-         else wait backoff_min_s
-       | Done _ | Raised _ -> ()
-     in
-     spin spin_budget);
-  finish ()
-
-let try_result p =
+         else begin
+           (* The task is running on another worker; yield the core. *)
+           c.(c_idle) <- c.(c_idle) + 1;
+           let idle_t0 =
+             if Recorder.enabled () then Recorder.now_ns () else 0
+           in
+           Unix.sleepf idle_sleep_s;
+           if idle_t0 <> 0 && Recorder.enabled () then
+             Recorder.idle_event ~w:idx ~begin_ns:idle_t0;
+           help spin_budget
+         end)
+    | Done _ | Raised _ -> ()
+  in
+  help spin_budget;
   match Atomic.get p with
-  | Pending -> None
-  | Done x -> Some (Ok x)
-  | Raised e -> Some (Error e)
+  | Done x -> x
+  | Raised e -> raise e
+  | Pending -> assert false
 
 (* Wait until every task spawned under [scope] has resolved its promise,
    helping to execute queued ones — each observes [cancel_flag] and resolves
@@ -1252,10 +1169,10 @@ let with_construct pool k =
    left spine while thieves pick up the right branches. *)
 let ws_join pool scope my_idx f g =
   if not (Recorder.enabled ()) then begin
-    let ps = spawn_task pool ~structured:true scope g in
+    let ps = spawn_task pool my_idx scope g in
     match f () with
     | a ->
-      let b = await pool ps in
+      let b = await pool my_idx ps in
       (a, b)
     | exception ei ->
       let bt = Printexc.get_raw_backtrace () in
@@ -1264,7 +1181,7 @@ let ws_join pool scope my_idx f g =
          referencing caller state: wait for its promise to resolve
          (it is skipped if it has not started) before unwinding, so
          the exception never races its own branch's stack frames. *)
-      (match await pool ps with _ -> () | exception _ -> ());
+      (match await pool my_idx ps with _ -> () | exception _ -> ());
       Printexc.raise_with_backtrace ei bt
   end
   else begin
@@ -1278,20 +1195,20 @@ let ws_join pool scope my_idx f g =
     let fk = Recorder.fork ~w:my_idx in
     let id, _, _ = fk in
     let ps =
-      spawn_task pool ~structured:true scope (Recorder.run_branch pool id g)
+      spawn_task pool my_idx scope (Recorder.run_branch pool id g)
     in
     Recorder.branch_open ~w:my_idx fk;
     match f () with
     | a ->
       Recorder.seg_close_cur ~w:my_idx;
-      let b = await pool ps in
+      let b = await pool my_idx ps in
       Recorder.join_done ~w:my_idx fk;
       (a, b)
     | exception ei ->
       let bt = Printexc.get_raw_backtrace () in
       Recorder.seg_close_cur ~w:my_idx;
       scope_cancel scope ei bt;
-      (match await pool ps with _ -> () | exception _ -> ());
+      (match await pool my_idx ps with _ -> () | exception _ -> ());
       Recorder.join_done ~w:my_idx fk;
       Printexc.raise_with_backtrace ei bt
   end

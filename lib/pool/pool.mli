@@ -14,11 +14,13 @@
       Pool.shutdown pool
     ]}
 
-    All parallel operations ({!async}, {!join}, {!parallel_for}, ...) must be
-    called from inside {!run} (the calling domain becomes worker 0) or from a
-    task already executing on the pool.  {!await} never blocks the worker: it
-    helps by popping and stealing pending tasks, the standard fork-join
-    "help-first" policy that makes nested parallelism deadlock-free.
+    All parallel operations ({!join}, {!parallel_for}, ...) run in parallel
+    only when called from inside {!run} (the calling domain becomes worker 0)
+    or from a task already executing on the pool; outside, they run
+    sequentially on the caller.  A [join] waiting for its stolen branch
+    never blocks the worker: it helps by popping and stealing pending tasks,
+    the standard fork-join "help-first" policy that makes nested parallelism
+    deadlock-free.
 
     The scheduler is instrumented: every worker keeps private, cache-line
     padded counters (see {!Stats}) and every hot path carries an optional
@@ -28,33 +30,26 @@
     {2 Failure semantics}
 
     Every {!run} owns a {e cancellation scope}.  The first exception raised
-    by a structured task (a {!join} branch, and through [join] every
+    by a task (a {!join} branch, and through [join] every
     {!parallel_for} / {!parallel_for_reduce} / {!parallel_chunks} subtree)
     is recorded in the scope and flips its cancel flag; after that, splitters
     and [join] stop descending and fresh tasks of the scope resolve as
     {!Cancelled} without running user code, so sibling work is abandoned
     early rather than run to completion.  Before {!run} returns or re-raises
-    it {e drains} the scope — waits for every outstanding task promise to
+    it {e drains} the scope — waits for every outstanding task to
     resolve — so no pool task can still reference the caller's stack or
     buffers after [run] exits.  The exception that surfaces from [run] is the
     {e first} recorded failure, with its original backtrace.
 
-    Unstructured tasks ({!async}) keep their exception private to the
-    promise: {!await} re-raises it to whoever awaits, but it does not cancel
-    the scope — callers that await-and-handle failures (futures,
-    speculation) do not tear down unrelated work.
-
-    {!shutdown} fails all still-pending promises with {!Shutdown} instead of
-    stranding a concurrent {!await} forever.  All checks on the scheduling
+    {!shutdown} fails every still-queued task with {!Shutdown} instead of
+    stranding a concurrent [join] forever.  All checks on the scheduling
     hot paths cost one plain/atomic load while the run is healthy. *)
 
 type t
 
-type 'a promise
-
 exception Shutdown
-(** Raised by operations on a pool after {!shutdown}, and stored into any
-    promise still pending when {!shutdown} runs. *)
+(** Raised by operations on a pool after {!shutdown}, and by a [join]
+    whose branch was still queued when {!shutdown} ran. *)
 
 exception Cancelled
 (** Resolution of a task that was abandoned because its scope had already
@@ -126,8 +121,9 @@ val cancel_run : t -> exn -> unit
     {!parallel_for} / {!parallel_for_reduce} split eagerly down to
     [grain]-sized leaves, with a default grain of
     [max 1 (n / (8 * workers))].  Idle workers spin 64 times before
-    sleeping, a helping {!await} that finds no work sleeps 50 µs, and
-    off-pool waiters back off from 1 µs doubling to 1 ms. *)
+    sleeping, a [join] waiting for its stolen branch that finds no work
+    sleeps 50 µs, and a run draining a failed scope backs off from 1 µs
+    doubling to 1 ms. *)
 
 val create : num_workers:int -> unit -> t
 (** [create ~num_workers ()] spawns [num_workers - 1] worker domains; the
@@ -177,30 +173,16 @@ val run : ?deadline:float -> t -> (unit -> 'a) -> 'a
     into a structured failure. *)
 
 val shutdown : t -> unit
-(** Terminates the worker domains and joins them, then fails every promise
-    still [Pending] with {!Shutdown} so concurrent {!await}s raise instead of
+(** Terminates the worker domains and joins them, then fails every task
+    still queued with {!Shutdown} so a concurrent [join] raises instead of
     polling forever.  Idempotent. *)
-
-val async : t -> (unit -> 'a) -> 'a promise
-(** Schedule a task.  Must be called from within {!run} or from a pool task.
-    An exception in the task is private to the promise (it does not cancel
-    the enclosing run); it re-raises at {!await}. *)
-
-val await : t -> 'a promise -> 'a
-(** Wait for a promise, executing other pool tasks while waiting (a worker
-    never blocks here).  Off-pool waiters spin briefly, then back off
-    exponentially (1 µs doubling to 1 ms cap).  Re-raises the task's
-    exception if it failed. *)
-
-val try_result : 'a promise -> ('a, exn) result option
-(** Non-blocking peek: [None] while the task is still pending. *)
 
 val join : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [join pool f g] runs [f] and [g] potentially in parallel and returns both
     results — the Rayon [join] of the paper's Listing 9.
 
     If either branch raises, the run's scope is cancelled and the exception
-    propagates — but only after the sibling branch's promise has resolved
+    propagates — but only after the sibling branch has resolved
     (it is skipped if it had not started), so the unwind never races a
     branch still executing against the caller's frames.  If the scope was
     already cancelled when [join] is entered, it re-raises the first
@@ -326,8 +308,8 @@ module Recorder : sig
         begin_ns : int;
         end_ns : int;
       }  (** A strand segment: [w] computed for [construct]/[branch] over
-            [\[begin_ns, end_ns)].  Waiting and helping in [await] is never
-            covered by a [Work] segment. *)
+            [\[begin_ns, end_ns)].  A [join] waiting or helping for its
+            stolen branch is never covered by a [Work] segment. *)
     | Exec of { construct : int; w : int; begin_ns : int }
         (** The spawned branch of [construct] began executing; paired with
             the matching [Fork] it measures the fork→exec queue delay that

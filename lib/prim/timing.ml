@@ -39,19 +39,6 @@ let best_of ~repeats f =
   | Some x -> (x, !best)
   | None -> assert false
 
-let samples ~repeats f =
-  assert (repeats > 0);
-  let times = Array.make repeats 0.0 in
-  let result = ref None in
-  for i = 0 to repeats - 1 do
-    let x, dt = time f in
-    times.(i) <- dt;
-    result := Some x
-  done;
-  match !result with
-  | Some x -> (x, times)
-  | None -> assert false
-
 let mean_of ~repeats f =
   assert (repeats > 0);
   let total = ref 0.0 in

@@ -32,8 +32,3 @@ val best_of : repeats:int -> (unit -> 'a) -> 'a * float
 val mean_of : repeats:int -> (unit -> 'a) -> 'a * float
 (** Like {!best_of} but reports the arithmetic-mean time, matching the paper's
     "report mean execution times" methodology (Sec. 7.1). *)
-
-val samples : repeats:int -> (unit -> 'a) -> 'a * float array
-(** [samples ~repeats f] runs [f] [repeats] times and returns the last result
-    together with every elapsed time in run order, so callers (the bench JSON
-    emitter) can report both the mean and the min of the same runs. *)

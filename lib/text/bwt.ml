@@ -29,25 +29,6 @@ let lf_mapping ?(checked = false) pool bwt =
     Rpb_core.Scatter.validate_offsets pool ~n lf;
   lf
 
-let decode_parallel ?checked pool bwt =
-  let n = String.length bwt in
-  if n = 0 then ""
-  else begin
-    if not (String.contains bwt '\000') then
-      invalid_arg "Bwt.decode_parallel: input has no sentinel";
-    let lf = lf_mapping ?checked pool bwt in
-    (* The LF chain visited by the sequential decode is row 0, lf(0),
-       lf(lf(0)), ...; position t in that walk writes output cell n-2-t. *)
-    let pos = Rpb_parseq.List_ranking.rank_cycle pool ~next:lf ~start:0 in
-    let out = Bytes.create (n - 1) in
-    Rpb_pool.Pool.parallel_for ~start:0 ~finish:n
-      ~body:(fun row ->
-        let t = pos.(row) in
-        if t <= n - 2 then Bytes.unsafe_set out (n - 2 - t) bwt.[row])
-      pool;
-    Bytes.unsafe_to_string out
-  end
-
 let distinct_chars mode pool s =
   let n = String.length s in
   match mode with

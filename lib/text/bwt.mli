@@ -24,14 +24,6 @@ val lf_mapping : ?checked:bool -> Pool.t -> string -> int array
 (** The LF mapping of a BWT string (exposed for tests and benches): [lf.(i)]
     is the row preceding row [i] in the original text order. *)
 
-val decode_parallel : ?checked:bool -> Pool.t -> string -> string
-(** Like {!decode}, but the pointer chase is replaced by parallel list
-    ranking over the LF cycle (Wyllie pointer jumping) followed by an
-    indirect scatter — PBBS's fully-parallel decode.  O(n log n) work
-    instead of O(n), so it only wins with enough cores; it exists to
-    complete the bw benchmark's parallelism story and for the ablation
-    bench. *)
-
 val distinct_chars : [ `Racy | `Atomic ] -> Pool.t -> string -> bool array
 (** The paper's Sec. 5.2 "benign race" example from the suffix-array code:
     mark which byte values occur in the string, every task writing the same

@@ -48,10 +48,13 @@ trap 'rm -f "$slo_tmp" "$kind_tmp" "$trace_tmp"' 0
 expect_code 4 slo "$slo_tmp" --slo avail:0.99 --fast-s 1 --slow-s 10 --check
 expect_code 0 slo "$slo_tmp" --slo avail:0.0001 --fast-s 1 --slow-s 10 --check
 
-# rpb report skips a document of a kind it cannot read (here bench/perf's
-# "perf") instead of crashing; with nothing else parsed that is exit 2.
-printf '{"kind":"perf","workload":"regular"}\n' > "$kind_tmp"
+# rpb report skips a document of a kind it cannot read instead of
+# crashing; with nothing else parsed that is exit 2.  A bench/perf document
+# is a kind it reads.
+printf '{"kind":"weird"}\n' > "$kind_tmp"
 expect_code 2 report "$kind_tmp" -o /dev/null
+printf '{"kind":"perf","workload":"regular","meta":{"p":2,"ocaml":"5.1.1","git_sha":"x","host_ok":false,"seed":1},"correct":true,"benchmarks":[{"name":"hist","scale":0,"t1_over_seq":1.0,"tp_over_seq":0.5,"checked_over_unsafe":1.0,"sync_over_unsafe":2.0}]}\n' > "$kind_tmp"
+expect_code 0 report "$kind_tmp" -o /dev/null
 
 # The scheduler has no knobs: the retired scheduling flags are unknown
 # options, i.e. usage errors.

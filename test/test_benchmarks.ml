@@ -102,27 +102,6 @@ let run_benchmark_all_modes name =
 let bench_case name =
   Alcotest.test_case name `Quick (fun () -> run_benchmark_all_modes name)
 
-let test_appendix_a_variants_correct () =
-  with_pool 2 (fun pool ->
-      let n = 1_500 in
-      let input = Array.init n (fun i -> i * 17) in
-      let expected = Appendix_a.expected input in
-      List.iter
-        (fun v ->
-          let data = Array.copy input in
-          Pool.run pool (fun () ->
-              v.Appendix_a.run ~workers:2 ~pool data);
-          Alcotest.(check bool) (v.Appendix_a.name ^ " correct") true (data = expected))
-        Appendix_a.variants)
-
-let test_appendix_a_thread_cap () =
-  with_pool 2 (fun pool ->
-      let data = Array.make 5_000 1 in
-      let tpt = List.nth Appendix_a.variants 1 in
-      match Pool.run pool (fun () -> tpt.Appendix_a.run ~workers:2 ~pool data) with
-      | exception Appendix_a.Infeasible _ -> ()
-      | () -> Alcotest.fail "thread-per-task should refuse large inputs")
-
 let test_mode_names () =
   List.iter
     (fun m ->
@@ -159,10 +138,5 @@ let () =
           bench_case "dedup";
           bench_case "hist";
           bench_case "isort";
-        ] );
-      ( "appendix_a",
-        [
-          Alcotest.test_case "variants correct" `Quick test_appendix_a_variants_correct;
-          Alcotest.test_case "thread cap" `Quick test_appendix_a_thread_cap;
         ] );
     ]

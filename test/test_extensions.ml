@@ -1,5 +1,5 @@
-(* Tests for the PBBS-technique extensions: list ranking, group_by,
-   PageRank, parallel BWT decode, and the benign-race phase. *)
+(* Tests for the PBBS-technique extensions: list ranking, random
+   permutation, group_by, PageRank, and BWT's benign-race phase. *)
 
 open Rpb_pool
 
@@ -203,30 +203,7 @@ let test_pagerank_racy_at_one_worker_is_exact () =
           Alcotest.(check bool) "single worker = no races = exact" true
             (Rpb_graph.Pagerank.max_abs_diff racy seq < 1e-9)))
 
-(* ---------- Bwt extensions ---------- *)
-
-let test_bwt_decode_parallel_roundtrip () =
-  in_pool (fun pool ->
-      List.iter
-        (fun s ->
-          let enc = Rpb_text.Bwt.encode pool s in
-          Alcotest.(check string) "list-ranking decode" s
-            (Rpb_text.Bwt.decode_parallel pool enc))
-        [
-          "banana";
-          "a";
-          "mississippi";
-          Rpb_text.Text_gen.wiki ~size:4_000 ~seed:21;
-          Rpb_text.Text_gen.periodic ~size:1_024 ~period:"abcab";
-        ])
-
-let test_bwt_decode_parallel_equals_sequential () =
-  in_pool (fun pool ->
-      let s = Rpb_text.Text_gen.wiki ~size:8_000 ~seed:22 in
-      let enc = Rpb_text.Bwt.encode pool s in
-      Alcotest.(check string) "both decoders agree"
-        (Rpb_text.Bwt.decode pool enc)
-        (Rpb_text.Bwt.decode_parallel pool enc))
+(* ---------- Bwt benign race ---------- *)
 
 let test_distinct_chars_modes_agree () =
   in_pool (fun pool ->
@@ -281,10 +258,6 @@ let () =
         ] );
       ( "bwt_parallel",
         [
-          Alcotest.test_case "list-ranking roundtrip" `Quick
-            test_bwt_decode_parallel_roundtrip;
-          Alcotest.test_case "decoders agree" `Quick
-            test_bwt_decode_parallel_equals_sequential;
           Alcotest.test_case "benign race distinct chars" `Quick
             test_distinct_chars_modes_agree;
         ] );

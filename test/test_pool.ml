@@ -106,12 +106,6 @@ let test_pool_run_returns () =
   with_pool 2 (fun pool ->
       Alcotest.(check int) "result" 42 (Pool.run pool (fun () -> 42)))
 
-let test_pool_async_await () =
-  with_pool 3 (fun pool ->
-      Pool.run pool (fun () ->
-          let p = Pool.async pool (fun () -> 6 * 7) in
-          Alcotest.(check int) "await" 42 (Pool.await pool p)))
-
 let test_pool_join () =
   with_pool 3 (fun pool ->
       Pool.run pool (fun () ->
@@ -123,8 +117,7 @@ let test_pool_exception_propagates () =
   with_pool 2 (fun pool ->
       Alcotest.check_raises "exn from task" (Failure "boom") (fun () ->
           Pool.run pool (fun () ->
-              let p = Pool.async pool (fun () -> failwith "boom") in
-              Pool.await pool p)))
+              snd (Pool.join pool (fun () -> ()) (fun () -> failwith "boom")))))
 
 let test_pool_parallel_for_covers_range () =
   with_pool 4 (fun pool ->
@@ -257,10 +250,16 @@ let test_pool_shutdown_rejects () =
 let test_pool_many_small_tasks () =
   with_pool 4 (fun pool ->
       let n = 2000 in
+      (* One join per index: a balanced tree of n single-index tasks. *)
+      let rec sum lo hi =
+        if hi - lo = 1 then lo
+        else
+          let mid = (lo + hi) / 2 in
+          let a, b = Pool.join pool (fun () -> sum lo mid) (fun () -> sum mid hi) in
+          a + b
+      in
       Pool.run pool (fun () ->
-          let ps = List.init n (fun i -> Pool.async pool (fun () -> i)) in
-          let total = List.fold_left (fun acc p -> acc + Pool.await pool p) 0 ps in
-          Alcotest.(check int) "all tasks ran" (n * (n - 1) / 2) total))
+          Alcotest.(check int) "all tasks ran" (n * (n - 1) / 2) (sum 0 n)))
 
 (* ---------- scheduler telemetry ---------- *)
 
@@ -484,18 +483,6 @@ let test_fail_many_leaves_surfaces_one () =
         Alcotest.failf "wrong exception surfaced: %s" (Printexc.to_string e));
       assert_reusable pool)
 
-let test_fail_async_awaited_off_pool () =
-  with_pool 2 (fun pool ->
-      (* An unstructured failure stays private to its promise: the run
-         completes, and the exception surfaces at [await] — here from off
-         the pool, after [run] has drained and returned. *)
-      let p = Pool.run pool (fun () -> Pool.async pool (fun () -> raise (Boom 7))) in
-      Alcotest.(check bool) "promise resolved by run's drain" true
-        (Pool.try_result p <> None);
-      Alcotest.check_raises "await off-pool re-raises" (Boom 7) (fun () ->
-          ignore (Pool.await pool p));
-      assert_reusable pool)
-
 let test_fail_caught_in_run_body_continues () =
   (* Catching a structured failure at the run-body level leaves the run
      healthy: later parallel calls in the same run work. *)
@@ -515,18 +502,19 @@ let test_fail_caught_in_run_body_continues () =
 
 let test_shutdown_fails_pending_promises () =
   let pool = Pool.create ~num_workers:2 () in
-  (* Queue unstructured work from off the pool, then shut down underneath
-     it: every promise must be resolved — executed or failed with
-     [Shutdown] — so no awaiter can poll forever. *)
-  let ps = List.init 64 (fun i -> Pool.async pool (fun () -> Unix.sleepf 1e-3; i)) in
-  Pool.shutdown pool;
-  List.iter
-    (fun p ->
-      match Pool.try_result p with
-      | None -> Alcotest.fail "promise stranded by shutdown"
-      | Some (Ok _) | Some (Error Pool.Shutdown) -> ()
-      | Some (Error e) -> raise e)
-    ps
+  (* Shut the pool down from inside a run while 64 join branches are still
+     queued: every branch must be resolved — executed or failed with
+     [Shutdown] — so the joins waiting on them cannot poll forever. *)
+  let rec fork k =
+    if k = 0 then Pool.shutdown pool
+    else
+      ignore
+        (Pool.join pool
+           (fun () -> fork (k - 1))
+           (fun () -> Unix.sleepf 1e-4))
+  in
+  match Pool.run pool (fun () -> fork 64) with
+  | () | (exception Pool.Shutdown) -> ()
 
 let test_run_deadline_stalls () =
   with_pool 4 (fun pool ->
@@ -788,7 +776,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "run returns" `Quick test_pool_run_returns;
-          Alcotest.test_case "async/await" `Quick test_pool_async_await;
           Alcotest.test_case "join" `Quick test_pool_join;
           Alcotest.test_case "exception propagates" `Quick
             test_pool_exception_propagates;
@@ -822,8 +809,6 @@ let () =
             test_fail_reduce_combine;
           Alcotest.test_case "all leaves raise, one surfaces" `Quick
             test_fail_many_leaves_surfaces_one;
-          Alcotest.test_case "async awaited off-pool" `Quick
-            test_fail_async_awaited_off_pool;
           Alcotest.test_case "caught in run body" `Quick
             test_fail_caught_in_run_body_continues;
           Alcotest.test_case "shutdown fails pending" `Quick

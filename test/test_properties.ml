@@ -177,9 +177,7 @@ let test_bwt_degenerate () =
       Alcotest.(check string) "empty roundtrip" ""
         (Rpb_text.Bwt.decode pool (Rpb_text.Bwt.encode pool ""));
       Alcotest.(check string) "single char" "q"
-        (Rpb_text.Bwt.decode pool (Rpb_text.Bwt.encode pool "q"));
-      Alcotest.(check string) "parallel single" "q"
-        (Rpb_text.Bwt.decode_parallel pool (Rpb_text.Bwt.encode pool "q")))
+        (Rpb_text.Bwt.decode pool (Rpb_text.Bwt.encode pool "q")))
 
 let test_lcp_all_same () =
   in_pool (fun pool ->
@@ -317,39 +315,6 @@ let test_shadow_store_write_through_agrees () =
           (Rpb_check.Shadow.race_count shadow)
       done)
 
-(* ---------- Stm isolation ---------- *)
-
-let test_stm_snapshot_isolation () =
-  (* A transaction reading two variables may never observe a torn update
-     written by another transaction that keeps their sum invariant. *)
-  let a = Rpb_extra.Stm.tvar 100 and b = Rpb_extra.Stm.tvar 100 in
-  let stop = Atomic.make false in
-  let violations = Atomic.make 0 in
-  let writer =
-    Domain.spawn (fun () ->
-        let rng = Rpb_prim.Rng.create 31 in
-        for _ = 1 to 20_000 do
-          let d = Rpb_prim.Rng.int rng 10 in
-          Rpb_extra.Stm.atomically (fun tx ->
-              Rpb_extra.Stm.write tx a (Rpb_extra.Stm.read tx a - d);
-              Rpb_extra.Stm.write tx b (Rpb_extra.Stm.read tx b + d))
-        done;
-        Atomic.set stop true)
-  in
-  let reader =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          let sum =
-            Rpb_extra.Stm.atomically (fun tx ->
-                Rpb_extra.Stm.read tx a + Rpb_extra.Stm.read tx b)
-          in
-          if sum <> 200 then Atomic.incr violations
-        done)
-  in
-  Domain.join writer;
-  Domain.join reader;
-  Alcotest.(check int) "no torn snapshots" 0 (Atomic.get violations)
-
 (* ---------- Splitter harness ---------- *)
 
 (* Every registry benchmark x {1, 2, 4} workers must reproduce the digest of
@@ -439,8 +404,6 @@ let () =
           Alcotest.test_case "shadow store write-through" `Quick
             test_shadow_store_write_through_agrees;
         ] );
-      ( "stm_isolation",
-        [ Alcotest.test_case "snapshot isolation" `Quick test_stm_snapshot_isolation ] );
       ( "splitters",
         [
           Alcotest.test_case "registry digests at P=1,2,4" `Quick

@@ -1,5 +1,5 @@
-(* Tests for the statistics layer (Rpb_obs.Stats) and the report's derived
-   views and artifact loading (Rpb_obs.Report).
+(* Tests for the statistics layer (Rpb_obs.Stats) and the report's
+   artifact loading and rendering (Rpb_obs.Report).
 
    The estimators are checked against hand-computed answers; the report
    against small synthetic documents of every kind it reads, and against
@@ -62,106 +62,7 @@ let test_quantile_known () =
   check_float "median interpolates" 25.0 (Stats.quantile_sorted s 0.5);
   check_float "q0.25" 17.5 (Stats.quantile_sorted s 0.25)
 
-(* ---------- Report: derived views ---------- *)
-
-let mk ?(bench = "sort") ?(input = "exponential") ?(mode = "unsafe")
-    ?(threads = 4) ?(scale = 0) ?(smoke = false) ?(samples = [||])
-    ?(mean = 1e6) () =
-  {
-    J.bench;
-    input;
-    mode;
-    scale;
-    threads;
-    repeats = max 1 (Array.length samples);
-    mean_ns = mean;
-    min_ns = mean;
-    samples_ns = samples;
-    smoke;
-    verified = true;
-    workers = [];
-  }
-
-let test_report_speedup_curves () =
-  let records =
-    [
-      mk ~mode:"seq" ~threads:1 ~samples:[| 10e6; 10e6; 10e6 |] ();
-      mk ~threads:1 ~samples:[| 10e6; 10e6; 10e6 |] ();
-      mk ~threads:2 ~samples:[| 5e6; 5e6; 5e6 |] ();
-      mk ~threads:4 ~samples:[| 2.5e6; 2.5e6; 2.5e6 |] ();
-      (* a smoke record at another thread count must not join the curve *)
-      mk ~threads:8 ~smoke:true ~samples:[| 1e6 |] ();
-    ]
-  in
-  match Report.speedup_curves records with
-  | [ c ] ->
-    Alcotest.(check string) "baseline is the sequential run" "seq"
-      c.Report.base_label;
-    Alcotest.(check (list int)) "thread axis" [ 1; 2; 4 ]
-      (List.map (fun (t, _, _) -> t) c.Report.points);
-    List.iter2
-      (fun expected (_, _, sp) -> check_float "speedup" expected sp)
-      [ 1.0; 2.0; 4.0 ] c.Report.points
-  | cs ->
-    Alcotest.failf "expected exactly one curve, got %d" (List.length cs)
-
-let test_report_overheads () =
-  let records =
-    [
-      mk ~samples:[| 10e6; 10e6; 10e6 |] ();
-      mk ~mode:"checked" ~samples:[| 12e6; 12e6; 12e6 |] ();
-      mk ~mode:"sync" ~samples:[| 40e6; 40e6; 40e6 |] ();
-      (* different thread count: no pairing *)
-      mk ~mode:"checked" ~threads:2 ~samples:[| 1e6 |] ();
-    ]
-  in
-  let os = Report.overheads records in
-  Alcotest.(check int) "checked and sync pair with unsafe" 2
-    (List.length os);
-  List.iter
-    (fun o ->
-      match o.Report.o_vs with
-      | "checked" -> check_float "checked ratio" 1.2 o.Report.o_ratio
-      | "sync" -> check_float "sync ratio" 4.0 o.Report.o_ratio
-      | other -> Alcotest.failf "unexpected pairing %s" other)
-    os;
-  (* pre-v3 records carry no samples: the stored mean is the estimate *)
-  match
-    Report.overheads
-      [ mk ~bench:"hist" ~mean:2e6 (); mk ~bench:"hist" ~mode:"checked" ~mean:3e6 () ]
-  with
-  | [ o ] -> check_float "pre-v3 ratio from the means" 1.5 o.Report.o_ratio
-  | os -> Alcotest.failf "expected one pre-v3 pairing, got %d" (List.length os)
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
-  in
-  go 0
-
-let test_report_render () =
-  let a =
-    {
-      Report.empty with
-      Report.bench =
-        [
-          mk ~mode:"seq" ~threads:1 ~samples:[| 10e6 |] ();
-          mk ~threads:1 ~samples:[| 10e6 |] ();
-          mk ~threads:4 ~samples:[| 2.5e6 |] ();
-          mk ~mode:"checked" ~threads:4 ~samples:[| 3e6 |] ();
-        ];
-    }
-  in
-  let html = Report.to_html a in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("html contains " ^ needle) true
-        (contains html needle))
-    [ "<svg"; "Speedup curves"; "Fear-spectrum overhead"; "</html>" ];
-  let md = Report.to_markdown a in
-  Alcotest.(check bool) "markdown carries the overhead ratio" true
-    (contains md "1.20x")
+(* ---------- Report: bench/perf documents ---------- *)
 
 let with_temp_file content f =
   let path = Filename.temp_file "rpb_report_jsonl" ".jsonl" in
@@ -173,6 +74,111 @@ let with_temp_file content f =
       close_out oc;
       f path)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  go 0
+
+(* A hand-built bench/perf document: two benchmarks whose four ratios all
+   print differently to 2 decimals. *)
+let perf_doc ~workload ~host_ok =
+  let timing ms = J.Obj [ ("median", J.Float ms); ("samples", J.List [ J.Float ms ]) ] in
+  let bench name (t1, tp, chk, sync) =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("scale", J.Int 3);
+        ("rounds", J.Int 5);
+        ("seq_ms", timing 10.0);
+        ("t1_ms", timing (10.0 *. t1));
+        ("tp_ms", timing (10.0 *. tp));
+        ("checked_ms", timing (10.0 *. tp *. chk));
+        ("sync_ms", timing (10.0 *. tp *. sync));
+        ("t1_over_seq", J.Float t1);
+        ("tp_over_seq", J.Float tp);
+        ("checked_over_unsafe", J.Float chk);
+        ("sync_over_unsafe", J.Float sync);
+      ]
+  in
+  J.Obj
+    [
+      ("kind", J.Str "perf");
+      ("workload", J.Str workload);
+      ("traced", J.Bool false);
+      ( "meta",
+        J.Obj
+          [
+            ("p", J.Int 2); ("nproc", J.Int 2); ("ocaml", J.Str "5.1.1");
+            ("git_sha", J.Str "0123abc"); ("seed", J.Int 1);
+            ("host_ok", J.Bool host_ok);
+          ] );
+      ("correct", J.Bool true);
+      ( "benchmarks",
+        J.List
+          [ bench "hist" (1.1111, 0.6666, 1.0444, 3.9876);
+            bench "sort" (2.4711, 1.8622, 1.2377, 0.8811) ] );
+    ]
+
+let test_report_perf_docs () =
+  with_temp_file (J.to_string (perf_doc ~workload:"fear" ~host_ok:false))
+  @@ fun path ->
+  let a = Report.load_files [ path ] in
+  Alcotest.(check (list string)) "a perf document is a source" [ "perf" ]
+    (List.map (fun s -> s.Report.kind) a.Report.sources);
+  Alcotest.(check int) "not an error" 0 (List.length a.Report.errors);
+  let md = Report.to_markdown a in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("markdown contains " ^ needle) true
+        (contains md needle))
+    [
+      (* Table 1 / Fig. 4 rows end in T1/Tseq | TP/Tseq, Fig. 5 rows in
+         checked/unsafe | sync/unsafe *)
+      "| hist | 3 | 10.000 | 11.111 | 6.666 | 1.11 | 0.67 |";
+      "| sort | 3 | 10.000 | 24.711 | 18.622 | 2.47 | 1.86 |";
+      "| 1.04 | 3.99 |";
+      "| 1.24 | 0.88 |";
+      "Table 1";
+      "Fig. 5";
+      "host_ok false";
+      "TP/Tseq †";
+    ];
+  (* A host_ok run marks nothing; a trajectory file (one document per
+     line) loads as jsonl. *)
+  with_temp_file
+    (J.to_string (perf_doc ~workload:"regular" ~host_ok:true)
+    ^ "\n"
+    ^ J.to_string (perf_doc ~workload:"irregular" ~host_ok:true)
+    ^ "\n")
+  @@ fun path ->
+  let a = Report.load_files [ path ] in
+  Alcotest.(check (list string)) "both workloads load"
+    [ "regular"; "irregular" ]
+    (List.map (fun p -> p.Report.workload) a.Report.perfs);
+  Alcotest.(check bool) "no not-comparable mark" false
+    (contains (Report.to_markdown a) "†")
+
+let test_report_render () =
+  with_temp_file (J.to_string (perf_doc ~workload:"regular" ~host_ok:true))
+  @@ fun path ->
+  let a = Report.load_files [ path ] in
+  let html = Report.to_html a in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("html contains " ^ needle) true
+        (contains html needle))
+    [ "<svg"; "Table 1 / Fig. 4"; "Fig. 5(a)/(b)"; "regular: P=2"; "</html>" ];
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("markdown contains " ^ needle) true
+        (contains (Report.to_markdown a) needle))
+    [ "## Table 1 / Fig. 4"; "## Fig. 5(a)/(b)"; "### regular: P=2" ];
+  (* without perf documents the paper sections say what would fill them *)
+  Alcotest.(check bool) "empty report points at bench/perf" true
+    (contains (Report.to_html Report.empty) "bench/perf/run.sh")
+
 let test_report_classify_and_errors () =
   Alcotest.(check string) "plain documents classify as bench" "bench"
     (Report.classify_doc (J.Obj [ ("results", J.List []) ]));
@@ -182,15 +188,15 @@ let test_report_classify_and_errors () =
   Alcotest.(check int) "unreadable files land in errors" 1
     (List.length a.Report.errors);
   Alcotest.(check int) "and produce no source" 0 (List.length a.Report.sources);
-  (* A document of a kind the report has no reader for (bench/perf's
-     "perf", an old "compare") is skipped into errors, not raised, and the
-     other files still load. *)
-  with_temp_file "{\"kind\":\"perf\",\"workload\":\"regular\"}" (fun perf ->
-      with_temp_file "{\"kind\":\"weird\"}" (fun weird ->
+  (* A document of a kind the report has no reader for (an unknown kind,
+     the plain benchmark records of [rpb stats --json]) is skipped into
+     errors, not raised, and the other files still load. *)
+  with_temp_file "{\"kind\":\"weird\"}" (fun weird ->
+      with_temp_file "{\"results\":[]}" (fun plain ->
           with_temp_file "{\"kind\":\"fault\"}" (fun fault ->
-              let a = Report.load_files [ perf; weird; fault ] in
+              let a = Report.load_files [ weird; plain; fault ] in
               Alcotest.(check (list string)) "unknown kinds land in errors"
-                [ perf; weird ] (List.map fst a.Report.errors);
+                [ weird; plain ] (List.map fst a.Report.errors);
               Alcotest.(check (list string)) "the known kind still loads"
                 [ "fault" ]
                 (List.map (fun s -> s.Report.kind) a.Report.sources))))
@@ -352,10 +358,7 @@ let () =
         ] );
       ( "report",
         [
-          Alcotest.test_case "speedup curves" `Quick
-            test_report_speedup_curves;
-          Alcotest.test_case "fear-spectrum overheads" `Quick
-            test_report_overheads;
+          Alcotest.test_case "perf documents" `Quick test_report_perf_docs;
           Alcotest.test_case "html and markdown render" `Quick
             test_report_render;
           Alcotest.test_case "classification and error capture" `Quick

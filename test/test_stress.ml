@@ -26,18 +26,19 @@ let test_pool_exception_in_parallel_for () =
       Alcotest.(check int) "pool alive after exception" 4950 x)
 
 let test_pool_many_failing_tasks () =
+  (* 100 runs, each with one failing join branch: every failure surfaces
+     from its own run, and none poisons the next. *)
   with_pool 4 (fun pool ->
-      Pool.run pool (fun () ->
-          let ps = List.init 100 (fun i -> Pool.async pool (fun () -> raise (Injected i))) in
-          let failures =
-            List.fold_left
-              (fun acc p ->
-                match Pool.await pool p with
-                | _ -> acc
-                | exception Injected _ -> acc + 1)
-              0 ps
-          in
-          Alcotest.(check int) "every failure delivered" 100 failures))
+      let failures = ref 0 in
+      for i = 1 to 100 do
+        match
+          Pool.run pool (fun () ->
+              Pool.join pool (fun () -> i) (fun () -> raise (Injected i)))
+        with
+        | _ -> ()
+        | exception Injected j when j = i -> incr failures
+      done;
+      Alcotest.(check int) "every failure delivered" 100 !failures)
 
 let test_pool_deep_nesting () =
   with_pool 3 (fun pool ->
@@ -148,40 +149,37 @@ let test_mq_priority_respected_in_bulk () =
 (* ---------- Cross-library integration ---------- *)
 
 let test_pipeline_of_benchmark_stages () =
-  (* Text -> BWT -> decode as a 2-stage pipeline over many documents. *)
+  (* Text -> BWT -> decode over many documents, one document per
+     parallel_for leaf, each stage itself parallel (nested). *)
   with_pool 2 (fun pool ->
       Pool.run pool (fun () ->
           let docs =
             Array.init 12 (fun i -> Rpb_text.Text_gen.wiki ~size:500 ~seed:(40 + i))
           in
-          let p =
-            Rpb_extra.Pipeline.(
-              stage (fun doc -> (doc, Rpb_text.Bwt.encode pool doc))
-              >>> stage (fun (doc, enc) -> (doc, Rpb_text.Bwt.decode pool enc)))
-          in
-          let out = Rpb_extra.Pipeline.run p docs in
-          Alcotest.(check bool) "all roundtrips exact" true
-            (Array.for_all (fun (doc, dec) -> String.equal doc dec) out)))
+          let out = Array.make (Array.length docs) "" in
+          Pool.parallel_for ~grain:1 ~start:0 ~finish:(Array.length docs)
+            ~body:(fun i ->
+              out.(i) <- Rpb_text.Bwt.decode pool (Rpb_text.Bwt.encode pool docs.(i)))
+            pool;
+          Alcotest.(check bool) "all roundtrips exact" true (out = docs)))
 
 let test_graph_pipeline_end_to_end () =
-  (* Generate -> MIS -> verify across several graphs via futures. *)
+  (* Generate -> MIS -> verify across several graphs, one graph per
+     parallel_for leaf. *)
   with_pool 3 (fun pool ->
       Pool.run pool (fun () ->
-          let futures =
-            List.init 3 (fun i ->
-                Rpb_extra.Future.spawn pool (fun () ->
-                    let g =
-                      Rpb_graph.Generate.random_uniform pool ~n:300 ~m:900
-                        ~seed:(60 + i) ()
-                    in
-                    let g = Rpb_graph.Csr.symmetrize pool g in
-                    let mis = Rpb_graph.Mis.compute pool g in
-                    Rpb_graph.Reference.is_maximal_independent_set g mis))
-          in
-          List.iter
-            (fun f ->
-              Alcotest.(check bool) "MIS valid" true (Rpb_extra.Future.get pool f))
-            futures))
+          let valid = Array.make 3 false in
+          Pool.parallel_for ~grain:1 ~start:0 ~finish:3
+            ~body:(fun i ->
+              let g =
+                Rpb_graph.Generate.random_uniform pool ~n:300 ~m:900
+                  ~seed:(60 + i) ()
+              in
+              let g = Rpb_graph.Csr.symmetrize pool g in
+              let mis = Rpb_graph.Mis.compute pool g in
+              valid.(i) <- Rpb_graph.Reference.is_maximal_independent_set g mis)
+            pool;
+          Array.iter (Alcotest.(check bool) "MIS valid" true) valid))
 
 let test_full_text_stack () =
   (* One corpus through every text component. *)
@@ -197,7 +195,7 @@ let test_full_text_stack () =
           let wc = Rpb_text.Word_count.count pool s in
           Alcotest.(check bool) "word count nonempty" true (Array.length wc > 0);
           Alcotest.(check string) "bwt roundtrip" s
-            (Rpb_text.Bwt.decode_parallel pool (Rpb_text.Bwt.encode pool s))))
+            (Rpb_text.Bwt.decode pool (Rpb_text.Bwt.encode pool s))))
 
 (* ---------- Shadow-array oracle under multi-domain stress ---------- *)
 
@@ -349,7 +347,7 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "bwt pipeline" `Quick test_pipeline_of_benchmark_stages;
-          Alcotest.test_case "graph futures" `Quick test_graph_pipeline_end_to_end;
+          Alcotest.test_case "nested graph runs" `Quick test_graph_pipeline_end_to_end;
           Alcotest.test_case "full text stack" `Quick test_full_text_stack;
           Alcotest.test_case "determinism across workers" `Quick
             test_deterministic_across_worker_counts;

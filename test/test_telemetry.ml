@@ -1,6 +1,6 @@
 (* Tests for the machine-readable bench output (Bench_json): JSON printing /
-   parsing, the BENCH_*.json schema round-trip, the per-run stat capture in
-   Registry.measure_entry, and the Chrome-trace export of the flight recorder. *)
+   parsing, the benchmark-record schema round-trip, and the Chrome-trace
+   export of the flight recorder. *)
 
 open Rpb_benchmarks
 
@@ -250,54 +250,6 @@ let test_mixed_version_document () =
   Alcotest.(check bool) "file read matches in-memory parse" true
     (Bench_json.read_doc path = records)
 
-(* ---------- per-run stat capture ---------- *)
-
-let test_measure_entry_captures_stats () =
-  match Registry.find "sort" with
-  | None -> Alcotest.fail "sort benchmark missing from registry"
-  | Some e ->
-    with_pool 4 (fun pool ->
-        let record, size =
-          Registry.measure_entry pool ~entry:e
-            ~input:(List.hd e.Common.inputs) ~scale:0 ~repeats:2
-            ~how:(`Par Mode.Unsafe)
-        in
-        Alcotest.(check bool) "has a size string" true (String.length size > 0);
-        Alcotest.(check string) "bench name" "sort" record.Bench_json.bench;
-        Alcotest.(check string) "mode" "unsafe" record.Bench_json.mode;
-        Alcotest.(check int) "threads" 4 record.Bench_json.threads;
-        Alcotest.(check bool) "verified" true record.Bench_json.verified;
-        Alcotest.(check bool) "positive mean" true
-          (record.Bench_json.mean_ns > 0.0);
-        Alcotest.(check bool) "min <= mean" true
-          (record.Bench_json.min_ns <= record.Bench_json.mean_ns);
-        Alcotest.(check int) "one stats row per worker" 4
-          (List.length record.Bench_json.workers);
-        (* The whole JSON path stays intact for a live measurement. *)
-        let j = Bench_json.record_to_json record in
-        let back =
-          Bench_json.record_of_json
-            (Bench_json.of_string (Bench_json.to_string j))
-        in
-        Alcotest.(check bool) "live record round-trips" true (back = record))
-
-let test_measure_entry_seq_mode () =
-  match Registry.find "hist" with
-  | None -> Alcotest.fail "hist benchmark missing from registry"
-  | Some e ->
-    with_pool 1 (fun pool ->
-        let record, _ =
-          Registry.measure_entry pool ~entry:e
-            ~input:(List.hd e.Common.inputs) ~scale:0 ~repeats:1 ~how:`Seq
-        in
-        Alcotest.(check string) "mode" "seq" record.Bench_json.mode;
-        let steals =
-          List.fold_left
-            (fun acc w -> acc + w.Bench_json.steals_ok)
-            0 record.Bench_json.workers
-        in
-        Alcotest.(check int) "sequential run never steals" 0 steals)
-
 (* ---------- chrome trace output parses as JSON ---------- *)
 
 let test_trace_file_is_valid_json () =
@@ -359,13 +311,6 @@ let () =
             test_v2_document_still_parses;
           Alcotest.test_case "mixed v1/v2/v3 records in one document" `Quick
             test_mixed_version_document;
-        ] );
-      ( "capture",
-        [
-          Alcotest.test_case "measure_entry stats" `Quick
-            test_measure_entry_captures_stats;
-          Alcotest.test_case "measure_entry seq" `Quick
-            test_measure_entry_seq_mode;
         ] );
       ( "trace",
         [
