@@ -20,15 +20,17 @@ test:
 test-verbose:
 	dune runtest --force --no-buffer
 
-# Repeats the two once-flaky tests 20 times each through the
-# Alcotest `test NAME N` filter: test_pool "chunks partition" and the
-# test_check fault-sweep case whose "injections fired" check used to fail
-# by chance.  The case index is looked up by name, so reordering the
-# suites does not break the target.
+# Repeats the two once-flaky tests and the lock-exclusion stress test 20
+# times each through the Alcotest `test NAME N` filter: test_pool "chunks
+# partition", the test_check fault-sweep case whose "injections fired"
+# check used to fail by chance, and test_prim's "lock exclusion", whose
+# domains interleave differently on every run.  The case index is looked
+# up by name, so reordering the suites does not break the target.
 flake-check:
-	dune build test/test_pool.exe test/test_check.exe
+	dune build test/test_pool.exe test/test_check.exe test/test_prim.exe
 	set -e; \
-	for t in 'test_pool:chunks partition' 'test_check:single bench contract'; do \
+	for t in 'test_pool:chunks partition' 'test_check:single bench contract' \
+	    'test_prim:lock exclusion'; do \
 	  exe=_build/default/test/$${t%%:*}.exe; name=$${t#*:}; \
 	  set -- $$($$exe list | grep -F "$$name." | head -n 1); \
 	  test -n "$$2" || { echo "flake-check: no test named $$name" >&2; exit 1; }; \

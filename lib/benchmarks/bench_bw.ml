@@ -9,7 +9,8 @@ open Rpb_core
 
 let decode_synchronized pool bwt =
   (* "Unnecessary synchronization": pipe the LF mapping through atomic cells
-     (relaxed stores/loads), as the paper's Fig. 5(b) variant does. *)
+     (relaxed stores and loads, inline as Rust's [Relaxed] ones are), as the
+     paper's Fig. 5(b) variant does. *)
   let lf_plain = Rpb_text.Bwt.lf_mapping pool bwt in
   let n = Array.length lf_plain in
   let atomic = Rpb_prim.Atomic_array.make n 0 in

@@ -1,35 +1,37 @@
 (* dedup — remove duplicates via a concurrent hash set (paper Table 1, input:
    exponential; the Listing 8 data structure).  AW: inserts race through CAS.
 
-   The synchronized switch replaces the lock-free table with striped-mutex
+   The synchronized switch replaces the lock-free table with striped-lock
    buckets — same semantics, lock-based arbitration. *)
 
 open Rpb_core
 open Rpb_pool
 
 (* The synchronized build mirrors the lock-free table exactly — same linear
-   probing over the same slot layout — but arbitration is a striped mutex
-   per slot region instead of CAS, the paper's "replace unsafe/lock-free
-   with locking" configuration. *)
+   probing over the same slot layout — but arbitration is a striped spin
+   lock per slot region instead of CAS, the paper's "replace unsafe/lock-free
+   with locking" configuration.  Each stripe's lock word has a padded
+   [Atomic_array] row of its own. *)
 let dedup_mutex pool data =
   let slots_n = Rpb_prim.Util.ceil_pow2 (2 * Array.length data) in
   let mask = slots_n - 1 in
   let slots = Array.make slots_n (-1) in
   let stripes = 256 in
-  let locks = Array.init stripes (fun _ -> Mutex.create ()) in
+  let row = Rpb_prim.Atomic_array.cells_per_line in
+  let locks = Rpb_prim.Atomic_array.make (row * stripes) 0 in
   Pool.parallel_for ~start:0 ~finish:(Array.length data)
     ~body:(fun i ->
       let k = data.(i) in
       let rec probe idx =
-        let m = locks.(idx land (stripes - 1)) in
-        Mutex.lock m;
+        let l = row * (idx land (stripes - 1)) in
+        Rpb_prim.Atomic_array.lock locks l;
         let cur = slots.(idx) in
         if cur = -1 then begin
           slots.(idx) <- k;
-          Mutex.unlock m
+          Rpb_prim.Atomic_array.unlock locks l
         end
         else begin
-          Mutex.unlock m;
+          Rpb_prim.Atomic_array.unlock locks l;
           if cur <> k then probe ((idx + 1) land mask)
         end
       in
@@ -55,7 +57,7 @@ let entry : Common.entry =
     patterns = Pattern.[ RO; Stride; AW ];
     dynamic = false;
     access_sites = Pattern.[ (RO, 1); (Stride, 2); (AW, 2) ];
-    mode_note = "unsafe/checked: CAS hash table; sync: striped-mutex buckets";
+    mode_note = "unsafe/checked: CAS hash table; sync: striped-lock buckets";
     prepare =
       (fun pool ~input ~scale ->
         if input <> "exponential" then invalid_arg "dedup: input must be exponential";

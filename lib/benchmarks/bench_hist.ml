@@ -4,7 +4,9 @@
 
    Each bucket accumulates count/sum/min/max — four words, no single atomic.
    Unsafe/checked builds privatize per block and merge; the synchronized
-   build takes the bucket mutex on every update. *)
+   build takes the bucket's lock on every update, a spin lock whose word
+   sits in the bucket's own row beside the four words, as Rust's
+   [Vec<Mutex<Stats>>] lays them out. *)
 
 open Rpb_core
 
@@ -16,7 +18,9 @@ let entry : Common.entry =
     patterns = Pattern.[ RO; Stride; Block; SngInd; AW ];
     dynamic = false;
     access_sites = Pattern.[ (RO, 1); (Stride, 2); (Block, 2); (SngInd, 1); (AW, 1) ];
-    mode_note = "unsafe/checked: per-block privatization; sync: mutex per bucket";
+    mode_note =
+      "unsafe/checked: per-block privatization; sync: spin lock per bucket, \
+       in the bucket's row";
     prepare =
       (fun pool ~input ~scale ->
         if input <> "exponential" then invalid_arg "hist: input must be exponential";

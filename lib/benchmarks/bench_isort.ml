@@ -18,8 +18,9 @@ let radix_pass mode pool ~shift a =
     Scatter.checked pool ~out ~offsets:dest ~src:a;
     out
   | Mode.Synchronized ->
-    (* Relaxed atomic stores (Listing 6e): payloads are ints, so the atomic
-       destination applies directly. *)
+    (* Relaxed atomic stores (Listing 6e), inline like Rust's
+       [store(_, Relaxed)]: payloads are ints, so the atomic destination
+       applies directly. *)
     let out = Rpb_prim.Atomic_array.make n 0 in
     Scatter.atomic pool ~out ~offsets:dest ~src:a;
     Rpb_prim.Atomic_array.to_array out

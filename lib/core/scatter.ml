@@ -1,17 +1,18 @@
 open Rpb_pool
+module Atomic_array = Rpb_prim.Atomic_array
 
 exception Duplicate_offset of int
 exception Offset_out_of_range of int
 
-type mode = Unchecked | Checked | Atomic | Mutexed
+type mode = Unchecked | Checked | Atomic | Locked
 
 let mode_name = function
   | Unchecked -> "unchecked"
   | Checked -> "checked"
   | Atomic -> "atomic"
-  | Mutexed -> "mutex"
+  | Locked -> "mutex"
 
-let all_modes = [ Unchecked; Checked; Atomic; Mutexed ]
+let all_modes = [ Unchecked; Checked; Atomic; Locked ]
 
 type check_strategy = Mark_table | Sort_based
 
@@ -50,12 +51,12 @@ let check_unique_sort _pool offsets =
    aborted mid-pass by a range error or a task exception — never equals the
    current epoch.  A grown table is a fresh zeroed array with the epoch
    reset to 0, so it too holds no current stamp.  Concurrent validations
-   from different pools fall back to a private table (the [Mutex.try_lock]
-   miss path) rather than serialize. *)
+   from different pools fall back to a private table (the miss path of the
+   [mark_cache_busy] CAS) rather than serialize. *)
 type mark_table = { mutable slot : int array; mutable epoch : int }
 
 let mark_cache = { slot = [||]; epoch = 0 }
-let mark_cache_lock = Mutex.create ()
+let mark_cache_busy = Atomic.make false
 
 (* Cells per leaf of the counting pass. *)
 let count_block = 4096
@@ -91,9 +92,9 @@ let mark_check pool ~(slot : int array) ~epoch ~n offsets =
   end
 
 let check_mark pool ~n offsets =
-  if Mutex.try_lock mark_cache_lock then
+  if Atomic.compare_and_set mark_cache_busy false true then
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock mark_cache_lock)
+      ~finally:(fun () -> Atomic.set mark_cache_busy false)
       (fun () ->
         if Array.length mark_cache.slot < n then begin
           mark_cache.slot <- Array.make n 0;
@@ -137,34 +138,39 @@ let checked ?strategy pool ~out ~offsets ~src =
 
 let atomic pool ~out ~offsets ~src =
   length_check ~offsets ~src;
-  let n = Rpb_prim.Atomic_array.length out in
+  let n = Atomic_array.length out in
   Pool.parallel_for ~start:0 ~finish:(Array.length src)
     ~body:(fun i ->
       let o = Array.unsafe_get offsets i in
       if o < 0 || o >= n then raise (Offset_out_of_range o);
-      Rpb_prim.Atomic_array.unsafe_set out o (Array.unsafe_get src i))
+      Atomic_array.unsafe_set out o (Array.unsafe_get src i))
     pool
+
+(* [stripes] spin locks, one padded row each, so that no two lock words
+   share a cache line. *)
+let stripe_locks stripes =
+  Atomic_array.make (Atomic_array.cells_per_line * stripes) 0
 
 let mutexed ?(stripes = 64) pool ~out ~offsets ~src =
   length_check ~offsets ~src;
   assert (stripes > 0);
-  let locks = Array.init stripes (fun _ -> Mutex.create ()) in
+  let locks = stripe_locks stripes in
   let n = Array.length out in
   Pool.parallel_for ~start:0 ~finish:(Array.length src)
     ~body:(fun i ->
       let o = Array.unsafe_get offsets i in
       if o < 0 || o >= n then raise (Offset_out_of_range o);
-      let m = locks.(o mod stripes) in
-      Mutex.lock m;
+      let l = Atomic_array.cells_per_line * (o mod stripes) in
+      Atomic_array.lock locks l;
       Array.unsafe_set out o (Array.unsafe_get src i);
-      Mutex.unlock m)
+      Atomic_array.unlock locks l)
     pool
 
 let scatter mode pool ~out ~offsets ~src =
   match mode with
   | Unchecked -> unchecked pool ~out ~offsets ~src
   | Checked -> checked pool ~out ~offsets ~src
-  | Mutexed -> mutexed pool ~out ~offsets ~src
+  | Locked -> mutexed pool ~out ~offsets ~src
   | Atomic ->
     invalid_arg "Scatter.scatter: Atomic mode needs Scatter.atomic"
 
@@ -232,16 +238,16 @@ module Make (S : STORE) = struct
   let mutexed ?(stripes = 64) pool ~out ~offsets ~src =
     length_check ~offsets ~src;
     assert (stripes > 0);
-    let locks = Array.init stripes (fun _ -> Mutex.create ()) in
+    let locks = stripe_locks stripes in
     let n = S.length out in
     Pool.parallel_for ~start:0 ~finish:(Array.length src)
       ~body:(fun i ->
         let o = Array.unsafe_get offsets i in
         if o < 0 || o >= n then raise (Offset_out_of_range o);
-        let m = locks.(o mod stripes) in
-        Mutex.lock m;
+        let l = Atomic_array.cells_per_line * (o mod stripes) in
+        Atomic_array.lock locks l;
         S.set out ~idx:o ~src:i (Array.unsafe_get src i);
-        Mutex.unlock m)
+        Atomic_array.unlock locks l)
       pool
 
   let scatter mode pool ~out ~offsets ~src =
@@ -249,5 +255,5 @@ module Make (S : STORE) = struct
     | Unchecked -> unchecked pool ~out ~offsets ~src
     | Checked -> checked pool ~out ~offsets ~src
     | Atomic -> atomic pool ~out ~offsets ~src
-    | Mutexed -> mutexed pool ~out ~offsets ~src
+    | Locked -> mutexed pool ~out ~offsets ~src
 end

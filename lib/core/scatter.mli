@@ -16,8 +16,9 @@
       fear workload ran up to 14% slower than unsafe.
     - {!atomic} stores through atomic cells (Listing 6e): placates a
       data-race detector but validates nothing — still {e scared}.
-    - {!mutex} takes a striped lock around each write: the "unnecessary
-      synchronization" variant of Sec. 7.4 — still {e scared}, and slow.
+    - {!mutexed} takes a striped lock around each write (mode [Locked]):
+      the "unnecessary synchronization" variant of Sec. 7.4 — still
+      {e scared}, and slow.
 
     All variants compute the same result on valid inputs. *)
 
@@ -29,7 +30,7 @@ exception Duplicate_offset of int
 exception Offset_out_of_range of int
 (** An offset falls outside [\[0, Array.length out)]. *)
 
-type mode = Unchecked | Checked | Atomic | Mutexed
+type mode = Unchecked | Checked | Atomic | Locked
 
 val mode_name : mode -> string
 val all_modes : mode list
@@ -72,12 +73,13 @@ val checked :
 
 val atomic :
   Pool.t -> out:Rpb_prim.Atomic_array.t -> offsets:int array -> src:int array -> unit
-(** Sequentially consistent atomic stores into an atomic destination
-    (integer payloads). *)
+(** Relaxed atomic stores into an atomic destination (integer payloads),
+    Rust's [store(_, Relaxed)]: inline stores, no stub call. *)
 
 val mutexed :
   ?stripes:int -> Pool.t -> out:'a array -> offsets:int array -> src:'a array -> unit
-(** Striped-lock scatter ([stripes] locks, default 64). *)
+(** Striped-lock scatter: [stripes] spin locks (default 64), one
+    {!Rpb_prim.Atomic_array.lock} word per padded row. *)
 
 val scatter :
   mode -> Pool.t -> out:'a array -> offsets:int array -> src:'a array -> unit

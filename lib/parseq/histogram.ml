@@ -1,4 +1,5 @@
 open Rpb_pool
+module Atomic_array = Rpb_prim.Atomic_array
 
 let num_blocks pool n =
   let target = 8 * Pool.size pool in
@@ -37,25 +38,27 @@ let histogram pool ~keys ~buckets =
   out
 
 let histogram_atomic pool ~keys ~buckets =
-  let counts = Rpb_prim.Atomic_array.make buckets 0 in
+  let counts = Atomic_array.make buckets 0 in
   Pool.parallel_for ~start:0 ~finish:(Array.length keys)
     ~body:(fun i ->
       ignore
-        (Rpb_prim.Atomic_array.fetch_and_add counts (Array.unsafe_get keys i) 1))
+        (Atomic_array.fetch_and_add counts (Array.unsafe_get keys i) 1))
     pool;
-  Rpb_prim.Atomic_array.to_array counts
+  Atomic_array.to_array counts
 
 let histogram_mutex ?(stripes = 64) pool ~keys ~buckets =
-  let locks = Array.init (min stripes buckets) (fun _ -> Mutex.create ()) in
-  let nlocks = Array.length locks in
+  let nlocks = min stripes buckets in
+  (* One padded row per stripe: its lock word, then padding to a line. *)
+  let row = Atomic_array.cells_per_line in
+  let locks = Atomic_array.make (row * nlocks) 0 in
   let out = Array.make buckets 0 in
   Pool.parallel_for ~start:0 ~finish:(Array.length keys)
     ~body:(fun i ->
       let k = Array.unsafe_get keys i in
-      let m = locks.(k mod nlocks) in
-      Mutex.lock m;
+      let l = row * (k mod nlocks) in
+      Atomic_array.lock locks l;
       out.(k) <- out.(k) + 1;
-      Mutex.unlock m)
+      Atomic_array.unlock locks l)
     pool;
   out
 
@@ -102,18 +105,39 @@ let histogram_stats ~mode pool ~keys ~values ~buckets =
     done;
     out
   | Stats_mutex ->
-    (* One lock per bucket: the multi-word accumulator cannot be a single
-       atomic, so every update serializes through its bucket's mutex. *)
-    let out = Array.init buckets (fun _ -> stats_empty ()) in
-    let locks = Array.init buckets (fun _ -> Mutex.create ()) in
+    (* One lock per bucket, beside its data as in Rust's
+       [Vec<Mutex<Stats>>]: row k holds bucket k's lock word, count, total,
+       min and max, padded to a line.  The multi-word accumulator cannot be
+       a single atomic, so every update serializes through its bucket's
+       lock; inside it the cells are plain relaxed accesses. *)
+    let row = Atomic_array.cells_per_line in
+    let cells =
+      Atomic_array.init (row * buckets) (fun c ->
+          match c mod row with 3 -> max_int | 4 -> min_int | _ -> 0)
+    in
     Pool.parallel_for ~start:0 ~finish:n
       ~body:(fun i ->
-        let k = Array.unsafe_get keys i in
-        Mutex.lock locks.(k);
-        stats_add out.(k) (Array.unsafe_get values i);
-        Mutex.unlock locks.(k))
+        let r = row * Array.unsafe_get keys i in
+        let v = Array.unsafe_get values i in
+        Atomic_array.lock cells r;
+        let count = Atomic_array.unsafe_get cells (r + 1)
+        and total = Atomic_array.unsafe_get cells (r + 2) in
+        Atomic_array.unsafe_set cells (r + 1) (count + 1);
+        Atomic_array.unsafe_set cells (r + 2) (total + v);
+        if v < Atomic_array.unsafe_get cells (r + 3) then
+          Atomic_array.unsafe_set cells (r + 3) v;
+        if v > Atomic_array.unsafe_get cells (r + 4) then
+          Atomic_array.unsafe_set cells (r + 4) v;
+        Atomic_array.unlock cells r)
       pool;
-    out
+    Array.init buckets (fun k ->
+        let r = row * k in
+        {
+          count = Atomic_array.get cells (r + 1);
+          total = Atomic_array.get cells (r + 2);
+          vmin = Atomic_array.get cells (r + 3);
+          vmax = Atomic_array.get cells (r + 4);
+        })
   | Stats_private ->
     let nb = num_blocks pool n in
     let bsize = Rpb_prim.Util.ceil_div n (max nb 1) in

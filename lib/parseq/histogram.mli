@@ -2,7 +2,7 @@
 
     Plain integer counts admit several implementations across the fear
     spectrum: deterministic per-block privatization (regular), atomic
-    fetch-and-add (AW, "almost zero-cost but scary"), and striped mutexes.
+    fetch-and-add (AW, "almost zero-cost but scary"), and striped locks.
     The "large struct" accumulator of Sec. 7.4 has no atomic analogue — only
     locks or privatization — which is exactly why the paper's hist slows down
     4x when synchronization replaces unsafe code. *)
@@ -17,7 +17,8 @@ val histogram_atomic : Pool.t -> keys:int array -> buckets:int -> int array
 
 val histogram_mutex :
   ?stripes:int -> Pool.t -> keys:int array -> buckets:int -> int array
-(** Striped locks around plain counters. *)
+(** Striped spin locks ({!Rpb_prim.Atomic_array.lock}, one padded row per
+    stripe) around plain counters. *)
 
 val histogram_seq : keys:int array -> buckets:int -> int array
 
@@ -42,5 +43,7 @@ val histogram_stats :
   mode:stats_mode -> Pool.t -> keys:int array -> values:int array ->
   buckets:int -> stats array
 (** Per-bucket count/sum/min/max of [values] grouped by [keys].
-    [Stats_mutex] locks one mutex per bucket (the 4x-slowdown configuration);
+    [Stats_mutex] takes one spin lock per bucket, whose word shares the
+    bucket's row with its four accumulators (the 4x-slowdown
+    configuration);
     [Stats_private] privatizes per block and merges. *)

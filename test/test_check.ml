@@ -24,7 +24,7 @@ let one_duplicate rng n =
   offsets.(dup_b) <- offsets.(dup_a);
   (offsets, dup_a, dup_b)
 
-let scared_modes = Scatter.[ Unchecked; Atomic; Mutexed ]
+let scared_modes = Scatter.[ Unchecked; Atomic; Locked ]
 
 let test_shadow_detects_duplicate_scared_modes () =
   (* In-order deterministic executor: detection AND first/second attribution

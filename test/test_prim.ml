@@ -234,6 +234,44 @@ let test_atomic_array_round_trips () =
   Alcotest.(check (array int)) "empty" [||]
     (Atomic_array.to_array (Atomic_array.of_array [||]))
 
+(* [lock]/[unlock] exclude: 2 and then 4 domains each run [sections]
+   critical sections on one shared row, bumping two of its cells with
+   relaxed reads and writes.  Inside a section the two must read equal, and
+   the final counts must be exact. *)
+let test_atomic_array_lock_exclusion () =
+  let sections = 10_000 in
+  List.iter
+    (fun domains ->
+      let a = Atomic_array.make Atomic_array.cells_per_line 0 in
+      let section () =
+        let torn = ref 0 in
+        for _ = 1 to sections do
+          Atomic_array.lock a 0;
+          let x = Atomic_array.get a 1 and y = Atomic_array.get a 2 in
+          if x <> y then incr torn;
+          Atomic_array.set a 1 (x + 1);
+          Atomic_array.set a 2 (y + 1);
+          Atomic_array.unlock a 0
+        done;
+        !torn
+      in
+      let ds = List.init domains (fun _ -> Domain.spawn section) in
+      let torn = List.fold_left (fun acc d -> acc + Domain.join d) 0 ds in
+      let what = Printf.sprintf "%d domains" domains in
+      Alcotest.(check int) (what ^ ": sections saw equal cells") 0 torn;
+      Alcotest.(check int) (what ^ ": first count") (domains * sections)
+        (Atomic_array.get a 1);
+      Alcotest.(check int) (what ^ ": second count") (domains * sections)
+        (Atomic_array.get a 2);
+      Alcotest.(check int) (what ^ ": lock released") 0 (Atomic_array.get a 0);
+      let snap = Atomic_array.to_array a in
+      Alcotest.(check bool) (what ^ ": to_array is a fresh copy") false
+        (snap == (a :> int array));
+      snap.(1) <- -1;
+      Alcotest.(check int) (what ^ ": copy is detached") (domains * sections)
+        (Atomic_array.get a 1))
+    [ 2; 4 ]
+
 (* The cells are unboxed: [make n] is one block of n words plus its header,
    in the minor heap (small n) and in the major heap (large n) alike.  Minor
    words come from [Gc.minor_words]: the minor part of [Gc.counters] (and so
@@ -346,6 +384,8 @@ let () =
             test_atomic_array_fetch_add_edges;
           Alcotest.test_case "bounds" `Quick test_atomic_array_bounds;
           Alcotest.test_case "round trips" `Quick test_atomic_array_round_trips;
+          Alcotest.test_case "lock exclusion" `Quick
+            test_atomic_array_lock_exclusion;
           Alcotest.test_case "make allocation" `Quick
             test_atomic_array_make_allocation;
         ] );
