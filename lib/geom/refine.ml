@@ -1,4 +1,5 @@
 open Rpb_pool
+module Atomic_array = Rpb_prim.Atomic_array
 
 type mode = Sequential | Reserving
 
@@ -47,7 +48,7 @@ let reserved_set (cavity : Mesh.cavity) =
       (fun (_, _, nb) -> if nb >= 0 then Some nb else None)
       cavity.Mesh.boundary
   in
-  List.sort_uniq compare (cavity.Mesh.old_triangles @ outside)
+  List.sort_uniq Int.compare (cavity.Mesh.old_triangles @ outside)
 
 let finish pool mesh ~min_angle ~rounds ~inserted ~skipped =
   {
@@ -59,120 +60,170 @@ let finish pool mesh ~min_angle ~rounds ~inserted ~skipped =
     final_real_triangles = Mesh.num_real_triangles pool mesh;
   }
 
-let refine_sequential pool mesh ~min_angle ~max_rounds =
-  let inserted = ref 0 and skipped = ref 0 in
-  let give_up = Hashtbl.create 64 in
-  let rounds = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !rounds < max_rounds do
-    incr rounds;
-    let bad =
-      Rpb_parseq.Pack.pack_index pool
-        (fun i -> is_bad mesh ~min_angle i && not (Hashtbl.mem give_up i))
-        (Mesh.num_triangle_slots mesh)
-    in
-    if Array.length bad = 0 then continue_ := false
-    else
-      Array.iter
-        (fun i ->
-          (* The triangle may have died earlier this round. *)
-          if is_bad mesh ~min_angle i && not (Hashtbl.mem give_up i) then begin
-            Mesh.ensure_capacity mesh ~vertices:1 ~triangles:64;
-            match plan_insertion mesh i with
-            | None ->
-              Hashtbl.replace give_up i ();
-              incr skipped
-            | Some cavity ->
-              let v = Mesh.add_point mesh cavity.Mesh.center in
-              ignore (Mesh.apply_insert mesh ~vertex:v cavity);
-              incr inserted
-          end)
-        bad
-  done;
-  finish pool mesh ~min_angle ~rounds:!rounds ~inserted:!inserted ~skipped:!skipped
+(* The bad triangles a generation processes, ascending.  A slot's vertices
+   never change, so a triangle is bad from its creation until it dies.  The
+   next generation's list is therefore this one's entries still alive and
+   not given up, followed by the bad triangles the generation created:
+   exactly what a rescan of every slot would find, in the same order.  An
+   entry given up on is overwritten with -1. *)
+type worklist = { mutable items : int array; mutable len : int }
 
-let refine_reserving pool mesh ~min_angle ~max_rounds =
-  let inserted = ref 0 and skipped = ref 0 in
-  let give_up = Hashtbl.create 64 in
-  let give_up_mutex = Mutex.create () in
-  let mark_given_up i =
-    Mutex.lock give_up_mutex;
-    Hashtbl.replace give_up i ();
-    Mutex.unlock give_up_mutex
-  in
-  let rounds = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !rounds < max_rounds do
-    incr rounds;
-    let nt = Mesh.num_triangle_slots mesh in
-    let bad =
-      Rpb_parseq.Pack.pack_index pool
-        (fun i -> is_bad mesh ~min_angle i && not (Hashtbl.mem give_up i))
-        nt
-    in
-    let nbad = Array.length bad in
-    if nbad = 0 then continue_ := false
-    else begin
-      (* Phase A (read-only, parallel): plan every insertion. *)
-      let plans = Array.make nbad None in
-      Pool.parallel_for ~start:0 ~finish:nbad
-        ~body:(fun j ->
-          match plan_insertion mesh bad.(j) with
-          | None -> mark_given_up bad.(j)
-          | Some cavity -> plans.(j) <- Some (cavity, reserved_set cavity))
-        pool;
-      (* Phase B (parallel): priority-write reservations — the AW pattern. *)
-      let owner = Rpb_prim.Atomic_array.make nt max_int in
-      Pool.parallel_for ~start:0 ~finish:nbad
-        ~body:(fun j ->
-          match plans.(j) with
-          | None -> ()
-          | Some (_, reserved) ->
-            List.iter
-              (fun ti -> ignore (Rpb_prim.Atomic_array.fetch_min owner ti j))
-              reserved)
-        pool;
-      let winners =
-        Rpb_parseq.Pack.pack_index pool
-          (fun j ->
-            match plans.(j) with
-            | None -> false
-            | Some (_, reserved) ->
-              List.for_all (fun ti -> Rpb_prim.Atomic_array.get owner ti = j) reserved)
-          nbad
-      in
-      (* Phase C: capacity (single-threaded), then disjoint parallel inserts. *)
-      let new_triangles =
-        Array.fold_left
-          (fun acc j ->
-            match plans.(j) with
-            | Some (cavity, _) -> acc + List.length cavity.Mesh.boundary
-            | None -> acc)
-          0 winners
-      in
-      Mesh.ensure_capacity mesh ~vertices:(Array.length winners)
-        ~triangles:new_triangles;
-      Pool.parallel_for ~grain:1 ~start:0 ~finish:(Array.length winners)
-        ~body:(fun w ->
-          let j = winners.(w) in
-          match plans.(j) with
-          | None -> assert false
-          | Some (cavity, _) ->
-            let v = Mesh.add_point mesh cavity.Mesh.center in
-            ignore (Mesh.apply_insert mesh ~vertex:v cavity))
-        pool;
-      inserted := !inserted + Array.length winners;
-      (* If contention produced no winner (can only happen with at least one
-         plan and cyclic conflicts, which priority-writes preclude), we would
-         still make progress next round via re-planning; guard anyway. *)
-      if Array.length winners = 0 && Hashtbl.length give_up = 0 then
-        continue_ := false
+let push w i =
+  if w.len = Array.length w.items then begin
+    let items = Array.make (max 64 (2 * w.len)) 0 in
+    Array.blit w.items 0 items 0 w.len;
+    w.items <- items
+  end;
+  w.items.(w.len) <- i;
+  w.len <- w.len + 1
+
+let push_bad w mesh ~min_angle ~from =
+  for i = from to Mesh.num_triangle_slots mesh - 1 do
+    if is_bad mesh ~min_angle i then push w i
+  done
+
+let next_generation w mesh ~min_angle ~from =
+  let kept = ref 0 in
+  for r = 0 to w.len - 1 do
+    let i = w.items.(r) in
+    if i >= 0 && Mesh.is_alive mesh i then begin
+      w.items.(!kept) <- i;
+      incr kept
     end
   done;
-  skipped := Hashtbl.length give_up;
-  finish pool mesh ~min_angle ~rounds:!rounds ~inserted:!inserted ~skipped:!skipped
+  w.len <- !kept;
+  push_bad w mesh ~min_angle ~from
+
+(* One insertion at a time, in list order. *)
+let sequential_generation mesh w ~inserted ~skipped =
+  for r = 0 to w.len - 1 do
+    let i = w.items.(r) in
+    (* The triangle may have died earlier this generation. *)
+    if Mesh.is_alive mesh i then
+      match plan_insertion mesh i with
+      | None ->
+        w.items.(r) <- -1;
+        incr skipped
+      | Some cavity ->
+        Mesh.ensure_capacity mesh ~vertices:1
+          ~triangles:(List.length cavity.Mesh.boundary);
+        let v = Mesh.add_point mesh cavity.Mesh.center in
+        ignore (Mesh.apply_insert mesh ~vertex:v cavity);
+        incr inserted
+  done
+
+type plan = Give_up | Insert of Mesh.cavity * int list
+
+(* Deterministic reservations over the generation's list (PBBS's
+   speculative_for): each step plans, reserves and commits a prefix of the
+   pending entries; an entry whose reservation lost goes to the front of the
+   next step.  The prefix halves when more than a fifth of a step failed and
+   doubles when less than a tenth did.  [owner] holds one reservation cell
+   per triangle slot, all [max_int] between steps; it grows with the mesh. *)
+let reserving_generation pool mesh owner w ~inserted ~skipped =
+  let n = w.len in
+  (* [batch] holds worklist positions, a step's losers first; [plans] and
+     [winners] are indexed by batch position. *)
+  let batch = Array.make n 0 and plans = Array.make n Give_up in
+  let winners = Array.make n 0 in
+  let prefix = ref (max 1 (n / 4)) in
+  let next = ref 0 and kept = ref 0 in
+  while !kept > 0 || !next < n do
+    let size = min !prefix (!kept + n - !next) in
+    for j = !kept to size - 1 do
+      batch.(j) <- !next + j - !kept
+    done;
+    next := !next + size - !kept;
+    (* Entries killed by an earlier step are done. *)
+    let live = ref 0 in
+    for j = 0 to size - 1 do
+      if Mesh.is_alive mesh w.items.(batch.(j)) then begin
+        batch.(!live) <- batch.(j);
+        incr live
+      end
+    done;
+    let m = !live in
+    let nt = Mesh.num_triangle_slots mesh in
+    if Atomic_array.length !owner < nt then
+      owner := Atomic_array.make (max nt (2 * Atomic_array.length !owner)) max_int;
+    let owner = !owner in
+    (* Plan (read-only). *)
+    Pool.parallel_for ~start:0 ~finish:m
+      ~body:(fun j ->
+        plans.(j) <-
+          (match plan_insertion mesh w.items.(batch.(j)) with
+           | None -> Give_up
+           | Some cavity -> Insert (cavity, reserved_set cavity)))
+      pool;
+    (* Reserve: priority-writes, the lowest batch position wins — the AW
+       pattern. *)
+    Pool.parallel_for ~start:0 ~finish:m
+      ~body:(fun j ->
+        match plans.(j) with
+        | Give_up -> ()
+        | Insert (_, reserved) ->
+          List.iter (fun ti -> ignore (Atomic_array.fetch_min owner ti j)) reserved)
+      pool;
+    (* Split winners from losers, then free the reserved cells. *)
+    let won = ref 0 and lost = ref 0 and new_triangles = ref 0 in
+    for j = 0 to m - 1 do
+      let r = batch.(j) in
+      match plans.(j) with
+      | Give_up ->
+        w.items.(r) <- -1;
+        incr skipped
+      | Insert (cavity, reserved) ->
+        if List.for_all (fun ti -> Atomic_array.get owner ti = j) reserved then begin
+          winners.(!won) <- j;
+          incr won;
+          new_triangles := !new_triangles + List.length cavity.Mesh.boundary
+        end
+        else begin
+          batch.(!lost) <- r;
+          incr lost
+        end
+    done;
+    for j = 0 to m - 1 do
+      match plans.(j) with
+      | Give_up -> ()
+      | Insert (_, reserved) ->
+        List.iter (fun ti -> Atomic_array.set owner ti max_int) reserved
+    done;
+    (* Commit: capacity first (single-threaded), then disjoint inserts. *)
+    Mesh.ensure_capacity mesh ~vertices:!won ~triangles:!new_triangles;
+    Pool.parallel_for ~grain:1 ~start:0 ~finish:!won
+      ~body:(fun k ->
+        match plans.(winners.(k)) with
+        | Give_up -> assert false
+        | Insert (cavity, _) ->
+          let v = Mesh.add_point mesh cavity.Mesh.center in
+          ignore (Mesh.apply_insert mesh ~vertex:v cavity))
+      pool;
+    inserted := !inserted + !won;
+    if 5 * !lost > size then prefix := max (!prefix / 2) (max ((n / 64) + 1) !lost)
+    else if 10 * !lost < size then prefix := min (2 * !prefix) n;
+    kept := !lost
+  done
 
 let refine ?(min_angle = 26.0) ?(max_rounds = 64) ?(mode = Reserving) pool mesh =
-  match mode with
-  | Sequential -> refine_sequential pool mesh ~min_angle ~max_rounds
-  | Reserving -> refine_reserving pool mesh ~min_angle ~max_rounds
+  let inserted = ref 0 and skipped = ref 0 in
+  let generation =
+    match mode with
+    | Sequential -> sequential_generation mesh ~inserted ~skipped
+    | Reserving ->
+      reserving_generation pool mesh (ref (Atomic_array.make 0 max_int)) ~inserted
+        ~skipped
+  in
+  let w = { items = [||]; len = 0 } in
+  push_bad w mesh ~min_angle ~from:0;
+  let rounds = ref 0 and continue_ = ref true in
+  while !continue_ && !rounds < max_rounds do
+    incr rounds;
+    if w.len = 0 then continue_ := false
+    else begin
+      let nt0 = Mesh.num_triangle_slots mesh in
+      generation w;
+      next_generation w mesh ~min_angle ~from:nt0
+    end
+  done;
+  finish pool mesh ~min_angle ~rounds:!rounds ~inserted:!inserted ~skipped:!skipped

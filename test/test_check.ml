@@ -411,7 +411,7 @@ let test_oracle_detects_order_sensitivity () =
    deterministic reference digests, so a scheduler that reorders, drops or
    duplicates work cannot pass.  One cheap benchmark per fear tier keeps the
    sweep fast. *)
-let test_oracle_clean_under_every_policy () =
+let test_oracle_clean_on_work_stealing_pool () =
   List.iter
     (fun bench ->
       let report = Oracle.run ~threads:3 ~scale:0 ~bench ~seed:11 () in
@@ -529,8 +529,8 @@ let () =
           Alcotest.test_case "single bench ok" `Quick test_oracle_single_bench_ok;
           Alcotest.test_case "json fields" `Quick
             test_oracle_report_json_roundtrip_fields;
-          Alcotest.test_case "clean under every policy" `Quick
-            test_oracle_clean_under_every_policy;
+          Alcotest.test_case "clean on the work-stealing pool" `Quick
+            test_oracle_clean_on_work_stealing_pool;
           Alcotest.test_case "order sensitivity exposed" `Quick
             test_oracle_detects_order_sensitivity;
         ] );

@@ -188,6 +188,49 @@ let test_refine_no_bad_input_is_noop () =
       Alcotest.(check int) "nothing inserted" 0 stats.Refine.inserted;
       Alcotest.(check int) "one round" 1 stats.Refine.rounds)
 
+(* The worklist changes no Sequential output: these are the stats the
+   full-rescan refinement produced on the dr benchmark's input. *)
+let test_refine_sequential_baseline () =
+  in_pool (fun pool ->
+      let mesh = Delaunay.triangulate (Pointgen.kuzmin ~n:200 ~seed:115) in
+      let s = Refine.refine ~min_angle:26.0 ~mode:Refine.Sequential pool mesh in
+      Alcotest.(check (list int)) "rounds, inserted, skipped, remaining, real"
+        [ 14; 391; 41; 26; 1165 ]
+        [ s.Refine.rounds; s.inserted; s.skipped; s.remaining_bad;
+          s.final_real_triangles ])
+
+(* Larger inputs must empty the worklist before the default cap of 64
+   rounds stops refinement; a capped run can still pass
+   [remaining_bad <= skipped] by chance. *)
+let test_refine_before_cap ~n ~seed ~mode ~workers () =
+  with_pool workers (fun pool ->
+      Pool.run pool (fun () ->
+          let mesh = Delaunay.triangulate (Pointgen.kuzmin ~n ~seed) in
+          let s = Refine.refine ~min_angle:26.0 ~mode pool mesh in
+          Alcotest.(check bool)
+            (Printf.sprintf "finished before the cap (%d rounds)" s.Refine.rounds)
+            true (s.Refine.rounds < 64);
+          Alcotest.(check bool) "remaining_bad <= skipped" true
+            (s.Refine.remaining_bad <= s.Refine.skipped);
+          match Mesh.validate mesh with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "invalid: %s" e))
+
+let refine_cap_cases =
+  List.concat_map
+    (fun (n, seed) ->
+      List.concat_map
+        (fun (mname, mode) ->
+          List.map
+            (fun workers ->
+              Alcotest.test_case
+                (Printf.sprintf "before cap n=%d %s P=%d" n mname workers)
+                `Quick
+                (test_refine_before_cap ~n ~seed ~mode ~workers))
+            [ 1; 2 ])
+        [ ("sequential", Refine.Sequential); ("reserving", Refine.Reserving) ])
+    [ (1600, 115); (3200, 3) ]
+
 (* ---------- Quickhull ---------- *)
 
 let hull_point_set pts hull =
@@ -434,5 +477,8 @@ let () =
           Alcotest.test_case "modes reach quality" `Quick
             test_refine_modes_equivalent_quality;
           Alcotest.test_case "clean input noop" `Quick test_refine_no_bad_input_is_noop;
-        ] );
+          Alcotest.test_case "sequential baseline pinned" `Quick
+            test_refine_sequential_baseline;
+        ]
+        @ refine_cap_cases );
     ]

@@ -715,7 +715,7 @@ let test_default_scheduler_constants () =
 (* The public API's results: a steal-heavy grain-1 reduce, join's
    (f result, g result) order — which is part of the API whatever order the
    branches actually run in — and deeply nested joins. *)
-let test_policy_pools_agree () =
+let test_results_under_stealing () =
   with_pool 4 (fun pool ->
       let sum =
         Pool.run pool (fun () ->
@@ -766,12 +766,12 @@ let () =
           Alcotest.test_case "concurrent exactly-once" `Quick
             test_deque_concurrent_no_dup_no_loss;
         ] );
-      ( "policies",
+      ( "scheduler",
         [
-          Alcotest.test_case "default = pre-policy constants" `Quick
+          Alcotest.test_case "default grain and help-first join" `Quick
             test_default_scheduler_constants;
-          Alcotest.test_case "all policies compute the same" `Quick
-            test_policy_pools_agree;
+          Alcotest.test_case "results under stealing" `Quick
+            test_results_under_stealing;
         ] );
       ( "pool",
         [
