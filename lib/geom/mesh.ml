@@ -181,50 +181,52 @@ let circumcircle_contains t i (p : Point.t) =
   let a, b, c = tri_points t i in
   Point.in_circle a b c p
 
+let cavity_at t ~start p =
+  (* Duplicate-point guard. *)
+  let sa, sb, sc = tri_vertices t start in
+  let dup =
+    List.exists
+      (fun v -> Point.dist2 (point t v) p < duplicate_eps2)
+      [ sa; sb; sc ]
+  in
+  if dup then None
+  else begin
+    (* BFS over triangles whose circumcircle contains p. *)
+    let in_cavity = Hashtbl.create 16 in
+    let q = Queue.create () in
+    Hashtbl.replace in_cavity start ();
+    Queue.push start q;
+    let old_triangles = ref [] in
+    while not (Queue.is_empty q) do
+      let i = Queue.pop q in
+      old_triangles := i :: !old_triangles;
+      for e = 0 to 2 do
+        let nb = tri_neighbor t i e in
+        if nb <> -1 && (not (Hashtbl.mem in_cavity nb))
+           && circumcircle_contains t nb p
+        then begin
+          Hashtbl.replace in_cavity nb ();
+          Queue.push nb q
+        end
+      done
+    done;
+    let boundary = ref [] in
+    List.iter
+      (fun i ->
+        let vs = [| t.tv.(3 * i); t.tv.((3 * i) + 1); t.tv.((3 * i) + 2) |] in
+        for e = 0 to 2 do
+          let nb = tri_neighbor t i e in
+          if nb = -1 || not (Hashtbl.mem in_cavity nb) then
+            boundary := (vs.(e), vs.((e + 1) mod 3), nb) :: !boundary
+        done)
+      !old_triangles;
+    Some { center = p; old_triangles = !old_triangles; boundary = !boundary }
+  end
+
 let cavity_of t p =
   match locate t p with
   | exception Not_found -> None
-  | start ->
-    (* Duplicate-point guard. *)
-    let sa, sb, sc = tri_vertices t start in
-    let dup =
-      List.exists
-        (fun v -> Point.dist2 (point t v) p < duplicate_eps2)
-        [ sa; sb; sc ]
-    in
-    if dup then None
-    else begin
-      (* BFS over triangles whose circumcircle contains p. *)
-      let in_cavity = Hashtbl.create 16 in
-      let q = Queue.create () in
-      Hashtbl.replace in_cavity start ();
-      Queue.push start q;
-      let old_triangles = ref [] in
-      while not (Queue.is_empty q) do
-        let i = Queue.pop q in
-        old_triangles := i :: !old_triangles;
-        for e = 0 to 2 do
-          let nb = tri_neighbor t i e in
-          if nb <> -1 && (not (Hashtbl.mem in_cavity nb))
-             && circumcircle_contains t nb p
-          then begin
-            Hashtbl.replace in_cavity nb ();
-            Queue.push nb q
-          end
-        done
-      done;
-      let boundary = ref [] in
-      List.iter
-        (fun i ->
-          let vs = [| t.tv.(3 * i); t.tv.((3 * i) + 1); t.tv.((3 * i) + 2) |] in
-          for e = 0 to 2 do
-            let nb = tri_neighbor t i e in
-            if nb = -1 || not (Hashtbl.mem in_cavity nb) then
-              boundary := (vs.(e), vs.((e + 1) mod 3), nb) :: !boundary
-          done)
-        !old_triangles;
-      Some { center = p; old_triangles = !old_triangles; boundary = !boundary }
-    end
+  | start -> cavity_at t ~start p
 
 let apply_insert t ~vertex cavity =
   let edges = Array.of_list cavity.boundary in

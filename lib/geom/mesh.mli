@@ -71,6 +71,10 @@ val cavity_of : t -> Point.t -> cavity option
     if the point duplicates an existing vertex (within tolerance) or cannot
     be located.  Read-only. *)
 
+val cavity_at : t -> start:int -> Point.t -> cavity option
+(** {!cavity_of} for a caller that has already located the point: [start]
+    is the live triangle {!locate} returned for it.  Read-only. *)
+
 val add_point : t -> Point.t -> int
 (** Store a new vertex (no triangulation change).  Thread-safe slot
     allocation; raises {!Capacity} when full. *)

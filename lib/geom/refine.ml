@@ -40,7 +40,7 @@ let plan_insertion mesh i =
     (match Mesh.locate mesh center with
      | exception Not_found -> None
      | loc when not (Mesh.is_real mesh loc) -> None
-     | _ -> Mesh.cavity_of mesh center)
+     | loc -> Mesh.cavity_at mesh ~start:loc center)
 
 let reserved_set (cavity : Mesh.cavity) =
   let outside =

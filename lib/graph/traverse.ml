@@ -17,7 +17,7 @@ let search pool g ~src ~relax_weight =
   in
   let sched = Rpb_mq.Multiqueue.Scheduler.create mq in
   Rpb_mq.Multiqueue.Scheduler.push sched ~pri:0 src;
-  Rpb_mq.Multiqueue.Scheduler.run sched ~num_workers
+  Rpb_mq.Multiqueue.Scheduler.run ~pool sched ~num_workers
     ~handler:(fun sched ~pri:d v ->
       if d <= Rpb_prim.Atomic_array.get dist v then
         Csr.iter_neighbors_w g v (fun w weight ->

@@ -7,8 +7,9 @@ open Rpb_pool
 
 val bfs : Pool.t -> Csr.t -> src:int -> int array
 (** Hop distances from [src] ([max_int] when unreachable), computed by
-    worker domains popping (distance, vertex) tasks from a MultiQueue of
-    four queues per worker. *)
+    one worker loop per pool worker popping (distance, vertex) tasks from a
+    MultiQueue of four queues per worker.  Call it inside [Pool.run pool]
+    for the workers to run in parallel. *)
 
 val sssp : Pool.t -> Csr.t -> src:int -> int array
 (** Weighted distances (non-negative weights), delta-less relaxed Dijkstra:

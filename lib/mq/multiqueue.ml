@@ -1,155 +1,241 @@
-type lane = { lock : Mutex.t; heap : Binary_heap.t }
+module Atomic_array = Rpb_prim.Atomic_array
+
+(* Lane [i] is [heaps.(i)], guarded by the lock word at [rows.(row * i)].
+   The lane's top priority is cached beside the lock at
+   [rows.(row * i + 1)], [max_int] when the lane is empty: it is written
+   only under the lock and read without it, so choosing a lane takes no
+   lock.  One padded row per lane keeps two lanes' words off one cache
+   line. *)
+let row = Atomic_array.cells_per_line
 
 type t = {
-  lanes : lane array;
-  (* Domain-local RNG would be ideal; a lock-free splitmix step per call via
-     an atomic counter keeps lane choice cheap and contention-free. *)
+  heaps : Binary_heap.t array;
+  rows : Atomic_array.t;
+  (* Hands out the lane choices of the standalone [push]/[pop]; a
+     scheduler worker draws its own and never touches it. *)
   ticket : int Atomic.t;
   seed : int;
 }
 
 let create ?(seed = 0x30b5) ~queues () =
   if queues < 1 then invalid_arg "Multiqueue.create: queues must be >= 1";
+  let rows = Atomic_array.make (row * queues) 0 in
+  for i = 0 to queues - 1 do
+    Atomic_array.set rows ((row * i) + 1) max_int
+  done;
   {
-    lanes =
-      Array.init queues (fun _ ->
-          { lock = Mutex.create (); heap = Binary_heap.create () });
+    heaps = Array.init queues (fun _ -> Binary_heap.create ());
+    rows;
     ticket = Atomic.make 0;
     seed;
   }
 
-let nqueues t = Array.length t.lanes
+let nqueues t = Array.length t.heaps
 
-let random_lane t =
-  let n = Array.length t.lanes in
-  if n = 1 then 0
+let[@inline] top t i = Atomic_array.unsafe_get t.rows ((row * i) + 1)
+
+(* Lane choice: the PBBS hash of a counter owned by whoever chooses. *)
+type picker = { mutable tick : int }
+
+let[@inline] pick t p =
+  p.tick <- p.tick + 1;
+  Rpb_prim.Rng.hash64 (p.tick lxor t.seed) mod Array.length t.heaps
+
+(* A standalone call's picker starts at its own ticket, 2^24 draws from the
+   next call's. *)
+let picker t = { tick = Atomic.fetch_and_add t.ticket 1 lsl 24 }
+
+(* The next two run with lane [i]'s lock held. *)
+let push_locked t i ~pri v =
+  Binary_heap.push t.heaps.(i) ~pri v;
+  if pri < top t i then Atomic_array.unsafe_set t.rows ((row * i) + 1) pri
+
+let pop_locked t i =
+  let heap = t.heaps.(i) in
+  let r = Binary_heap.pop_min heap in
+  Atomic_array.unsafe_set t.rows ((row * i) + 1)
+    (match Binary_heap.peek_min heap with Some (p, _) -> p | None -> max_int);
+  r
+
+let with_lane t i f =
+  Atomic_array.lock t.rows (row * i);
+  let r = f t.heaps.(i) in
+  Atomic_array.unlock t.rows (row * i);
+  r
+
+(* Takes the lock of a random lane, drawing a fresh lane whenever the lock
+   is held, and returns the lane. *)
+let rec lock_random t p =
+  let i = pick t p in
+  if Atomic_array.try_lock t.rows (row * i) then i
   else begin
-    let tk = Atomic.fetch_and_add t.ticket 1 in
-    Rpb_prim.Rng.hash64 (tk lxor t.seed) mod n
+    Domain.cpu_relax ();
+    lock_random t p
+  end
+
+(* The lane with the smallest cached top, or -1 if every lane looks
+   empty. *)
+let best_lane t =
+  let best = ref (-1) and best_top = ref max_int in
+  for i = 0 to Array.length t.heaps - 1 do
+    let p = top t i in
+    if p < !best_top then begin
+      best := i;
+      best_top := p
+    end
+  done;
+  !best
+
+(* Best of two random lanes by their cached tops, then one try-lock of the
+   better lane; a held lock or a lane emptied meanwhile draws a fresh pair.
+   When both look empty, every lane's top is scanned once. *)
+let rec pop_with t p =
+  let i = pick t p and j = pick t p in
+  let i = if top t j < top t i then j else i in
+  let i = if top t i = max_int then best_lane t else i in
+  if i < 0 then None
+  else if Atomic_array.try_lock t.rows (row * i) then begin
+    let r = pop_locked t i in
+    Atomic_array.unlock t.rows (row * i);
+    match r with Some _ -> r | None -> pop_with t p
+  end
+  else begin
+    Domain.cpu_relax ();
+    pop_with t p
   end
 
 let push t ~pri v =
-  let lane = t.lanes.(random_lane t) in
-  Mutex.lock lane.lock;
-  Binary_heap.push lane.heap ~pri v;
-  Mutex.unlock lane.lock
+  let i = lock_random t (picker t) in
+  push_locked t i ~pri v;
+  Atomic_array.unlock t.rows (row * i)
 
-(* Pop from one specific lane; returns None if it is empty. *)
-let pop_lane lane =
-  Mutex.lock lane.lock;
-  let r = Binary_heap.pop_min lane.heap in
-  Mutex.unlock lane.lock;
-  r
-
-let peek_pri lane =
-  Mutex.lock lane.lock;
-  let r = Binary_heap.peek_min lane.heap in
-  Mutex.unlock lane.lock;
-  match r with Some (pri, _) -> pri | None -> max_int
-
-let pop t =
-  let n = Array.length t.lanes in
-  if n = 1 then pop_lane t.lanes.(0)
-  else begin
-    let i = random_lane t in
-    let j =
-      let j = random_lane t in
-      if j = i then (j + 1) mod n else j
-    in
-    (* Relaxed best-of-two: peek both, pop the apparently-smaller lane.  The
-       top may change between peek and pop; the MultiQueue's guarantees are
-       probabilistic anyway. *)
-    let pi = peek_pri t.lanes.(i) and pj = peek_pri t.lanes.(j) in
-    let first, second = if pi <= pj then (i, j) else (j, i) in
-    match pop_lane t.lanes.(first) with
-    | Some _ as r -> r
-    | None ->
-      (match pop_lane t.lanes.(second) with
-       | Some _ as r -> r
-       | None ->
-         (* Both empty: sweep all lanes once before reporting empty. *)
-         let rec sweep k =
-           if k >= n then None
-           else
-             match pop_lane t.lanes.(k) with
-             | Some _ as r -> r
-             | None -> sweep (k + 1)
-         in
-         sweep 0)
-  end
+let pop t = pop_with t (picker t)
 
 let size t =
-  Array.fold_left
-    (fun acc lane ->
-      Mutex.lock lane.lock;
-      let s = Binary_heap.size lane.heap in
-      Mutex.unlock lane.lock;
-      acc + s)
-    0 t.lanes
+  let n = ref 0 in
+  for i = 0 to nqueues t - 1 do
+    n := !n + with_lane t i Binary_heap.size
+  done;
+  !n
 
 let is_empty t = size t = 0
 
 let stats t =
   let sizes =
-    Array.to_list
-      (Array.map
-         (fun lane ->
-           Mutex.lock lane.lock;
-           let s = Binary_heap.size lane.heap in
-           Mutex.unlock lane.lock;
-           string_of_int s)
-         t.lanes)
+    List.init (nqueues t) (fun i -> string_of_int (with_lane t i Binary_heap.size))
   in
   Printf.sprintf "lanes=%d sizes=[%s]" (nqueues t) (String.concat ";" sizes)
 
 module Scheduler = struct
+  module Pool = Rpb_pool.Pool
+
   type mq = t
 
-  type sched = {
+  type shared = {
     mq : mq;
-    (* Tasks pushed but whose handler has not finished.  Strictly positive
-       while any work (queued or executing) remains, so a worker observing
-       [pop = None && in_flight = 0] can safely terminate. *)
-    in_flight : int Atomic.t;
-    failure : exn option Atomic.t;
-    (* The private heap of a one-worker run while it lasts: its handler is
-       the only pusher, so tasks skip the lanes, the lock and [in_flight]. *)
-    mutable solo : Binary_heap.t option;
+    (* Tasks pushed whose handler has not finished, in cell [row] of a
+       two-row array so that no other word shares its line.  Strictly
+       positive while any work (queued, executing or buffered) remains, so
+       a worker observing [pop = None && in_flight = 0] can terminate. *)
+    in_flight : Atomic_array.t;
+    failure : (exn * Printexc.raw_backtrace) option Atomic.t;
   }
 
+  (* A worker's own state: its lane choices, and the tasks its current
+     handler pushed, which reach a lane only after the handler returns. *)
+  type worker = {
+    picker : picker;
+    mutable pris : int array;
+    mutable vals : int array;
+    mutable k : int;
+  }
+
+  (* Where a handle's pushes go: into the lanes (the handle [create]
+     returns, between runs), into the private heap of a one-worker run, or
+     into a worker's buffer (the handle a multi-worker run passes its
+     handler). *)
+  type local = Lanes | Solo of Binary_heap.t | Worker of worker
+  type sched = { shared : shared; mutable local : local }
+
   let create mq =
-    { mq; in_flight = Atomic.make 0; failure = Atomic.make None; solo = None }
+    {
+      shared =
+        {
+          mq;
+          in_flight = Atomic_array.make (2 * row) 0;
+          failure = Atomic.make None;
+        };
+      local = Lanes;
+    }
+
+  let buffer w ~pri v =
+    if w.k = Array.length w.pris then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      w.pris <- grow w.pris;
+      w.vals <- grow w.vals
+    end;
+    w.pris.(w.k) <- pri;
+    w.vals.(w.k) <- v;
+    w.k <- w.k + 1
 
   let push s ~pri v =
-    match s.solo with
-    | Some heap -> Binary_heap.push heap ~pri v
-    | None ->
-      Atomic.incr s.in_flight;
-      push s.mq ~pri v
+    match s.local with
+    | Solo heap -> Binary_heap.push heap ~pri v
+    | Worker w -> buffer w ~pri v
+    | Lanes ->
+      ignore (Atomic_array.fetch_and_add s.shared.in_flight row 1);
+      push s.shared.mq ~pri v
 
   (* Empties the lanes; only called while no worker runs. *)
-  let rec drain s f =
-    match pop s.mq with
+  let rec drain sh f =
+    match pop sh.mq with
     | Some (pri, v) ->
       f ~pri v;
-      drain s f
-    | None -> Atomic.set s.in_flight 0
+      drain sh f
+    | None -> Atomic_array.set sh.in_flight row 0
 
-  let worker s handler =
+  (* The task just handled is done and its [k] children are buffered: one
+     update turns its unit of [in_flight] into theirs, before they become
+     visible, and one lock puts all of them into a lane. *)
+  let finish_task sh w =
+    let k = w.k in
+    if k <> 1 then ignore (Atomic_array.fetch_and_add sh.in_flight row (k - 1));
+    if k > 0 then begin
+      let mq = sh.mq in
+      let i = lock_random mq w.picker in
+      for j = 0 to k - 1 do
+        push_locked mq i ~pri:w.pris.(j) w.vals.(j)
+      done;
+      Atomic_array.unlock mq.rows (row * i);
+      w.k <- 0
+    end
+
+  let worker sh handler slot =
+    let w =
+      {
+        picker = { tick = Rpb_prim.Rng.hash64 slot };
+        pris = Array.make 16 0;
+        vals = Array.make 16 0;
+        k = 0;
+      }
+    in
+    let handle = { shared = sh; local = Worker w } in
     let rec loop idle =
-      match Atomic.get s.failure with
+      match Atomic.get sh.failure with
       | Some _ -> ()
       | None ->
-        (match pop s.mq with
+        (match pop_with sh.mq w.picker with
          | Some (pri, v) ->
-           (match handler s ~pri v with
-            | () -> ()
+           (match handler handle ~pri v with
+            | () ->
+              finish_task sh w;
+              loop 0
             | exception e ->
-              ignore (Atomic.compare_and_set s.failure None (Some e)));
-           Atomic.decr s.in_flight;
-           loop 0
+              (* The buffered children go with the run. *)
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (Atomic.compare_and_set sh.failure None (Some (e, bt))))
          | None ->
-           if Atomic.get s.in_flight = 0 then ()
+           if Atomic_array.get sh.in_flight row = 0 then ()
            else begin
              if idle < 64 then Domain.cpu_relax () else Unix.sleepf 5e-5;
              loop (idle + 1)
@@ -159,8 +245,8 @@ module Scheduler = struct
 
   let run_solo s handler =
     let heap = Binary_heap.create () in
-    drain s (Binary_heap.push heap);
-    s.solo <- Some heap;
+    drain s.shared (Binary_heap.push heap);
+    s.local <- Solo heap;
     let rec loop () =
       match Binary_heap.pop_min heap with
       | Some (pri, v) ->
@@ -169,24 +255,43 @@ module Scheduler = struct
       | None -> ()
     in
     (* On a handler exception the tasks left in [heap] are dropped with it. *)
-    Fun.protect ~finally:(fun () -> s.solo <- None) loop
+    Fun.protect ~finally:(fun () -> s.local <- Lanes) loop
 
-  let run_spawned s ~num_workers handler =
-    let domains =
-      Array.init (num_workers - 1) (fun _ ->
-          Domain.spawn (fun () -> worker s handler))
+  (* One worker loop per slot, each a pool task.  A slot that starts after
+     the work ran out finds [in_flight = 0] and returns at once, so the run
+     never waits for every slot to get a domain.  [parallel_for] returns or
+     raises only after every slot it started has stopped. *)
+  let run_on pool s ~slots handler =
+    let sh = s.shared in
+    let pool_failure =
+      match
+        Pool.parallel_for ~grain:1 ~start:0 ~finish:slots
+          ~body:(worker sh handler) pool
+      with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
     in
-    worker s handler;
-    Array.iter Domain.join domains;
-    match Atomic.get s.failure with
-    | Some e ->
-      drain s (fun ~pri:_ _ -> ());
-      Atomic.set s.failure None;
-      raise e
+    let failure =
+      match Atomic.get sh.failure with Some _ as f -> f | None -> pool_failure
+    in
+    match failure with
     | None -> ()
+    | Some (e, bt) ->
+      drain sh (fun ~pri:_ _ -> ());
+      Atomic.set sh.failure None;
+      Printexc.raise_with_backtrace e bt
 
-  let run s ~num_workers ~handler =
+  let run ?pool s ~num_workers ~handler =
     if num_workers < 1 then invalid_arg "Scheduler.run: num_workers >= 1";
     if num_workers = 1 then run_solo s handler
-    else run_spawned s ~num_workers handler
+    else
+      match pool with
+      | Some pool -> run_on pool s ~slots:(min num_workers (Pool.size pool)) handler
+      | None ->
+        let pool = Pool.create ~num_workers () in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            Pool.run pool (fun () ->
+                run_on pool s ~slots:(Pool.size pool) handler))
 end

@@ -2,12 +2,16 @@
     Dementiev, SPAA '15), the dynamic priority scheduler of the paper's
     Sec. 6 and of its bfs/sssp benchmarks.
 
-    [c * p] sequential binary heaps, each guarded by its own mutex.  {!push}
-    locks one uniformly random lane; {!pop} inspects two random lanes and
-    pops from the one whose top has the smaller priority.  Rank guarantees
-    are probabilistic: {!pop} may return an element that is not the global
-    minimum, so clients must tolerate out-of-order delivery (e.g. re-relax in
-    SSSP).  Every pushed element is eventually popped exactly once. *)
+    [c * p] sequential binary heaps (lanes).  Each lane has one padded
+    {!Rpb_prim.Atomic_array} row: its lock word, and beside it the lane's
+    cached top priority ([max_int] when empty), written only under the lock.
+    {!push} try-locks a uniformly random lane, drawing another while the
+    lock is held; {!pop} reads two random lanes' cached tops without locking
+    and try-locks the one with the smaller top, drawing a fresh pair when
+    that lock is held.  Rank guarantees are probabilistic: {!pop} may return
+    an element that is not the global minimum, so clients must tolerate
+    out-of-order delivery (e.g. re-relax in SSSP).  Every pushed element is
+    eventually popped exactly once. *)
 
 type t
 
@@ -32,7 +36,7 @@ val is_empty : t -> bool
 val stats : t -> string
 (** Per-lane occupancy summary for diagnostics. *)
 
-(** Long-running worker threads around a MultiQueue, with exact termination
+(** Long-running workers around a MultiQueue, with exact termination
     detection via an in-flight counter — the paper's bfs/sssp execution model
     ("long-running worker threads that pop tasks from the MQ then execute
     them (potentially pushing new tasks) until the MQ is empty"). *)
@@ -43,16 +47,34 @@ module Scheduler : sig
   val create : mq -> sched
 
   val push : sched -> pri:int -> int -> unit
-  (** Seed or spawn a task.  During a one-worker {!run} only its handler
-      may push. *)
+  (** Seed or spawn a task.  Between runs, pushes go into the lanes.
+      During a run only the handler may push, through the handle it is
+      given. *)
 
-  val run : sched -> num_workers:int -> handler:(sched -> pri:int -> int -> unit) -> unit
+  val run :
+    ?pool:Rpb_pool.Pool.t ->
+    sched -> num_workers:int -> handler:(sched -> pri:int -> int -> unit) -> unit
   (** Runs tasks until all work (including transitively pushed tasks) has
-      drained.  With [num_workers > 1] it spawns [num_workers - 1] domains
-      that pop from the MultiQueue beside the calling one, then joins them.
-      With [num_workers = 1] it spawns none: the queued tasks move into one
-      private binary heap that the caller drains in exact priority order,
-      with no lock and no shared counter.  [handler] may call {!push}.  An
-      exception in a handler propagates after every worker has stopped; the
-      tasks still queued are dropped, so the scheduler can run again. *)
+      drained.
+
+      With [num_workers > 1] the workers are pool tasks: one worker loop per
+      slot, [min num_workers (Pool.size pool)] slots, through
+      [Pool.parallel_for ~grain:1].  Call it from inside [Pool.run pool] (or
+      from a task of [pool]) for the slots to run in parallel; elsewhere
+      they run one after another on the caller, which is still correct: a
+      slot that starts after the work ran out returns at once.  Without
+      [?pool] the run creates a transient pool of [num_workers], runs the
+      loops inside its [Pool.run] and shuts it down.  Each worker draws its
+      lanes from its own generator and buffers the tasks its handler
+      pushes; after the handler returns it makes one update of the
+      in-flight counter and moves the whole buffer into one locked lane.
+      The handler's [sched] is that worker's own handle.
+
+      With [num_workers = 1] there is no pool, lock or shared counter: the
+      queued tasks move into one private binary heap that the caller drains
+      in exact priority order.
+
+      An exception in a handler, or one the pool raises in a worker's task,
+      propagates after every worker has stopped; the tasks still queued are
+      dropped, so the scheduler can run again. *)
 end

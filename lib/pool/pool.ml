@@ -1414,6 +1414,9 @@ let run ?deadline pool f =
     invalid_arg "Pool.run: pool already has an active run";
   Atomic.set pool.scope (new_scope ?deadline ());
   let slot = Domain.DLS.get slot_key in
+  (* A run of this pool from inside a run of another one (a task that
+     creates a transient pool) must hand the outer pool its slot back. *)
+  let outer = !slot in
   slot := Some (pool.id, 0);
   let watchdog = Option.map (start_watchdog pool) deadline in
   (* Leave no task of this run behind: whether [f] returns or raises, every
@@ -1428,7 +1431,7 @@ let run ?deadline pool f =
        callback already firing, so a late watchdog can only ever have hit
        this (finished) run's scope. *)
     Option.iter Timer.cancel watchdog;
-    slot := None;
+    slot := outer;
     Atomic.set pool.scope (new_scope ());
     Atomic.set pool.running false;
     scope

@@ -71,6 +71,10 @@ let lock a i =
   check a i;
   if not (try_lock a i) then lock_wait a i spin_budget
 
+let try_lock a i =
+  check a i;
+  try_lock a i
+
 let unlock a i =
   check a i;
   release a i

@@ -81,6 +81,11 @@ val lock : t -> int -> unit
     [await] does.  Not reentrant.  Put the words a lock guards in the same
     row as its lock word, as Rust's [Mutex<T>] does. *)
 
+val try_lock : t -> int -> bool
+(** [try_lock a i] makes one acquire-CAS attempt at the lock {!lock} takes
+    and tells whether it got it.  It never waits: a caller that finds the
+    lock held can go and try another one. *)
+
 val unlock : t -> int -> unit
 (** [unlock a i] releases the lock taken by {!lock} with a release store of
     0.  The caller must hold it. *)

@@ -261,6 +261,108 @@ let test_traversals_single_worker () =
         (Rpb_pool.Pool.run pool (fun () -> Rpb_graph.Traverse.sssp pool g ~src:0)))
     [ "link"; "road" ]
 
+(* ---------- Scheduler on the pool ---------- *)
+
+module Pool = Rpb_pool.Pool
+
+let on_pool workers f =
+  let pool = Pool.create ~num_workers:workers () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Pool.run pool (fun () -> f pool)
+
+(* A binary tree of [n] ids rooted at 0: task [v] pushes [2v + 1] and
+   [2v + 2] below [n], so ids are pushed from every worker's buffer. *)
+let test_pool_exactly_once workers () =
+  on_pool workers @@ fun pool ->
+  let n = 20_000 in
+  let seen = Rpb_prim.Atomic_array.make n 0 in
+  let q = Multiqueue.create ~queues:(4 * workers) () in
+  let s = Multiqueue.Scheduler.create q in
+  Multiqueue.Scheduler.push s ~pri:0 0;
+  Multiqueue.Scheduler.run ~pool s ~num_workers:workers
+    ~handler:(fun s ~pri v ->
+      ignore (Rpb_prim.Atomic_array.fetch_and_add seen v 1);
+      List.iter
+        (fun c -> if c < n then Multiqueue.Scheduler.push s ~pri:(pri + 1) c)
+        [ (2 * v) + 1; (2 * v) + 2 ]);
+  let bad = ref 0 in
+  for v = 0 to n - 1 do
+    if Rpb_prim.Atomic_array.get seen v <> 1 then incr bad
+  done;
+  Alcotest.(check int) "ids not handled exactly once" 0 !bad;
+  Alcotest.(check bool) "queue drained" true (Multiqueue.is_empty q)
+
+(* A chain keeps one task in flight at a time, so the other workers wait on
+   the in-flight counter with empty lanes; the run must still end, and
+   again at once when nothing was pushed. *)
+let test_pool_termination workers () =
+  on_pool workers @@ fun pool ->
+  let s = Multiqueue.Scheduler.create (Multiqueue.create ~queues:(4 * workers) ()) in
+  let executed = Atomic.make 0 in
+  Multiqueue.Scheduler.run ~pool s ~num_workers:workers ~handler:(fun _ ~pri:_ _ ->
+      Atomic.incr executed);
+  Alcotest.(check int) "empty run" 0 (Atomic.get executed);
+  Multiqueue.Scheduler.push s ~pri:0 500;
+  Multiqueue.Scheduler.run ~pool s ~num_workers:workers ~handler:(fun s ~pri v ->
+      Atomic.incr executed;
+      if v > 0 then Multiqueue.Scheduler.push s ~pri:(pri + 1) (v - 1));
+  Alcotest.(check int) "chain executed" 501 (Atomic.get executed)
+
+(* The failing task raises while other workers are busy in their own
+   handlers; [run] re-raises only once none is left, nothing runs after it,
+   and the same scheduler then runs a fresh batch to completion. *)
+let test_pool_exception_then_rerun workers () =
+  on_pool workers @@ fun pool ->
+  let q = Multiqueue.create ~queues:(4 * workers) () in
+  let s = Multiqueue.Scheduler.create q in
+  let active = Atomic.make 0 and executed = Atomic.make 0 in
+  for i = 1 to 200 do
+    Multiqueue.Scheduler.push s ~pri:i i
+  done;
+  Alcotest.check_raises "handler failure" (Failure "task boom") (fun () ->
+      Multiqueue.Scheduler.run ~pool s ~num_workers:workers
+        ~handler:(fun s ~pri:_ v ->
+          Atomic.incr active;
+          Atomic.incr executed;
+          if v = 50 then begin
+            Atomic.decr active;
+            failwith "task boom"
+          end;
+          Unix.sleepf 1e-4;
+          Multiqueue.Scheduler.push s ~pri:(v + 1000) (v + 1000);
+          Atomic.decr active));
+  Alcotest.(check int) "no handler still running" 0 (Atomic.get active);
+  let after = Atomic.get executed in
+  Unix.sleepf 0.01;
+  Alcotest.(check int) "no handler ran after the raise" after (Atomic.get executed);
+  Alcotest.(check bool) "queue emptied" true (Multiqueue.is_empty q);
+  let acc = Atomic.make 0 in
+  for i = 1 to 100 do
+    Multiqueue.Scheduler.push s ~pri:i i
+  done;
+  Multiqueue.Scheduler.run ~pool s ~num_workers:workers ~handler:(fun _ ~pri:_ v ->
+      ignore (Atomic.fetch_and_add acc v));
+  Alcotest.(check int) "second run" 5050 (Atomic.get acc)
+
+(* A one-worker pool takes the private-heap path: exact priority order,
+   children included. *)
+let test_pool_single_worker_order () =
+  on_pool 1 @@ fun pool ->
+  let s = Multiqueue.Scheduler.create (Multiqueue.create ~queues:4 ()) in
+  let rng = Rpb_prim.Rng.create 29 in
+  for _ = 1 to 300 do
+    Multiqueue.Scheduler.push s ~pri:(Rpb_prim.Rng.int rng 10_000) 1
+  done;
+  let handled = ref [] in
+  Multiqueue.Scheduler.run ~pool s ~num_workers:(Pool.size pool)
+    ~handler:(fun s ~pri v ->
+      handled := pri :: !handled;
+      if v > 0 then Multiqueue.Scheduler.push s ~pri:(pri + 1 + Rpb_prim.Rng.int rng 100) 0);
+  let order = List.rev !handled in
+  Alcotest.(check int) "every task ran" 600 (List.length order);
+  Alcotest.(check bool) "non-decreasing priorities" true
+    (List.sort compare order = order)
+
 let () =
   Alcotest.run "rpb_mq"
     [
@@ -296,4 +398,20 @@ let () =
           Alcotest.test_case "bfs/sssp at one worker" `Quick
             test_traversals_single_worker;
         ] );
+      ( "on_pool",
+        List.concat_map
+          (fun w ->
+            [
+              Alcotest.test_case (Printf.sprintf "exactly once P=%d" w) `Quick
+                (test_pool_exactly_once w);
+              Alcotest.test_case (Printf.sprintf "termination P=%d" w) `Quick
+                (test_pool_termination w);
+              Alcotest.test_case (Printf.sprintf "exception then rerun P=%d" w)
+                `Quick (test_pool_exception_then_rerun w);
+            ])
+          [ 2; 4 ]
+        @ [
+            Alcotest.test_case "one-worker pool keeps priority order" `Quick
+              test_pool_single_worker_order;
+          ] );
     ]

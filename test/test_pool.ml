@@ -233,6 +233,31 @@ let test_pool_current_worker () =
       Pool.run pool (fun () ->
           Alcotest.(check (option int)) "inside" (Some 0) (Pool.current_worker pool)))
 
+(* A run of a second pool inside a run of the first gives the domain its
+   outer slot back: the outer pool still knows its worker 0 and still forks. *)
+let test_pool_nested_run_restores_slot () =
+  with_pool 2 (fun outer ->
+      with_pool 2 (fun inner ->
+          Pool.run outer (fun () ->
+              Pool.run inner (fun () ->
+                  Alcotest.(check (option int)) "inner worker" (Some 0)
+                    (Pool.current_worker inner));
+              Alcotest.(check (option int)) "outer worker after inner run"
+                (Some 0) (Pool.current_worker outer);
+              Alcotest.(check (option int)) "inner left" None
+                (Pool.current_worker inner);
+              let before = Pool.Stats.capture outer in
+              let outside = Atomic.make 0 in
+              Pool.parallel_for ~grain:1 ~start:0 ~finish:64
+                ~body:(fun _ ->
+                  if Pool.current_worker outer = None then Atomic.incr outside)
+                outer;
+              let forked =
+                Pool.Stats.(tasks_executed (diff ~before ~after:(capture outer)))
+              in
+              Alcotest.(check int) "every leaf on a worker" 0 (Atomic.get outside);
+              Alcotest.(check bool) "parallel_for forked" true (forked > 0))))
+
 let test_pool_reuse_after_run () =
   with_pool 2 (fun pool ->
       for round = 1 to 5 do
@@ -795,6 +820,8 @@ let () =
             test_pool_single_worker_sequential;
           Alcotest.test_case "outside run" `Quick test_pool_outside_run_sequential;
           Alcotest.test_case "current_worker" `Quick test_pool_current_worker;
+          Alcotest.test_case "nested run of another pool" `Quick
+            test_pool_nested_run_restores_slot;
           Alcotest.test_case "reuse across runs" `Quick test_pool_reuse_after_run;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects;
           Alcotest.test_case "many small tasks" `Quick test_pool_many_small_tasks;
