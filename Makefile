@@ -20,7 +20,7 @@ test:
 test-verbose:
 	dune runtest --force --no-buffer
 
-# Repeats the two once-flaky tests and three schedule-dependent tests 20
+# Repeats the two once-flaky tests and four schedule-dependent tests 20
 # times each through the Alcotest `test NAME N` filter: test_pool "chunks
 # partition", the test_check fault-sweep case whose "injections fired"
 # check used to fail by chance, test_prim's "lock exclusion", whose
@@ -28,7 +28,9 @@ test-verbose:
 # Reserving refinement of 1600 points, whose step sequence depends on the
 # schedule because new triangle slots come from a fetch-and-add, and
 # test_mq's two-worker exactly-once MultiQueue run, whose worker loops are
-# pool tasks that stealing hands to a different worker on every run.  The
+# pool tasks that stealing hands to a different worker on every run, and
+# test_mq's two-worker sssp cancelled from another domain, whose cancel
+# lands wherever the running workers happen to be.  The
 # case index is looked up by name, so reordering the suites does not break
 # the target; suite names must be one word.
 flake-check:
@@ -37,7 +39,7 @@ flake-check:
 	set -e; \
 	for t in 'test_pool:chunks partition' 'test_check:single bench contract' \
 	    'test_prim:lock exclusion' 'test_geom:before cap n=1600 reserving P=2' \
-	    'test_mq:exactly once P=2'; do \
+	    'test_mq:exactly once P=2' 'test_mq:cancel sssp P=2'; do \
 	  exe=_build/default/test/$${t%%:*}.exe; name=$${t#*:}; \
 	  set -- $$($$exe list | grep -F "$$name." | head -n 1); \
 	  test -n "$$2" || { echo "flake-check: no test named $$name" >&2; exit 1; }; \

@@ -1,39 +1,56 @@
-let bfs_distances g ~src =
-  let n = Csr.n g in
-  let dist = Array.make n max_int in
-  let q = Queue.create () in
+(* The two traversal references read the CSR arrays in the loop that
+   [Traverse.search] uses, so the sequential baseline pays exactly the
+   idioms the one-worker run pays: no closure per edge, and no bounds check
+   on an index that [Csr.make] validated. *)
+
+(* Each vertex enters the FIFO once, when its distance is set, so an array
+   of [n] slots holds the whole queue. *)
+let bfs_distances (g : Csr.t) ~src =
+  let offsets = g.offsets and targets = g.targets in
+  let dist = Array.make g.n max_int in
+  let fifo = Array.make g.n 0 in
   dist.(src) <- 0;
-  Queue.push src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Csr.iter_neighbors g u (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.push v q
-        end)
+  fifo.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = Array.unsafe_get fifo !head in
+    incr head;
+    let du = Array.unsafe_get dist u + 1 in
+    for e = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+      let v = Array.unsafe_get targets e in
+      if Array.unsafe_get dist v = max_int then begin
+        Array.unsafe_set dist v du;
+        Array.unsafe_set fifo !tail v;
+        incr tail
+      end
+    done
   done;
   dist
 
-let dijkstra g ~src =
-  let n = Csr.n g in
-  let dist = Array.make n max_int in
+let dijkstra (g : Csr.t) ~src =
+  let offsets = g.offsets and targets = g.targets and weights = g.weights in
+  let dist = Array.make g.n max_int in
   let heap = Rpb_mq.Binary_heap.create () in
   dist.(src) <- 0;
   Rpb_mq.Binary_heap.push heap ~pri:0 src;
-  let rec drain () =
-    match Rpb_mq.Binary_heap.pop_min heap with
-    | None -> ()
-    | Some (d, u) ->
-      if d = dist.(u) then
-        Csr.iter_neighbors_w g u (fun v w ->
-            let nd = d + w in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              Rpb_mq.Binary_heap.push heap ~pri:nd v
-            end);
-      drain ()
-  in
-  drain ();
+  while not (Rpb_mq.Binary_heap.is_empty heap) do
+    let d = Rpb_mq.Binary_heap.min_pri heap
+    and u = Rpb_mq.Binary_heap.min_val heap in
+    Rpb_mq.Binary_heap.remove_min heap;
+    if d = Array.unsafe_get dist u then
+      for e = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+        let v = Array.unsafe_get targets e in
+        let nd =
+          match weights with
+          | None -> d + 1
+          | Some weights -> d + Array.unsafe_get weights e
+        in
+        if nd < Array.unsafe_get dist v then begin
+          Array.unsafe_set dist v nd;
+          Rpb_mq.Binary_heap.push heap ~pri:nd v
+        end
+      done
+  done;
   dist
 
 let seq_union_find n =

@@ -2,11 +2,15 @@
     (the oracle role PBBS's checkers play). *)
 
 val bfs_distances : Csr.t -> src:int -> int array
-(** Unweighted hop distances from [src]; [max_int] for unreachable. *)
+(** Unweighted hop distances from [src]; [max_int] for unreachable.  A FIFO
+    in one [int] array of [n] slots, and a direct loop over the CSR arrays:
+    the relax loop of [Traverse.bfs], without the atomics. *)
 
 val dijkstra : Csr.t -> src:int -> int array
-(** Weighted shortest-path distances from [src]; [max_int] for
-    unreachable. *)
+(** Weighted shortest-path distances from [src] (weight 1 when the graph
+    has none); [max_int] for unreachable.  Lazy-deletion Dijkstra on the
+    allocation-free {!Rpb_mq.Binary_heap}, with the direct loop of
+    {!bfs_distances}. *)
 
 val connected_components : Csr.t -> int array
 (** Treating edges as undirected: canonical (minimum-index) component label

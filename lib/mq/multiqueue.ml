@@ -45,17 +45,19 @@ let[@inline] pick t p =
    next call's. *)
 let picker t = { tick = Atomic.fetch_and_add t.ticket 1 lsl 24 }
 
-(* The next two run with lane [i]'s lock held. *)
+let[@inline] set_top t i pri = Atomic_array.unsafe_set t.rows ((row * i) + 1) pri
+
+(* The next two run with lane [i]'s lock held; [remove_locked] also needs
+   the lane non-empty. *)
 let push_locked t i ~pri v =
   Binary_heap.push t.heaps.(i) ~pri v;
-  if pri < top t i then Atomic_array.unsafe_set t.rows ((row * i) + 1) pri
+  if pri < top t i then set_top t i pri
 
-let pop_locked t i =
+let remove_locked t i =
   let heap = t.heaps.(i) in
-  let r = Binary_heap.pop_min heap in
-  Atomic_array.unsafe_set t.rows ((row * i) + 1)
-    (match Binary_heap.peek_min heap with Some (p, _) -> p | None -> max_int);
-  r
+  Binary_heap.remove_min heap;
+  set_top t i
+    (if Binary_heap.is_empty heap then max_int else Binary_heap.min_pri heap)
 
 let with_lane t i f =
   Atomic_array.lock t.rows (row * i);
@@ -88,20 +90,22 @@ let best_lane t =
 
 (* Best of two random lanes by their cached tops, then one try-lock of the
    better lane; a held lock or a lane emptied meanwhile draws a fresh pair.
-   When both look empty, every lane's top is scanned once. *)
-let rec pop_with t p =
+   When both look empty, every lane's top is scanned once.  Returns the
+   locked, non-empty lane, or -1 when every lane looked empty. *)
+let rec lock_best t p =
   let i = pick t p and j = pick t p in
   let i = if top t j < top t i then j else i in
   let i = if top t i = max_int then best_lane t else i in
-  if i < 0 then None
-  else if Atomic_array.try_lock t.rows (row * i) then begin
-    let r = pop_locked t i in
-    Atomic_array.unlock t.rows (row * i);
-    match r with Some _ -> r | None -> pop_with t p
-  end
+  if i < 0 then -1
+  else if Atomic_array.try_lock t.rows (row * i) then
+    if Binary_heap.is_empty t.heaps.(i) then begin
+      Atomic_array.unlock t.rows (row * i);
+      lock_best t p
+    end
+    else i
   else begin
     Domain.cpu_relax ();
-    pop_with t p
+    lock_best t p
   end
 
 let push t ~pri v =
@@ -109,7 +113,16 @@ let push t ~pri v =
   push_locked t i ~pri v;
   Atomic_array.unlock t.rows (row * i)
 
-let pop t = pop_with t (picker t)
+let pop t =
+  let i = lock_best t (picker t) in
+  if i < 0 then None
+  else begin
+    let heap = t.heaps.(i) in
+    let r = (Binary_heap.min_pri heap, Binary_heap.min_val heap) in
+    remove_locked t i;
+    Atomic_array.unlock t.rows (row * i);
+    Some r
+  end
 
 let size t =
   let n = ref 0 in
@@ -131,20 +144,31 @@ module Scheduler = struct
 
   type mq = t
 
+  (* The most tasks a worker takes from a lane under one lock, the deletion
+     buffer of Williams, Sanders and Dementiev (ESA '21).  Of the sweep of
+     1, 4, 8 and 16 on bfs and sssp (EXPERIMENTS.md), 16 is the smallest at
+     which a second worker makes neither slower; a larger batch would relax
+     the pop order further. *)
+  let batch = 16
+
   type shared = {
     mq : mq;
     (* Tasks pushed whose handler has not finished, in cell [row] of a
        two-row array so that no other word shares its line.  Strictly
-       positive while any work (queued, executing or buffered) remains, so
-       a worker observing [pop = None && in_flight = 0] can terminate. *)
+       positive while any work (queued, taken, executing or buffered)
+       remains, so a worker observing no task in any lane and
+       [in_flight = 0] can terminate. *)
     in_flight : Atomic_array.t;
     failure : (exn * Printexc.raw_backtrace) option Atomic.t;
   }
 
-  (* A worker's own state: its lane choices, and the tasks its current
-     handler pushed, which reach a lane only after the handler returns. *)
+  (* A worker's own state: its lane choices, the batch it took, and the
+     tasks its handlers pushed, which reach a lane only after the whole
+     batch ran. *)
   type worker = {
     picker : picker;
+    taken_pris : int array;
+    taken_vals : int array;
     mutable pris : int array;
     mutable vals : int array;
     mutable k : int;
@@ -186,20 +210,40 @@ module Scheduler = struct
       ignore (Atomic_array.fetch_and_add s.shared.in_flight row 1);
       push s.shared.mq ~pri v
 
-  (* Empties the lanes; only called while no worker runs. *)
-  let rec drain sh f =
-    match pop sh.mq with
-    | Some (pri, v) ->
-      f ~pri v;
-      drain sh f
-    | None -> Atomic_array.set sh.in_flight row 0
+  (* Empties the lanes into [f]; only called while no worker runs. *)
+  let drain sh f =
+    let mq = sh.mq in
+    Array.iteri
+      (fun i heap ->
+        while not (Binary_heap.is_empty heap) do
+          f ~pri:(Binary_heap.min_pri heap) (Binary_heap.min_val heap);
+          remove_locked mq i
+        done)
+      mq.heaps;
+    Atomic_array.set sh.in_flight row 0
 
-  (* The task just handled is done and its [k] children are buffered: one
-     update turns its unit of [in_flight] into theirs, before they become
-     visible, and one lock puts all of them into a lane. *)
-  let finish_task sh w =
+  (* Moves up to [batch] of lane [i]'s smallest tasks into the worker's
+     batch and releases the lane; returns how many it took (at least one,
+     since [lock_best] hands out non-empty lanes only). *)
+  let take mq i w =
+    let heap = mq.heaps.(i) in
+    let n = ref 0 in
+    while !n < batch && not (Binary_heap.is_empty heap) do
+      w.taken_pris.(!n) <- Binary_heap.min_pri heap;
+      w.taken_vals.(!n) <- Binary_heap.min_val heap;
+      remove_locked mq i;
+      incr n
+    done;
+    Atomic_array.unlock mq.rows (row * i);
+    !n
+
+  (* The [n] tasks of a batch are done and their [k] children are
+     buffered: one update turns the batch's [n] units of [in_flight] into
+     the children's, before they become visible, and one lock puts all of
+     them into a lane. *)
+  let finish_batch sh w n =
     let k = w.k in
-    if k <> 1 then ignore (Atomic_array.fetch_and_add sh.in_flight row (k - 1));
+    if k <> n then ignore (Atomic_array.fetch_and_add sh.in_flight row (k - n));
     if k > 0 then begin
       let mq = sh.mq in
       let i = lock_random mq w.picker in
@@ -210,10 +254,15 @@ module Scheduler = struct
       w.k <- 0
     end
 
-  let worker sh handler slot =
+  (* A worker polls the pool's cancellation once per batch and once per
+     idle round, so [Pool.cancel_run] and a [?deadline] stop a run that is
+     already executing. *)
+  let worker pool sh handler slot =
     let w =
       {
         picker = { tick = Rpb_prim.Rng.hash64 slot };
+        taken_pris = Array.make batch 0;
+        taken_vals = Array.make batch 0;
         pris = Array.make 16 0;
         vals = Array.make 16 0;
         k = 0;
@@ -224,38 +273,53 @@ module Scheduler = struct
       match Atomic.get sh.failure with
       | Some _ -> ()
       | None ->
-        (match pop_with sh.mq w.picker with
-         | Some (pri, v) ->
-           (match handler handle ~pri v with
-            | () ->
-              finish_task sh w;
-              loop 0
-            | exception e ->
-              (* The buffered children go with the run. *)
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set sh.failure None (Some (e, bt))))
-         | None ->
-           if Atomic_array.get sh.in_flight row = 0 then ()
-           else begin
-             if idle < 64 then Domain.cpu_relax () else Unix.sleepf 5e-5;
-             loop (idle + 1)
-           end)
+        Pool.check_cancel pool;
+        let i = lock_best sh.mq w.picker in
+        if i >= 0 then begin
+          let n = take sh.mq i w in
+          match
+            for j = 0 to n - 1 do
+              handler handle ~pri:w.taken_pris.(j) w.taken_vals.(j)
+            done
+          with
+          | () ->
+            finish_batch sh w n;
+            loop 0
+          | exception e ->
+            (* The rest of the batch and the buffered children go with
+               the run. *)
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set sh.failure None (Some (e, bt)))
+        end
+        else if Atomic_array.get sh.in_flight row = 0 then ()
+        else begin
+          if idle < 64 then Domain.cpu_relax () else Unix.sleepf 5e-5;
+          loop (idle + 1)
+        end
     in
     loop 0
 
-  let run_solo s handler =
+  (* The one-worker run polls the pool's cancellation once per [batch]
+     tasks, as a worker does once per batch. *)
+  let run_solo pool s handler =
     let heap = Binary_heap.create () in
     drain s.shared (Binary_heap.push heap);
     s.local <- Solo heap;
-    let rec loop () =
-      match Binary_heap.pop_min heap with
-      | Some (pri, v) ->
-        handler s ~pri v;
-        loop ()
-      | None -> ()
+    let rec loop left =
+      if not (Binary_heap.is_empty heap) then
+        if left = 0 then begin
+          Option.iter Pool.check_cancel pool;
+          loop batch
+        end
+        else begin
+          let pri = Binary_heap.min_pri heap and v = Binary_heap.min_val heap in
+          Binary_heap.remove_min heap;
+          handler s ~pri v;
+          loop (left - 1)
+        end
     in
     (* On a handler exception the tasks left in [heap] are dropped with it. *)
-    Fun.protect ~finally:(fun () -> s.local <- Lanes) loop
+    Fun.protect ~finally:(fun () -> s.local <- Lanes) (fun () -> loop 0)
 
   (* One worker loop per slot, each a pool task.  A slot that starts after
      the work ran out finds [in_flight = 0] and returns at once, so the run
@@ -266,7 +330,7 @@ module Scheduler = struct
     let pool_failure =
       match
         Pool.parallel_for ~grain:1 ~start:0 ~finish:slots
-          ~body:(worker sh handler) pool
+          ~body:(worker pool sh handler) pool
       with
       | () -> None
       | exception e -> Some (e, Printexc.get_raw_backtrace ())
@@ -283,7 +347,7 @@ module Scheduler = struct
 
   let run ?pool s ~num_workers ~handler =
     if num_workers < 1 then invalid_arg "Scheduler.run: num_workers >= 1";
-    if num_workers = 1 then run_solo s handler
+    if num_workers = 1 then run_solo pool s handler
     else
       match pool with
       | Some pool -> run_on pool s ~slots:(min num_workers (Pool.size pool)) handler

@@ -11,7 +11,12 @@
     that lock is held.  Rank guarantees are probabilistic: {!pop} may return
     an element that is not the global minimum, so clients must tolerate
     out-of-order delivery (e.g. re-relax in SSSP).  Every pushed element is
-    eventually popped exactly once. *)
+    eventually popped exactly once.
+
+    A {!Scheduler} worker takes up to {!Scheduler.batch} tasks from the
+    lane it locks, not one, so its rank relaxation grows with that batch:
+    the deletion buffers of Williams, Sanders and Dementiev (ESA '21).  The
+    standalone {!pop} takes one element per lock. *)
 
 type t
 
@@ -46,6 +51,10 @@ module Scheduler : sig
 
   val create : mq -> sched
 
+  val batch : int
+  (** The most tasks a worker takes from one lane under one lock (16).  A
+      constant, not a setting. *)
+
   val push : sched -> pri:int -> int -> unit
   (** Seed or spawn a task.  Between runs, pushes go into the lanes.
       During a run only the handler may push, through the handle it is
@@ -65,16 +74,23 @@ module Scheduler : sig
       slot that starts after the work ran out returns at once.  Without
       [?pool] the run creates a transient pool of [num_workers], runs the
       loops inside its [Pool.run] and shuts it down.  Each worker draws its
-      lanes from its own generator and buffers the tasks its handler
-      pushes; after the handler returns it makes one update of the
-      in-flight counter and moves the whole buffer into one locked lane.
-      The handler's [sched] is that worker's own handle.
+      lanes from its own generator, takes up to {!batch} of the smallest
+      tasks of the lane it locks, runs them, and buffers the tasks their
+      handlers push.  After the batch it makes one update of the in-flight
+      counter and moves the whole buffer into one locked lane.  The
+      handler's [sched] is that worker's own handle.
 
-      With [num_workers = 1] there is no pool, lock or shared counter: the
-      queued tasks move into one private binary heap that the caller drains
-      in exact priority order.
+      With [num_workers = 1] there is no lock or shared counter: the queued
+      tasks move into one private binary heap that the caller drains in
+      exact priority order, without allocating.
+
+      Workers poll [Pool.check_cancel] once per batch (the one-worker loop
+      once per {!batch} tasks), so [Pool.cancel_run] or a [?deadline] of
+      the enclosing [Pool.run] stops a run already executing: it raises the
+      scope's exception.
 
       An exception in a handler, or one the pool raises in a worker's task,
-      propagates after every worker has stopped; the tasks still queued are
-      dropped, so the scheduler can run again. *)
+      propagates after every worker has stopped.  The rest of the failing
+      worker's batch, the children it buffered and the tasks still queued
+      are dropped, so the scheduler can run again. *)
 end

@@ -1402,6 +1402,14 @@ let cancel_run pool exn =
   scope_cancel (Atomic.get pool.scope) exn (Printexc.get_callstack 0);
   signal_work pool
 
+(* The poll of a task that runs for long: it checks the flag that splitters
+   and task starts check, so a cancelled or overdue run stops it too.  The
+   idle scope between runs may carry a stale [cancel_run]; it is ignored. *)
+let check_cancel pool =
+  let scope = Atomic.get pool.scope in
+  if Atomic.get scope.cancel_flag && Atomic.get pool.running then
+    scope_raise scope
+
 let run ?deadline pool f =
   check_alive pool;
   (match my_index pool with

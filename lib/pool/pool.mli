@@ -113,6 +113,14 @@ val cancel_run : t -> exn -> unit
     tasks already executing are not interrupted.  This is the primitive a
     serving layer uses when a client disconnects mid-request. *)
 
+val check_cancel : t -> unit
+(** [check_cancel pool] raises the current run's first recorded exception
+    once its scope is cancelled, by a failed task, {!cancel_run} or the
+    [?deadline] watchdog, and returns otherwise.  Two atomic loads while the
+    run is healthy.  A task that runs for long (a MultiQueue worker loop)
+    calls it between steps so that cancellation reaches it too.  Outside a
+    run it returns. *)
+
 (** {1 Scheduling}
 
     The scheduler has no policy knobs.  Every steal takes one task from a

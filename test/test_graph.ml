@@ -227,6 +227,80 @@ let test_reference_dijkstra_matches_bfs_on_unit_weights () =
       let dij = Reference.dijkstra g ~src:0 in
       Alcotest.(check bool) "agree" true (bfs = dij))
 
+(* The closure-based references that [Reference] replaced, kept as oracles:
+   a [Queue] FIFO, and a Dijkstra over the allocating [pop_min], each
+   visiting edges through [Csr.iter_neighbors(_w)]. *)
+let oracle_bfs g ~src =
+  let dist = Array.make (Csr.n g) max_int in
+  let q = Queue.create () in
+  dist.(src) <- 0;
+  Queue.push src q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    Csr.iter_neighbors g u (fun v ->
+        if dist.(v) = max_int then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.push v q
+        end)
+  done;
+  dist
+
+let oracle_dijkstra g ~src =
+  let dist = Array.make (Csr.n g) max_int in
+  let heap = Rpb_mq.Binary_heap.create () in
+  dist.(src) <- 0;
+  Rpb_mq.Binary_heap.push heap ~pri:0 src;
+  let rec drain () =
+    match Rpb_mq.Binary_heap.pop_min heap with
+    | None -> ()
+    | Some (d, u) ->
+      if d = dist.(u) then
+        Csr.iter_neighbors_w g u (fun v w ->
+            let nd = d + w in
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              Rpb_mq.Binary_heap.push heap ~pri:nd v
+            end);
+      drain ()
+  in
+  drain ();
+  dist
+
+(* [g] with [k] isolated vertices appended, so that every input has
+   unreachable vertices. *)
+let with_isolated (g : Csr.t) k =
+  let offsets =
+    Array.init (g.n + k + 1) (fun i -> if i <= g.n then g.offsets.(i) else g.m)
+  in
+  Csr.make ~offsets ~targets:g.targets ?weights:g.weights ()
+
+let test_reference_matches_oracles () =
+  in_pool (fun pool ->
+      List.iter
+        (fun (name, scale, weighted) ->
+          let g =
+            with_isolated (Generate.by_name pool ~name ~scale ~weighted) 3
+          in
+          let label what =
+            Printf.sprintf "%s %s scale %d%s" what name scale
+              (if weighted then " weighted" else "")
+          in
+          List.iter
+            (fun src ->
+              let bfs = Reference.bfs_distances g ~src in
+              Alcotest.(check (array int)) (label "bfs") (oracle_bfs g ~src) bfs;
+              Alcotest.(check bool) (label "unreachable in bfs") true
+                (Array.mem max_int bfs);
+              Alcotest.(check (array int)) (label "dijkstra")
+                (oracle_dijkstra g ~src) (Reference.dijkstra g ~src))
+            [ 0; Csr.n g / 3 ])
+        (List.concat_map
+           (fun name ->
+             List.concat_map
+               (fun scale -> [ (name, scale, false); (name, scale, true) ])
+               [ 8; 12 ])
+           [ "road"; "link"; "rmat" ]))
+
 let test_reference_components () =
   in_pool (fun pool ->
       (* Two triangles. *)
@@ -302,6 +376,8 @@ let () =
           Alcotest.test_case "dijkstra" `Quick test_reference_dijkstra;
           Alcotest.test_case "dijkstra = bfs unit" `Quick
             test_reference_dijkstra_matches_bfs_on_unit_weights;
+          Alcotest.test_case "bfs/dijkstra = closure-based oracles" `Quick
+            test_reference_matches_oracles;
           Alcotest.test_case "components" `Quick test_reference_components;
           Alcotest.test_case "MIS checker" `Quick test_reference_mis_checker;
           Alcotest.test_case "matching checker" `Quick test_reference_matching_checker;

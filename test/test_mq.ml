@@ -50,6 +50,57 @@ let prop_heap_matches_sorted =
       let drained = List.map fst (Binary_heap.to_sorted_list h) in
       drained = List.sort compare ps)
 
+(* Random pushes and removals, interleaved, against a sorted-list model of
+   (priority, id) pairs.  Priorities come from a small range so that many
+   are equal, and the heap starts at capacity 1 so that it grows several
+   times.  [Some p] pushes a fresh id at priority [p]; [None] removes the
+   minimum, which must carry the model's smallest priority and an id the
+   model holds at that priority. *)
+let prop_heap_remove_min_model =
+  QCheck.Test.make ~name:"remove_min against a sorted-list model" ~count:200
+    QCheck.(list (option (int_bound 20)))
+    (fun ops ->
+      let h = Binary_heap.create ~capacity:1 () in
+      let model = ref [] and next_id = ref 0 in
+      let consistent () =
+        Binary_heap.size h = List.length !model
+        && Binary_heap.is_empty h = (!model = [])
+      in
+      let step ok op =
+        ok
+        &&
+        match op with
+        | Some p ->
+          Binary_heap.push h ~pri:p !next_id;
+          model := List.merge compare [ (p, !next_id) ] !model;
+          incr next_id;
+          consistent ()
+        | None -> (
+          match !model with
+          | [] -> consistent ()
+          | (p, _) :: _ ->
+            let pri = Binary_heap.min_pri h and v = Binary_heap.min_val h in
+            Binary_heap.remove_min h;
+            let held = List.mem (pri, v) !model in
+            model := List.filter (fun x -> x <> (pri, v)) !model;
+            pri = p && held && consistent ())
+      in
+      List.fold_left step true ops
+      && List.map fst (Binary_heap.to_sorted_list h) = List.map fst !model)
+
+let test_heap_empty_raises () =
+  let h = Binary_heap.create () in
+  List.iter
+    (fun (name, f) ->
+      match f h with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s on an empty heap should raise" name)
+    [
+      ("min_pri", fun h -> ignore (Binary_heap.min_pri h));
+      ("min_val", fun h -> ignore (Binary_heap.min_val h));
+      ("remove_min", Binary_heap.remove_min);
+    ]
+
 (* ---------- Multiqueue ---------- *)
 
 let test_mq_push_pop_single_lane () =
@@ -240,6 +291,26 @@ let test_scheduler_reusable_after_exception () =
         55 (Atomic.get acc))
     [ 1; 2 ]
 
+(* A one-worker run pops from its private heap without allocating: a chain
+   of 10k tasks, each pushing the next, costs less than one minor word per
+   task in all (a [Some (pri, v)] pop alone would cost five). *)
+let test_scheduler_single_worker_allocation () =
+  let s = Multiqueue.Scheduler.create (Multiqueue.create ~queues:2 ()) in
+  let n = 10_000 in
+  let handled = ref 0 in
+  let handler s ~pri v =
+    incr handled;
+    if v > 0 then Multiqueue.Scheduler.push s ~pri:(pri + 1) (v - 1)
+  in
+  Multiqueue.Scheduler.push s ~pri:0 (n - 1);
+  let before = Gc.minor_words () in
+  Multiqueue.Scheduler.run s ~num_workers:1 ~handler;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "chain ran" n !handled;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d tasks" words n)
+    true (words < float_of_int n)
+
 (* bfs and sssp at P = 1 take the private-heap path end to end. *)
 let test_traversals_single_worker () =
   let pool = Rpb_pool.Pool.create ~num_workers:1 () in
@@ -272,12 +343,9 @@ let on_pool workers f =
 
 (* A binary tree of [n] ids rooted at 0: task [v] pushes [2v + 1] and
    [2v + 2] below [n], so ids are pushed from every worker's buffer. *)
-let test_pool_exactly_once workers () =
-  on_pool workers @@ fun pool ->
+let fanout_exactly_once pool s ~workers =
   let n = 20_000 in
   let seen = Rpb_prim.Atomic_array.make n 0 in
-  let q = Multiqueue.create ~queues:(4 * workers) () in
-  let s = Multiqueue.Scheduler.create q in
   Multiqueue.Scheduler.push s ~pri:0 0;
   Multiqueue.Scheduler.run ~pool s ~num_workers:workers
     ~handler:(fun s ~pri v ->
@@ -289,7 +357,13 @@ let test_pool_exactly_once workers () =
   for v = 0 to n - 1 do
     if Rpb_prim.Atomic_array.get seen v <> 1 then incr bad
   done;
-  Alcotest.(check int) "ids not handled exactly once" 0 !bad;
+  Alcotest.(check int) "ids not handled exactly once" 0 !bad
+
+let test_pool_exactly_once workers () =
+  on_pool workers @@ fun pool ->
+  let q = Multiqueue.create ~queues:(4 * workers) () in
+  let s = Multiqueue.Scheduler.create q in
+  fanout_exactly_once pool s ~workers;
   Alcotest.(check bool) "queue drained" true (Multiqueue.is_empty q)
 
 (* A chain keeps one task in flight at a time, so the other workers wait on
@@ -344,6 +418,119 @@ let test_pool_exception_then_rerun workers () =
       ignore (Atomic.fetch_and_add acc v));
   Alcotest.(check int) "second run" 5050 (Atomic.get acc)
 
+exception Stop
+
+(* An unbounded chain stops only if cancellation reaches the running
+   workers: another domain calls [Pool.cancel_run] once task 100 ran, and
+   the run must re-raise its exception long before the chain's 10M-th
+   task. *)
+let test_pool_cancel_running workers () =
+  let pool = Pool.create ~num_workers:workers () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let q = Multiqueue.create ~queues:(4 * workers) () in
+  let s = Multiqueue.Scheduler.create q in
+  let executed = Atomic.make 0 and reached = Atomic.make false in
+  let canceller =
+    Domain.spawn (fun () ->
+        while not (Atomic.get reached) do
+          Domain.cpu_relax ()
+        done;
+        Pool.cancel_run pool Stop)
+  in
+  Multiqueue.Scheduler.push s ~pri:0 0;
+  let limit = 10_000_000 in
+  Alcotest.check_raises "cancelled run" Stop (fun () ->
+      Pool.run pool (fun () ->
+          Multiqueue.Scheduler.run ~pool s ~num_workers:workers
+            ~handler:(fun s ~pri v ->
+              if Atomic.fetch_and_add executed 1 = 100 then Atomic.set reached true;
+              if v < limit then Multiqueue.Scheduler.push s ~pri:(pri + 1) (v + 1))));
+  Domain.join canceller;
+  Alcotest.(check bool) "stopped early" true (Atomic.get executed < limit);
+  Alcotest.(check bool) "queue emptied" true (Multiqueue.is_empty q);
+  let acc = Atomic.make 0 in
+  for i = 1 to 100 do
+    Multiqueue.Scheduler.push s ~pri:i i
+  done;
+  Pool.run pool (fun () ->
+      Multiqueue.Scheduler.run ~pool s ~num_workers:workers
+        ~handler:(fun _ ~pri:_ v -> ignore (Atomic.fetch_and_add acc v)));
+  Alcotest.(check int) "next run" 5050 (Atomic.get acc)
+
+(* [Pool.cancel_run] from another domain while sssp runs on the pool: the
+   run re-raises the exception without sssp returning, and the next run on
+   the same pool equals the sequential reference.  The canceller spins
+   before the run starts, so it cancels within microseconds; sssp on this
+   road grid (65k vertices) takes about 10 ms on two cores. *)
+let cancel_scale = 16
+
+let test_pool_cancel_sssp workers () =
+  let pool = Pool.create ~num_workers:workers () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let g =
+    Pool.run pool (fun () ->
+        Rpb_graph.Generate.by_name pool ~name:"road" ~scale:cancel_scale
+          ~weighted:true)
+  in
+  let expected = Rpb_graph.Reference.dijkstra g ~src:0 in
+  let started = Atomic.make false and cancelled = Atomic.make false in
+  let canceller =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        Pool.cancel_run pool Stop;
+        Atomic.set cancelled true)
+  in
+  let returned = ref false in
+  Alcotest.check_raises "cancelled run" Stop (fun () ->
+      Pool.run pool (fun () ->
+          Atomic.set started true;
+          ignore (Rpb_graph.Traverse.sssp pool g ~src:0);
+          (* Only reached if the cancel came too late: wait for it, so that
+             the run still raises and the check below names the fault. *)
+          returned := true;
+          while not (Atomic.get cancelled) do
+            Domain.cpu_relax ()
+          done));
+  Domain.join canceller;
+  Alcotest.(check bool) "sssp stopped before it returned" false !returned;
+  Alcotest.(check (array int)) "re-run equals Reference.dijkstra" expected
+    (Pool.run pool (fun () -> Rpb_graph.Traverse.sssp pool g ~src:0))
+
+(* A handler raises on the middle task of a batch: one lane holds exactly
+   one batch, so the first worker to lock it takes all of it, smallest
+   first.  The tasks after the raise and the children the batch buffered go
+   with the run, no handler runs after it, and the next run handles every
+   id of the fan-out tree exactly once. *)
+let test_pool_batch_failure workers () =
+  on_pool workers @@ fun pool ->
+  let b = Multiqueue.Scheduler.batch in
+  let q = Multiqueue.create ~queues:1 () in
+  let s = Multiqueue.Scheduler.create q in
+  for i = 0 to b - 1 do
+    Multiqueue.Scheduler.push s ~pri:i i
+  done;
+  let handled = Atomic.make [] in
+  let rec record v =
+    let l = Atomic.get handled in
+    if not (Atomic.compare_and_set handled l (v :: l)) then record v
+  in
+  Alcotest.check_raises "handler failure" (Failure "batch boom") (fun () ->
+      Multiqueue.Scheduler.run ~pool s ~num_workers:workers
+        ~handler:(fun s ~pri:_ v ->
+          record v;
+          if v = b / 2 then failwith "batch boom";
+          Multiqueue.Scheduler.push s ~pri:0 (1000 + v)));
+  let ran = List.rev (Atomic.get handled) in
+  Alcotest.(check (list int)) "the batch up to the raise, then nothing"
+    (List.init ((b / 2) + 1) Fun.id) ran;
+  Unix.sleepf 0.01;
+  Alcotest.(check int) "no handler ran after the raise" (List.length ran)
+    (List.length (Atomic.get handled));
+  Alcotest.(check bool) "queue emptied" true (Multiqueue.is_empty q);
+  fanout_exactly_once pool s ~workers
+
 (* A one-worker pool takes the private-heap path: exact priority order,
    children included. *)
 let test_pool_single_worker_order () =
@@ -374,6 +561,8 @@ let () =
             test_heap_duplicate_priorities;
           Alcotest.test_case "growth" `Quick test_heap_growth;
           QCheck_alcotest.to_alcotest prop_heap_matches_sorted;
+          QCheck_alcotest.to_alcotest prop_heap_remove_min_model;
+          Alcotest.test_case "empty heap raises" `Quick test_heap_empty_raises;
         ] );
       ( "multiqueue",
         [
@@ -395,6 +584,8 @@ let () =
             test_scheduler_single_worker_heap_order;
           Alcotest.test_case "reusable after exception" `Quick
             test_scheduler_reusable_after_exception;
+          Alcotest.test_case "single worker allocation-free" `Quick
+            test_scheduler_single_worker_allocation;
           Alcotest.test_case "bfs/sssp at one worker" `Quick
             test_traversals_single_worker;
         ] );
@@ -408,6 +599,12 @@ let () =
                 (test_pool_termination w);
               Alcotest.test_case (Printf.sprintf "exception then rerun P=%d" w)
                 `Quick (test_pool_exception_then_rerun w);
+              Alcotest.test_case (Printf.sprintf "batch failure P=%d" w) `Quick
+                (test_pool_batch_failure w);
+              Alcotest.test_case (Printf.sprintf "cancel running P=%d" w) `Quick
+                (test_pool_cancel_running w);
+              Alcotest.test_case (Printf.sprintf "cancel sssp P=%d" w) `Quick
+                (test_pool_cancel_sssp w);
             ])
           [ 2; 4 ]
         @ [
