@@ -20,7 +20,7 @@ test:
 test-verbose:
 	dune runtest --force --no-buffer
 
-# Repeats the two once-flaky tests and four schedule-dependent tests 20
+# Repeats the two once-flaky tests and five schedule-dependent tests 20
 # times each through the Alcotest `test NAME N` filter: test_pool "chunks
 # partition", the test_check fault-sweep case whose "injections fired"
 # check used to fail by chance, test_prim's "lock exclusion", whose
@@ -30,16 +30,19 @@ test-verbose:
 # test_mq's two-worker exactly-once MultiQueue run, whose worker loops are
 # pool tasks that stealing hands to a different worker on every run, and
 # test_mq's two-worker sssp cancelled from another domain, whose cancel
-# lands wherever the running workers happen to be.  The
+# lands wherever the running workers happen to be, and test_graph's
+# two-worker spanning forest, whose links race for the same roots and so
+# pick different forest edges on every run.  The
 # case index is looked up by name, so reordering the suites does not break
 # the target; suite names must be one word.
 flake-check:
 	dune build test/test_pool.exe test/test_check.exe test/test_prim.exe \
-	  test/test_geom.exe test/test_mq.exe
+	  test/test_geom.exe test/test_mq.exe test/test_graph.exe
 	set -e; \
 	for t in 'test_pool:chunks partition' 'test_check:single bench contract' \
 	    'test_prim:lock exclusion' 'test_geom:before cap n=1600 reserving P=2' \
-	    'test_mq:exactly once P=2' 'test_mq:cancel sssp P=2'; do \
+	    'test_mq:exactly once P=2' 'test_mq:cancel sssp P=2' \
+	    'test_graph:spanning forest P=2'; do \
 	  exe=_build/default/test/$${t%%:*}.exe; name=$${t#*:}; \
 	  set -- $$($$exe list | grep -F "$$name." | head -n 1); \
 	  test -n "$$2" || { echo "flake-check: no test named $$name" >&2; exit 1; }; \

@@ -22,7 +22,6 @@ let duplicate_eps2 = 1e-24
 let point t v = Point.make t.px.(v) t.py.(v)
 let num_vertices t = Atomic.get t.nv
 let num_triangle_slots t = Atomic.get t.nt
-let input_vertex _t i = i + 3
 
 let is_alive t i = Bytes.unsafe_get t.alive i = '\001'
 

@@ -32,8 +32,6 @@ val create : Point.t array -> t
 (** A mesh containing only the super triangle, with the input points stored
     as vertices [3 ..] (not yet inserted into the triangulation). *)
 
-val input_vertex : t -> int -> int
-(** [input_vertex t i] is the vertex id of input point [i] (= [i + 3]). *)
 
 val point : t -> int -> Point.t
 (** Coordinates of a vertex id. *)

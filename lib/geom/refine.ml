@@ -114,6 +114,11 @@ let sequential_generation mesh w ~inserted ~skipped =
 
 type plan = Give_up | Insert of Mesh.cavity * int list
 
+(* Live entries below which a step is one leaf: plan, reserve and commit
+   run inline, since forking them costs more than the cavities they would
+   spread (EXPERIMENTS.md § Fig. 4 has the sweep that chose 64). *)
+let inline_grain = 64
+
 (* Deterministic reservations over the generation's list (PBBS's
    speculative_for): each step plans, reserves and commits a prefix of the
    pending entries; an entry whose reservation lost goes to the front of the
@@ -147,8 +152,9 @@ let reserving_generation pool mesh owner w ~inserted ~skipped =
     if Atomic_array.length !owner < nt then
       owner := Atomic_array.make (max nt (2 * Atomic_array.length !owner)) max_int;
     let owner = !owner in
+    let grain = if m < inline_grain then Some (max 1 m) else None in
     (* Plan (read-only). *)
-    Pool.parallel_for ~start:0 ~finish:m
+    Pool.parallel_for ?grain ~start:0 ~finish:m
       ~body:(fun j ->
         plans.(j) <-
           (match plan_insertion mesh w.items.(batch.(j)) with
@@ -157,14 +163,16 @@ let reserving_generation pool mesh owner w ~inserted ~skipped =
       pool;
     (* Reserve: priority-writes, the lowest batch position wins — the AW
        pattern. *)
-    Pool.parallel_for ~start:0 ~finish:m
+    Pool.parallel_for ?grain ~start:0 ~finish:m
       ~body:(fun j ->
         match plans.(j) with
         | Give_up -> ()
         | Insert (_, reserved) ->
           List.iter (fun ti -> ignore (Atomic_array.fetch_min owner ti j)) reserved)
       pool;
-    (* Split winners from losers, then free the reserved cells. *)
+    (* Split winners from losers, freeing an entry's cells once it is
+       judged: a cell it reserved is owned by it or by an earlier entry, so
+       no later verdict changes. *)
     let won = ref 0 and lost = ref 0 and new_triangles = ref 0 in
     for j = 0 to m - 1 do
       let r = batch.(j) in
@@ -173,7 +181,9 @@ let reserving_generation pool mesh owner w ~inserted ~skipped =
         w.items.(r) <- -1;
         incr skipped
       | Insert (cavity, reserved) ->
-        if List.for_all (fun ti -> Atomic_array.get owner ti = j) reserved then begin
+        let owned = List.for_all (fun ti -> Atomic_array.get owner ti = j) reserved in
+        List.iter (fun ti -> Atomic_array.set owner ti max_int) reserved;
+        if owned then begin
           winners.(!won) <- j;
           incr won;
           new_triangles := !new_triangles + List.length cavity.Mesh.boundary
@@ -183,15 +193,9 @@ let reserving_generation pool mesh owner w ~inserted ~skipped =
           incr lost
         end
     done;
-    for j = 0 to m - 1 do
-      match plans.(j) with
-      | Give_up -> ()
-      | Insert (_, reserved) ->
-        List.iter (fun ti -> Atomic_array.set owner ti max_int) reserved
-    done;
     (* Commit: capacity first (single-threaded), then disjoint inserts. *)
     Mesh.ensure_capacity mesh ~vertices:!won ~triangles:!new_triangles;
-    Pool.parallel_for ~grain:1 ~start:0 ~finish:!won
+    Pool.parallel_for ~grain:(Option.value grain ~default:1) ~start:0 ~finish:!won
       ~body:(fun k ->
         match plans.(winners.(k)) with
         | Give_up -> assert false

@@ -21,7 +21,10 @@
       losers go to the front of the next step.  The prefix halves when more
       than a fifth of a step's triangles lost (never below [n/64 + 1] or the
       number of losers, for a list of [n]) and doubles, up to [n], when
-      fewer than a tenth did. *)
+      fewer than a tenth did.  A step with fewer than 64 live entries runs
+      its plan, reserve and commit loops inline on the calling worker,
+      forking nothing: below that size the fork/joins cost more than the
+      second worker saves. *)
 
 open Rpb_pool
 

@@ -53,37 +53,17 @@ let dijkstra (g : Csr.t) ~src =
   done;
   dist
 
-let seq_union_find n =
-  let parent = Array.init n Fun.id in
-  let rec find i = if parent.(i) = i then i else begin
-      parent.(i) <- parent.(parent.(i));
-      find parent.(i)
-    end
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra = rb then false
-    else begin
-      let hi = max ra rb and lo = min ra rb in
-      parent.(hi) <- lo;
-      true
-    end
-  in
-  (find, union)
-
 let connected_components g =
   let n = Csr.n g in
-  let find, union = seq_union_find n in
+  let parent = Array.init n Fun.id in
   for u = 0 to n - 1 do
-    Csr.iter_neighbors g u (fun v -> ignore (union u v))
+    Csr.iter_neighbors g u (fun v -> ignore (Union_find.Seq.link parent u v))
   done;
-  Array.init n find
+  Array.init n (Union_find.Seq.find parent)
 
 let num_components g =
   let comp = connected_components g in
-  let roots = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace roots r ()) comp;
-  Hashtbl.length roots
+  Array.fold_left ( + ) 0 (Array.mapi (fun i r -> Bool.to_int (r = i)) comp)
 
 let is_independent_set g selected =
   let ok = ref true in
@@ -161,7 +141,7 @@ let spanning_forest_weight g =
     Array.mapi (fun e (u, v) -> (Csr.edge_weight g e, u, v)) edges
   in
   Array.sort compare weighted;
-  let _, union = seq_union_find (Csr.n g) in
+  let parent = Array.init (Csr.n g) Fun.id in
   Array.fold_left
-    (fun acc (w, u, v) -> if u <> v && union u v then acc + w else acc)
+    (fun acc (w, u, v) -> if Union_find.Seq.link parent u v >= 0 then acc + w else acc)
     0 weighted

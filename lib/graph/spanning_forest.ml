@@ -1,36 +1,35 @@
 open Rpb_pool
 
-let spanning_forest pool g =
-  let edges = Csr.edges g in
-  let uf = Union_find.create (Csr.n g) in
-  let in_forest = Array.make (Array.length edges) false in
-  (* Races between edges joining the same pair of components are decided by
-     the CAS inside [union]: exactly one edge per merge wins. *)
-  Pool.parallel_for ~start:0 ~finish:(Array.length edges)
-    ~body:(fun e ->
-      let u, v = edges.(e) in
-      if u <> v && Union_find.union uf u v then in_forest.(e) <- true)
+(* Both loops read the CSR arrays in place, at [Csr.make]-validated indices.
+   A link of root [hi] writes its edge to [slot.(hi)]; a root is linked once
+   (PBBS's reservation by root), so the forest is the written slots. *)
+let spanning_forest pool (g : Csr.t) =
+  let offsets = g.offsets and targets = g.targets in
+  let uf = Union_find.create g.n in
+  let slot = Array.make g.n (-1) in
+  Pool.parallel_for ~start:0 ~finish:g.n
+    ~body:(fun u ->
+      for e = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+        let hi = Union_find.link uf u (Array.unsafe_get targets e) in
+        if hi >= 0 then slot.(hi) <- e
+      done)
     pool;
-  Rpb_parseq.Pack.pack_index pool (fun e -> in_forest.(e)) (Array.length edges)
+  Rpb_parseq.Pack.pack pool (fun e -> e >= 0) slot
 
-let spanning_forest_seq g =
-  let edges = Csr.edges g in
-  let parent = Array.init (Csr.n g) Fun.id in
-  let rec find i = if parent.(i) = i then i else begin
-      parent.(i) <- parent.(parent.(i));
-      find parent.(i)
-    end
-  in
-  let out = ref [] in
-  Array.iteri
-    (fun e (u, v) ->
-      let ru = find u and rv = find v in
-      if ru <> rv then begin
-        parent.(max ru rv) <- min ru rv;
-        out := e :: !out
-      end)
-    edges;
-  Array.of_list (List.rev !out)
+(* The same loop on a plain parent array. *)
+let spanning_forest_seq (g : Csr.t) =
+  let offsets = g.offsets and targets = g.targets in
+  let parent = Array.init g.n Fun.id in
+  let out = Array.make (max 0 (g.n - 1)) 0 and k = ref 0 in
+  for u = 0 to g.n - 1 do
+    for e = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+      if Union_find.Seq.link parent u (Array.unsafe_get targets e) >= 0 then begin
+        out.(!k) <- e;
+        incr k
+      end
+    done
+  done;
+  Array.sub out 0 !k
 
 (* Boruvka.  Priorities pack (weight, edge index) into one int so a single
    fetch-min elects the lightest (tie: lowest-index) edge per component. *)

@@ -2,28 +2,32 @@ type t = Rpb_prim.Atomic_array.t
 
 let create n = Rpb_prim.Atomic_array.init n Fun.id
 
+(* Path halving: point [i] at its grandparent and continue from there.
+   [gp = p] means [p] is the root (or [i] is, and then [p = i]), and the CAS
+   is skipped.  The CAS is best-effort: a lost race means someone else
+   compressed first, or [i] was a root that a racer just linked. *)
 let rec find t i =
   let p = Rpb_prim.Atomic_array.get t i in
-  if p = i then i
+  let gp = Rpb_prim.Atomic_array.get t p in
+  if gp = p then p
   else begin
-    let gp = Rpb_prim.Atomic_array.get t p in
-    (* Path halving: best-effort CAS; a lost race just means someone else
-       compressed first. *)
-    if gp <> p then ignore (Rpb_prim.Atomic_array.compare_and_set t i p gp);
-    find t p
+    ignore (Rpb_prim.Atomic_array.compare_and_set t i p gp);
+    find t gp
   end
 
-let rec union t a b =
+let rec link t a b =
   let ra = find t a and rb = find t b in
-  if ra = rb then false
+  if ra = rb then -1
   else begin
     (* Deterministic linking: the larger root is linked under the smaller. *)
     let hi = max ra rb and lo = min ra rb in
-    if Rpb_prim.Atomic_array.compare_and_set t hi hi lo then true
+    if Rpb_prim.Atomic_array.compare_and_set t hi hi lo then hi
     else
-      (* [hi] was linked by a racer; restart from the new roots. *)
-      union t a b
+      (* [hi] was linked by a racer; restart from the old roots. *)
+      link t ra rb
   end
+
+let union t a b = link t a b >= 0
 
 let same t a b = find t a = find t b
 
@@ -34,9 +38,23 @@ let count_roots pool t =
     ~combine:( + ) ~init:0 pool
 
 let components pool t =
-  let n = Rpb_prim.Atomic_array.length t in
-  let out = Array.make n 0 in
-  Rpb_pool.Pool.parallel_for ~start:0 ~finish:n
-    ~body:(fun i -> out.(i) <- find t i)
-    pool;
-  out
+  Rpb_core.Par_array.init pool (Rpb_prim.Atomic_array.length t) (find t)
+
+module Seq = struct
+  let rec find parent i =
+    let p = parent.(i) in
+    let gp = parent.(p) in
+    if gp = p then p
+    else begin
+      parent.(i) <- gp;
+      find parent gp
+    end
+
+  let link parent a b =
+    let ra = find parent a and rb = find parent b in
+    if ra = rb then -1
+    else begin
+      parent.(max ra rb) <- min ra rb;
+      max ra rb
+    end
+end

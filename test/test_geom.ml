@@ -199,6 +199,33 @@ let test_refine_sequential_baseline () =
         [ s.Refine.rounds; s.inserted; s.skipped; s.remaining_bad;
           s.final_real_triangles ])
 
+(* A Reserving step with fewer live entries than the grain runs plan,
+   reserve and commit inline.  On the dr benchmark's 200-point input every
+   step is below the grain (the largest has 37 live entries), so at P = 2
+   the refinement forks only in its final quality queries: it adds no
+   Pool.Stats task beyond what those queries take on the refined mesh. *)
+let test_refine_inline_steps_fork_nothing () =
+  with_pool 2 (fun pool ->
+      let counting_tasks f =
+        let s0 = Pool.Stats.capture pool in
+        let x = Pool.run pool f in
+        let d = Pool.Stats.diff ~before:s0 ~after:(Pool.Stats.capture pool) in
+        (x, Pool.Stats.tasks_executed d)
+      in
+      let mesh = Delaunay.triangulate (Pointgen.kuzmin ~n:200 ~seed:115) in
+      let stats, refine_tasks =
+        counting_tasks (fun () -> Refine.refine ~min_angle:26.0 pool mesh)
+      in
+      let (), query_tasks =
+        counting_tasks (fun () ->
+            ignore (Refine.count_bad pool mesh ~min_angle:26.0);
+            ignore (Mesh.min_live_angle pool mesh);
+            ignore (Mesh.num_real_triangles pool mesh))
+      in
+      Alcotest.(check bool) "refined" true (stats.Refine.inserted > 0);
+      Alcotest.(check bool) "the queries fork" true (query_tasks > 0);
+      Alcotest.(check int) "tasks during the steps" 0 (refine_tasks - query_tasks))
+
 (* Larger inputs must empty the worklist before the default cap of 64
    rounds stops refinement; a capped run can still pass
    [remaining_bad <= skipped] by chance. *)
@@ -479,6 +506,8 @@ let () =
           Alcotest.test_case "clean input noop" `Quick test_refine_no_bad_input_is_noop;
           Alcotest.test_case "sequential baseline pinned" `Quick
             test_refine_sequential_baseline;
+          Alcotest.test_case "steps below the grain fork nothing" `Quick
+            test_refine_inline_steps_fork_nothing;
         ]
         @ refine_cap_cases );
     ]

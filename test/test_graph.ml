@@ -199,6 +199,104 @@ let prop_uf_matches_reference =
       done;
       !ok)
 
+(* Racing links over a ring at P = 4: n - 1 of the n edges link, and no
+   root is returned twice, since a linked root never becomes a root again. *)
+let test_uf_link_roots_once () =
+  with_pool 4 (fun pool ->
+      Pool.run pool (fun () ->
+          let n = 20_000 in
+          let uf = Union_find.create n in
+          let linked = Array.make n (-1) in
+          Pool.parallel_for ~grain:64 ~start:0 ~finish:n
+            ~body:(fun i -> linked.(i) <- Union_find.link uf i ((i + 1) mod n))
+            pool;
+          let roots = List.filter (fun r -> r >= 0) (Array.to_list linked) in
+          Alcotest.(check int) "n - 1 links" (n - 1) (List.length roots);
+          Alcotest.(check int) "distinct roots" (n - 1)
+            (List.length (List.sort_uniq Int.compare roots));
+          Alcotest.(check int) "one component" 1 (Union_find.count_roots pool uf)))
+
+(* ---------- Spanning forest ---------- *)
+
+(* The tuple-based sequential forest the benchmark used before it walked
+   the CSR directly: an oracle for the forest's size. *)
+let tuple_spanning_forest_seq g =
+  let edges = Csr.edges g in
+  let parent = Array.init (Csr.n g) Fun.id in
+  let rec find i = if parent.(i) = i then i else begin
+      parent.(i) <- parent.(parent.(i));
+      find parent.(i)
+    end
+  in
+  let out = ref [] in
+  Array.iteri
+    (fun e (u, v) ->
+      let ru = find u and rv = find v in
+      if ru <> rv then begin
+        parent.(max ru rv) <- min ru rv;
+        out := e :: !out
+      end)
+    edges;
+  Array.of_list (List.rev !out)
+
+(* [g] with a self-loop on every seventh vertex and three isolated vertices
+   appended. *)
+let with_loops_and_isolated pool g =
+  let n = Csr.n g in
+  let loops = Array.init ((n + 6) / 7) (fun i -> (7 * i, 7 * i)) in
+  Csr.of_edges pool ~n:(n + 3) (Array.append (Csr.edges g) loops)
+
+let sf_inputs pool =
+  List.concat_map
+    (fun scale ->
+      List.map
+        (fun name ->
+          let g = Generate.by_name pool ~name ~scale ~weighted:false in
+          let g = if name = "road" then g else Csr.symmetrize pool g in
+          (Printf.sprintf "%s scale %d" name scale, with_loops_and_isolated pool g))
+        [ "road"; "link"; "rmat" ])
+    [ 6; 10 ]
+
+let test_sf_workers workers () =
+  with_pool workers (fun pool ->
+      Pool.run pool (fun () ->
+          List.iter
+            (fun (name, g) ->
+              let forest = Spanning_forest.spanning_forest pool g in
+              Alcotest.(check int) (name ^ ": n - components edges")
+                (Csr.n g - Reference.num_components g)
+                (Array.length forest);
+              Alcotest.(check int) (name ^ ": size of the tuple-based forest")
+                (Array.length (tuple_spanning_forest_seq g))
+                (Array.length forest);
+              (* Acyclic over CSR edge ids: every edge joins two components
+                 of a fresh replay. *)
+              let edges = Csr.edges g in
+              let uf = Union_find.create (Csr.n g) in
+              Array.iter
+                (fun e ->
+                  let u, v = edges.(e) in
+                  if not (Union_find.union uf u v) then
+                    Alcotest.failf "%s: edge %d closes a cycle" name e)
+                forest)
+            (sf_inputs pool)))
+
+(* At T1 the forest costs no per-edge allocation: the CSR is read in place,
+   and only n-length arrays are made, which go straight to the major heap. *)
+let test_sf_t1_allocation () =
+  with_pool 1 (fun pool ->
+      Pool.run pool (fun () ->
+          let g =
+            Csr.symmetrize pool (Generate.by_name pool ~name:"link" ~scale:12 ~weighted:false)
+          in
+          ignore (Spanning_forest.spanning_forest pool g);
+          let w0 = Gc.minor_words () in
+          ignore (Spanning_forest.spanning_forest pool g);
+          let per_edge = (Gc.minor_words () -. w0) /. float_of_int (Csr.m g) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%.4f minor words per edge < 0.05" per_edge)
+            true (per_edge < 0.05)))
+
 (* ---------- Reference ---------- *)
 
 let test_reference_bfs () =
@@ -369,7 +467,16 @@ let () =
           Alcotest.test_case "chain/canonical" `Quick test_uf_chain_and_canonical;
           Alcotest.test_case "concurrent unions" `Quick test_uf_concurrent_unions;
           QCheck_alcotest.to_alcotest prop_uf_matches_reference;
+          Alcotest.test_case "link returns each root at most once" `Quick
+            test_uf_link_roots_once;
         ] );
+      ( "spanning_forest",
+        List.map
+          (fun w ->
+            Alcotest.test_case (Printf.sprintf "spanning forest P=%d" w) `Quick
+              (test_sf_workers w))
+          [ 1; 2; 4 ]
+        @ [ Alcotest.test_case "T1 minor words per edge" `Quick test_sf_t1_allocation ] );
       ( "reference",
         [
           Alcotest.test_case "bfs" `Quick test_reference_bfs;
