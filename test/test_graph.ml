@@ -470,7 +470,7 @@ let () =
           Alcotest.test_case "link returns each root at most once" `Quick
             test_uf_link_roots_once;
         ] );
-      ( "spanning_forest",
+      ( "forest",
         List.map
           (fun w ->
             Alcotest.test_case (Printf.sprintf "spanning forest P=%d" w) `Quick
