@@ -1,6 +1,5 @@
 .PHONY: all build typecheck test examples doc clean check-race check-fault \
-	profile-smoke report-smoke perf-gate flake-check \
-	serve-smoke metrics-smoke slo-smoke
+	profile-smoke report-smoke perf-gate flake-check serve-smoke
 
 all: build
 
@@ -91,97 +90,44 @@ PERF_BASE ?= HEAD
 perf-gate:
 	sh scripts/perf_gate.sh $(PERF_BASE)
 
-# CI serve-smoke job: boot the request server in-process and drive it with
-# the chaos load generator — a forced-overload burst (32 back-to-back spin
-# requests against an admission bound of 16, so load shedding must engage)
-# plus mid-request client kills and reconnects.  loadgen exits 4 unless
-# every request is accounted for (no lost or duplicate replies), no reply
-# is malformed, and repeated runs of the same instance agree on the digest.
-# mis is in the mix because its digest is of an invariant (maximality and
-# independence), not of the raw output.
-# Both kind="serve" artifacts feed the dashboard's latency section.  The
-# outer timeout is the hang detector of last resort.
+# CI serve-smoke job: the request server and its live metrics plane end
+# to end.  One long-lived server streams a kind=metrics JSONL line every
+# 250 ms and keeps the slow-request scheduler-profile log; the chaos load
+# generator drives it with a forced-overload burst (32 back-to-back spin
+# requests against an admission bound of 16, so load shedding must
+# engage) plus mid-request client kills and reconnects.  loadgen exits 4
+# unless every request is accounted for (no lost or duplicate replies), no
+# reply is malformed, and repeated runs of the same instance agree on the
+# digest; mis is in the mix because its digest is of an invariant
+# (maximality and independence), not of the raw output.  `rpb top --check`
+# then takes consecutive verb=stats snapshots and asserts the snapshot
+# invariants: counters monotone, sequence advancing, and every latency
+# histogram's totals reconciling with the request status counters (exit 4
+# on a violation).  One dashboard from the JSONL and both kind="serve"
+# artifacts must carry the latency and live-metrics sections.  The
+# boot/drain choreography lives in scripts/with_server.sh: the binary is
+# prebuilt and run from _build directly so concurrent processes never
+# contend on the dune lock, the server is drained with SIGTERM, and the
+# outer timeouts are the hang detectors of last resort.
 serve-smoke:
-	timeout 300 dune exec bin/rpb.exe -- loadgen --boot \
-	  --socket /tmp/rpb-serve-smoke.sock \
-	  --clients 4 -n 12 --bench hist,sort,mis --bench spin --spin-ms 25 \
-	  --burst 32 --max-queue 16 --kill-every 9 --seed 42 \
-	  --json SERVE_loadgen.json --server-json SERVE_server.json
-	dune exec bin/rpb.exe -- report SERVE_loadgen.json SERVE_server.json \
-	  -o REPORT_serve.html --md REPORT_serve.md
-	test -s REPORT_serve.md
-
-# CI metrics-smoke job: the live metrics plane end to end.  A long-lived
-# server is started with snapshot streaming armed (one kind=metrics JSONL
-# line every 250 ms plus the slow-request scheduler-profile log), the
-# chaos load generator drives it over the same socket, and `rpb top
-# --check` then takes consecutive verb=stats snapshots over the serve
-# protocol and asserts the snapshot invariants — counters monotone,
-# sequence advancing, and every latency histogram's totals reconciling
-# with the request status counters (exit 4 on a violation).  The server
-# boot/drain choreography lives in scripts/with_server.sh (shared with
-# slo-smoke): the binary is prebuilt and run from _build directly so
-# concurrent processes never contend on the dune lock, the server is
-# drained with SIGTERM, and the outer timeouts are the hang detectors of
-# last resort.
-metrics-smoke:
 	dune build bin/rpb.exe
 	rm -f METRICS_serve.jsonl
-	server='--threads 4 --max-queue 16 --preload hist --preload sort'; \
+	server='--threads 4 --max-queue 16 --preload hist --preload sort --preload mis'; \
 	server="$$server --metrics-json METRICS_serve.jsonl --metrics-interval 0.25"; \
 	server="$$server --slow-log 4 --slow-pctl 90"; \
-	server="$$server --json SERVE_metrics_server.json --quiet"; \
+	server="$$server --json SERVE_server.json --quiet"; \
 	drive='timeout 300 $$RPB loadgen --socket $$SOCK'; \
-	drive="$$drive --clients 4 -n 12 --bench hist,sort --bench spin --spin-ms 25"; \
-	drive="$$drive --burst 24 --kill-every 9 --seed 42"; \
-	drive="$$drive --json SERVE_metrics_loadgen.json"; \
+	drive="$$drive --clients 4 -n 12 --bench hist,sort,mis --bench spin --spin-ms 25"; \
+	drive="$$drive --burst 32 --kill-every 9 --seed 42"; \
+	drive="$$drive --json SERVE_loadgen.json"; \
 	drive="$$drive && timeout 60 \$$RPB top --socket \$$SOCK --check -n 2 --interval 0.3"; \
-	scripts/with_server.sh /tmp/rpb-metrics-smoke.sock "$$server" "$$drive"
+	scripts/with_server.sh /tmp/rpb-serve-smoke.sock "$$server" "$$drive"
 	grep -q '"kind":"metrics"' METRICS_serve.jsonl
 	dune exec bin/rpb.exe -- report METRICS_serve.jsonl \
-	  SERVE_metrics_loadgen.json SERVE_metrics_server.json \
-	  -o REPORT_metrics.html --md REPORT_metrics.md
-	test -s REPORT_metrics.md
-	grep -q 'Live metrics' REPORT_metrics.md
-
-# CI slo-smoke job: the SLO engine and health plane end to end.  A server
-# boots with a tight latency objective and second-scale burn windows; the
-# health verb must report ok at boot, degrade to unhealthy (both windows
-# paging) while a spin-heavy load burns the budget — with admission
-# visibly tightened (the effective queue cap drops and overload sheds
-# carry a scaled retry hint) — and recover to ok once the load stops and
-# hysteresis steps the level back down.  The drained JSONL then replays
-# offline: `rpb slo --check` must exit 0 against a loose objective and 4
-# against the tight one (the injected violation), and the kind=slo
-# artifact feeds the dashboard's "SLO & error budget" section.
-slo-smoke:
-	dune build bin/rpb.exe
-	rm -f SLO_metrics.jsonl SLO_replay.json
-	server='--threads 2 --max-queue 8'; \
-	server="$$server --metrics-json SLO_metrics.jsonl --metrics-interval 0.25"; \
-	server="$$server --slo latency:serve.exec_ms:p95<5;avail:0.99"; \
-	server="$$server --slo-fast-s 1.5 --slo-slow-s 6 --quiet"; \
-	drive='set -e; timeout 30 $$RPB slo --socket $$SOCK --expect ok --wait 10; '; \
-	drive="$$drive( i=0; while test \$$i -lt 6; do"; \
-	drive="$$drive timeout 60 \$$RPB loadgen --socket \$$SOCK --clients 4 -n 20"; \
-	drive="$$drive --bench spin --spin-ms 25 --mean-gap-ms 1 --seed \$$i"; \
-	drive="$$drive --max-retries 2 --quiet >/dev/null 2>&1 || true;"; \
-	drive="$$drive i=\$$((i + 1)); done ) & load=\$$!;"; \
-	drive="$$drive timeout 60 \$$RPB slo --socket \$$SOCK --expect unhealthy --wait 45;"; \
-	drive="$$drive wait \$$load;"; \
-	drive="$$drive timeout 60 \$$RPB slo --socket \$$SOCK --expect ok --wait 30"; \
-	scripts/with_server.sh /tmp/rpb-slo-smoke.sock "$$server" "$$drive"
-	grep -q '"slo.level"' SLO_metrics.jsonl
-	timeout 60 _build/default/bin/rpb.exe slo SLO_metrics.jsonl \
-	  --slo 'latency:serve.exec_ms:p95<5000;avail:0.5' \
-	  --fast-s 1.5 --slow-s 6 --check
-	timeout 60 _build/default/bin/rpb.exe slo SLO_metrics.jsonl \
-	  --slo 'latency:serve.exec_ms:p95<5' --fast-s 1.5 --slow-s 6 \
-	  --json SLO_replay.json --check; \
-	  test $$? -eq 4
-	dune exec bin/rpb.exe -- report SLO_replay.json SLO_metrics.jsonl \
-	  -o REPORT_slo.html --md REPORT_slo.md
-	grep -q 'SLO & error budget' REPORT_slo.md
+	  SERVE_loadgen.json SERVE_server.json \
+	  -o REPORT_serve.html --md REPORT_serve.md
+	grep -q 'Serving latency' REPORT_serve.md
+	grep -q 'Live metrics' REPORT_serve.md
 
 # CI report-smoke job's second step: the dashboard out of fresh artifacts.
 # A quick bench/perf run of the fear workload supplies the paper's tables

@@ -442,9 +442,8 @@ let parse_preloads specs =
     (Ok []) specs
 
 let serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
-    ~json ~quiet ~metrics_json ~metrics_interval ~slow_log ~slow_pctl ~slo ~slo_fast ~slo_slow =
+    ~json ~quiet ~metrics_json ~metrics_interval ~slow_log ~slow_pctl =
   let module Serve = Rpb_serve.Serve in
-  let module Slo = Rpb_obs.Slo in
   let usage fmt = Printf.ksprintf (fun m -> Printf.eprintf "serve: %s\n" m) fmt in
   if metrics_interval <= 0. then begin
     usage "--metrics-interval must be > 0 (got %g)" metrics_interval;
@@ -454,21 +453,7 @@ let serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
     usage "--slow-pctl must be in (0, 100] (got %g)" slow_pctl;
     exit_usage
   end
-  else if slo_fast <= 0. || slo_slow <= 0. || slo_fast > slo_slow then begin
-    usage "--slo-fast-s/--slo-slow-s must be > 0 with fast <= slow (got %g/%g)"
-      slo_fast slo_slow;
-    exit_usage
-  end
   else
-  match
-    match slo with
-    | None -> Stdlib.Ok None
-    | Some spec -> Result.map Option.some (Slo.parse_spec spec)
-  with
-  | Stdlib.Error msg ->
-    usage "--slo: %s" msg;
-    exit_usage
-  | Stdlib.Ok slo -> (
   match parse_preloads preload with
   | Error msg ->
     Printf.eprintf "serve: %s\n" msg;
@@ -488,9 +473,6 @@ let serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
         metrics_interval_s = metrics_interval;
         slow_log;
         slow_pctl;
-        slo;
-        slo_fast_s = slo_fast;
-        slo_slow_s = slo_slow;
       }
     in
     match Serve.start cfg with
@@ -508,7 +490,7 @@ let serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
         try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
       done;
       Serve.stop t;
-      exit_ok))
+      exit_ok)
 
 let serve_cmd =
   let doc =
@@ -580,126 +562,68 @@ let serve_cmd =
              ~doc:"exec-time percentile a request must clear to be logged \
                    as slow")
   in
-  let slo =
-    Arg.(value & opt (some string) None
-         & info [ "slo" ] ~docv:"SPEC"
-             ~doc:"service-level objectives, `;`-separated: \
-                   $(b,latency:HIST:pQQ<MS) (e.g. \
-                   latency:serve.exec_ms:p95<50) and/or $(b,avail:TARGET) \
-                   (serve.ok vs failed+stalled).  Enables burn-rate \
-                   evaluation on the sampler thread, the health verb, and \
-                   budget-aware admission tightening")
-  in
-  let slo_fast =
-    Arg.(value & opt float 60.0
-         & info [ "slo-fast-s" ] ~docv:"SECONDS"
-             ~doc:"fast burn-rate window (tests scale this down)")
-  in
-  let slo_slow =
-    Arg.(value & opt float 3600.0
-         & info [ "slo-slow-s" ] ~docv:"SECONDS"
-             ~doc:"slow burn-rate window (tests scale this down)")
-  in
   let run socket threads max_queue drain_grace scale_cap preload json quiet
-      metrics_json metrics_interval slow_log slow_pctl slo slo_fast slo_slow =
+      metrics_json metrics_interval slow_log slow_pctl =
     exit
       (serve_run ~socket ~threads ~max_queue ~drain_grace ~scale_cap ~preload
-         ~json ~quiet ~metrics_json ~metrics_interval ~slow_log ~slow_pctl ~slo
-         ~slo_fast ~slo_slow)
+         ~json ~quiet ~metrics_json ~metrics_interval ~slow_log ~slow_pctl)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket $ threads $ max_queue $ drain_grace $ scale_cap
-          $ preload $ json $ quiet $ metrics_json $ metrics_interval $ slow_log $ slow_pctl $ slo
-          $ slo_fast $ slo_slow)
+          $ preload $ json $ quiet $ metrics_json $ metrics_interval $ slow_log
+          $ slow_pctl)
 
-let loadgen_run ~socket ~boot ~server_threads ~max_queue ~server_json
-    ~server_metrics_json ~clients ~requests ~seed ~mean_gap_ms ~benches ~mode
-    ~scale ~deadline_ms ~spin_ms ~burst ~kill_every
-    ~max_retries ~backoff_base_ms ~backoff_cap_ms ~wait_cap_s ~json ~quiet =
-  let module Serve = Rpb_serve.Serve in
+let loadgen_run ~socket ~clients ~requests ~seed ~mean_gap_ms ~benches ~mode
+    ~scale ~deadline_ms ~spin_ms ~burst ~kill_every ~max_retries
+    ~backoff_base_ms ~backoff_cap_ms ~wait_cap_s ~json =
   let module Loadgen = Rpb_serve.Loadgen in
-  let server =
-    if not boot then Ok None
-    else begin
-      let preload =
-        List.filter_map
-          (fun b -> if b = "spin" then None else Some (b, None, scale))
-          benches
-      in
-      let cfg =
-        {
-          (Serve.default_config ~socket_path:socket) with
-          threads = server_threads;
-          max_queue;
-          preload;
-          json_path = server_json;
-          metrics_path = server_metrics_json;
-          metrics_interval_s = 0.25;
-          quiet;
-        }
-      in
-      match Serve.start cfg with
-      | Error msg ->
-        Printf.eprintf "loadgen: boot: %s\n" msg;
-        Error exit_usage
-      | Ok t -> Ok (Some t)
-    end
+  let cfg =
+    {
+      Loadgen.socket_path = socket;
+      clients;
+      requests_per_client = requests;
+      seed;
+      mean_gap_ms;
+      benches;
+      mode;
+      scale;
+      deadline_ms;
+      spin_ms;
+      burst;
+      kill_every;
+      max_retries;
+      backoff_base_ms;
+      backoff_cap_ms;
+      wait_cap_s;
+      json_path = json;
+    }
   in
-  match server with
-  | Error code -> code
-  | Ok server -> (
-    let finish code =
-      (match server with Some t -> Serve.stop t | None -> ());
-      code
+  match Loadgen.run cfg with
+  | Error msg ->
+    Printf.eprintf "loadgen: %s\n" msg;
+    exit_usage
+  | Ok r ->
+    List.iter print_endline (Loadgen.summary_lines r);
+    (match json with
+     | Some path -> Printf.printf "wrote loadgen artifact to %s\n" path
+     | None -> ());
+    let violated =
+      r.Loadgen.lost > 0
+      || r.Loadgen.protocol_errors > 0
+      || r.Loadgen.digest_mismatches > 0
+      || Loadgen.accounted r <> r.Loadgen.sent
+      || r.Loadgen.ok = 0
     in
-    let cfg =
-      {
-        Loadgen.socket_path = socket;
-        clients;
-        requests_per_client = requests;
-        seed;
-        mean_gap_ms;
-        benches;
-        mode;
-        scale;
-        deadline_ms;
-        spin_ms;
-        burst;
-        kill_every;
-        max_retries;
-        backoff_base_ms;
-        backoff_cap_ms;
-        wait_cap_s;
-        json_path = json;
-        quiet = true;
-      }
-    in
-    match Loadgen.run cfg with
-    | Error msg ->
-      Printf.eprintf "loadgen: %s\n" msg;
-      finish exit_usage
-    | Ok r ->
-      List.iter print_endline (Loadgen.summary_lines r);
-      (match json with
-       | Some path -> Printf.printf "wrote loadgen artifact to %s\n" path
-       | None -> ());
-      let violated =
-        r.Loadgen.lost > 0
-        || r.Loadgen.protocol_errors > 0
-        || r.Loadgen.digest_mismatches > 0
-        || Loadgen.accounted r <> r.Loadgen.sent
-        || r.Loadgen.ok = 0
-      in
-      if violated then begin
-        Printf.eprintf
-          "loadgen: robustness violation (lost=%d proto_err=%d \
-           digest_mismatch=%d accounted=%d sent=%d ok=%d)\n"
-          r.Loadgen.lost r.Loadgen.protocol_errors
-          r.Loadgen.digest_mismatches (Loadgen.accounted r) r.Loadgen.sent
-          r.Loadgen.ok;
-        finish exit_violation
-      end
-      else finish exit_ok)
+    if violated then begin
+      Printf.eprintf
+        "loadgen: robustness violation (lost=%d proto_err=%d \
+         digest_mismatch=%d accounted=%d sent=%d ok=%d)\n"
+        r.Loadgen.lost r.Loadgen.protocol_errors
+        r.Loadgen.digest_mismatches (Loadgen.accounted r) r.Loadgen.sent
+        r.Loadgen.ok;
+      exit_violation
+    end
+    else exit_ok
 
 let loadgen_cmd =
   let doc =
@@ -713,33 +637,6 @@ let loadgen_cmd =
   let socket =
     Arg.(value & opt string (default_socket ())
          & info [ "socket" ] ~docv:"PATH" ~doc:"server socket path")
-  in
-  let boot =
-    Arg.(value & flag
-         & info [ "boot" ]
-             ~doc:"start an in-process server on $(b,--socket) first and \
-                   drain it afterwards (single-command smoke runs)")
-  in
-  let server_threads =
-    Arg.(value & opt int 4
-         & info [ "server-threads" ] ~docv:"P" ~doc:"pool workers for \
-                                                     $(b,--boot)")
-  in
-  let max_queue =
-    Arg.(value & opt int 16
-         & info [ "max-queue" ] ~docv:"N" ~doc:"admission bound for \
-                                                $(b,--boot)")
-  in
-  let server_json =
-    Arg.(value & opt (some string) None
-         & info [ "server-json" ] ~docv:"FILE"
-             ~doc:"server-side kind=serve artifact for $(b,--boot)")
-  in
-  let server_metrics_json =
-    Arg.(value & opt (some string) None
-         & info [ "server-metrics-json" ] ~docv:"FILE"
-             ~doc:"server-side kind=metrics JSONL for $(b,--boot) (sampled \
-                   every 250 ms)")
   in
   let clients = Arg.(value & opt int 4 & info [ "clients"; "c" ] ~docv:"N") in
   let requests =
@@ -803,23 +700,19 @@ let loadgen_cmd =
              ~doc:"write the kind=serve loadgen artifact (latency \
                    percentiles; feeds `rpb report`)")
   in
-  let quiet = Arg.(value & flag & info [ "quiet"; "q" ]) in
-  let run socket boot server_threads max_queue server_json server_metrics_json
-      clients requests seed mean_gap_ms benches mode scale deadline_ms spin_ms
-      burst kill_every max_retries backoff_base_ms backoff_cap_ms wait_cap_s
-      json quiet =
+  let run socket clients requests seed mean_gap_ms benches mode scale
+      deadline_ms spin_ms burst kill_every max_retries backoff_base_ms
+      backoff_cap_ms wait_cap_s json =
     exit
-      (loadgen_run ~socket ~boot ~server_threads ~max_queue ~server_json
-         ~server_metrics_json ~clients ~requests ~seed ~mean_gap_ms
+      (loadgen_run ~socket ~clients ~requests ~seed ~mean_gap_ms
          ~benches:(List.concat benches) ~mode:(Mode.name mode) ~scale
          ~deadline_ms ~spin_ms ~burst ~kill_every ~max_retries
-         ~backoff_base_ms ~backoff_cap_ms ~wait_cap_s ~json ~quiet)
+         ~backoff_base_ms ~backoff_cap_ms ~wait_cap_s ~json)
   in
   Cmd.v (Cmd.info "loadgen" ~doc)
-    Term.(const run $ socket $ boot $ server_threads $ max_queue $ server_json
-          $ server_metrics_json $ clients $ requests $ seed $ mean_gap_ms
-          $ benches $ mode $ scale $ deadline_ms $ spin_ms $ burst $ kill_every $ max_retries
-          $ backoff_base_ms $ backoff_cap_ms $ wait_cap_s $ json $ quiet)
+    Term.(const run $ socket $ clients $ requests $ seed $ mean_gap_ms
+          $ benches $ mode $ scale $ deadline_ms $ spin_ms $ burst $ kill_every
+          $ max_retries $ backoff_base_ms $ backoff_cap_ms $ wait_cap_s $ json)
 
 (* ---- top: live metrics view over a running server ---- *)
 
@@ -832,7 +725,7 @@ let top_cmd =
      percentiles, and the slow-request log counter.  With $(b,--check), \
      asserts the snapshot invariants instead of rendering (counters \
      monotone, histogram totals reconciling with the status counters) and \
-     exits 4 on a violation — the CI metrics-smoke contract."
+     exits 4 on a violation — the CI serve-smoke contract."
   in
   let socket =
     Arg.(value & opt string (default_socket ())
@@ -860,262 +753,6 @@ let top_cmd =
   Cmd.v (Cmd.info "top" ~doc)
     Term.(const run $ socket $ interval $ iterations $ check)
 
-(* ---- slo: offline burn-rate replay and live health polling ---- *)
-
-(* A --metrics-json stream is JSONL; a lone artifact is one document.
-   Unparseable lines are skipped — the stream may end mid-write when the
-   server was killed, and that must not abort the replay. *)
-let slo_docs_of_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Bench_json.of_string content with
-  | j -> [ j ]
-  | exception Bench_json.Parse_error _ ->
-    String.split_on_char '\n' content
-    |> List.filter_map (fun line ->
-           if String.trim line = "" then None
-           else
-             match Bench_json.of_string line with
-             | j -> Some j
-             | exception Bench_json.Parse_error _ -> None)
-
-let print_verdict_table verdicts =
-  let module Slo = Rpb_obs.Slo in
-  Printf.printf "%-28s %-6s %10s %10s %8s\n" "objective" "level" "fast-burn"
-    "slow-burn" "budget";
-  List.iter
-    (fun v ->
-      Printf.printf "%-28s %-6s %10.2f %10.2f %7.0f%%\n" v.Slo.v_name
-        (Slo.level_name v.Slo.v_level)
-        v.Slo.v_fast_burn v.Slo.v_slow_burn
-        (100. *. v.Slo.v_budget_remaining))
-    verdicts
-
-let slo_replay_run ~files ~spec ~params ~check ~json =
-  let module Slo = Rpb_obs.Slo in
-  match Slo.parse_spec spec with
-  | Stdlib.Error msg ->
-    Printf.eprintf "slo: bad --slo spec: %s\n" msg;
-    exit_usage
-  | Stdlib.Ok spec -> (
-    match List.concat_map slo_docs_of_file files with
-    | exception Sys_error msg ->
-      Printf.eprintf "slo: %s\n" msg;
-      exit_usage
-    | docs ->
-      let r = Slo.replay ~params spec docs in
-      if r.Slo.r_fed = 0 then begin
-        Printf.eprintf "slo: no kind=metrics snapshot found in %s\n"
-          (String.concat ", " files);
-        exit_usage
-      end
-      else begin
-        Printf.printf
-          "replayed %d snapshot(s) (%d other document(s) skipped), worst \
-           level %s\n"
-          r.Slo.r_fed r.Slo.r_skipped
-          (Slo.level_name r.Slo.r_worst);
-        print_verdict_table r.Slo.r_final;
-        (match json with
-         | None -> ()
-         | Some path ->
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               output_string oc
-                 (Bench_json.to_string
-                    (Slo.replay_to_json r ~params ~spec));
-               output_char oc '\n');
-           Printf.printf "wrote slo artifact to %s\n" path);
-        if Slo.violated r then begin
-          Printf.printf
-            "error budget violated (paged, or an objective finished \
-             overspent)\n";
-          if check then exit_violation else exit_ok
-        end
-        else exit_ok
-      end)
-
-let slo_live_run ~socket ~expect ~wait =
-  let module Slo = Rpb_obs.Slo in
-  let module J = Bench_json in
-  let print_health j =
-    let status = J.get_str (J.member "status" j) in
-    Printf.printf "status %s\n" status;
-    (match J.member "admission" j with
-     | J.Obj _ as a ->
-       Printf.printf "admission  max_queue %d  effective %d  retry_scale %dx\n"
-         (J.get_int (J.member "max_queue" a))
-         (J.get_int (J.member "effective_max_queue" a))
-         (J.get_int (J.member "retry_scale" a))
-     | _ -> ());
-    Printf.printf "%-28s %-6s %10s %10s %8s\n" "objective" "level" "fast-burn"
-      "slow-burn" "budget";
-    List.iter
-      (fun o ->
-        let f k = match J.member k o with J.Null -> 0. | v -> J.get_float v in
-        Printf.printf "%-28s %-6s %10.2f %10.2f %7.0f%%\n"
-          (J.get_str (J.member "name" o))
-          (J.get_str (J.member "level" o))
-          (f "fast_burn") (f "slow_burn")
-          (100. *. f "budget_remaining"))
-      (J.get_list (J.member "objectives" j));
-    status
-  in
-  let deadline = Unix.gettimeofday () +. wait in
-  let rec poll last_err =
-    match Rpb_serve.Top.fetch_health ~retries:0 ~socket_path:socket () with
-    | Stdlib.Error msg ->
-      if Unix.gettimeofday () < deadline then begin
-        (try Unix.sleepf 0.2 with Unix.Unix_error _ -> ());
-        poll (Some msg)
-      end
-      else begin
-        Printf.eprintf "slo: %s\n"
-          (Option.value last_err ~default:msg);
-        exit_usage
-      end
-    | Stdlib.Ok j -> (
-      match print_health j with
-      | exception J.Parse_error msg ->
-        Printf.eprintf "slo: bad health document: %s\n" msg;
-        exit_usage
-      | status -> (
-        match expect with
-        | None -> exit_ok
-        | Some want when want = status -> exit_ok
-        | Some want ->
-          if Unix.gettimeofday () < deadline then begin
-            (try Unix.sleepf 0.2 with Unix.Unix_error _ -> ());
-            poll None
-          end
-          else begin
-            Printf.eprintf "slo: expected status %s, still %s after %gs\n"
-              want status wait;
-            exit_violation
-          end))
-  in
-  poll None
-
-let slo_cmd =
-  let doc =
-    "Evaluate service-level objectives: replay a --metrics-json JSONL \
-     stream offline through the burn-rate engine (exit 4 with --check on \
-     a budget violation — the CI gate), or poll a live server's health \
-     verb with --socket, optionally waiting for an expected \
-     ok/degraded/unhealthy status."
-  in
-  let files =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"FILE"
-             ~doc:"metrics JSONL streams (or single JSON artifacts) to \
-                   replay, chronological order")
-  in
-  let spec =
-    Arg.(value & opt string "avail:0.99"
-         & info [ "slo" ] ~docv:"SPEC"
-             ~doc:"objectives to evaluate (same grammar as `rpb serve \
-                   --slo`)")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"exit 4 when the replay ever paged or finished with an \
-                   objective's budget overspent")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"write the kind=slo artifact (burn-rate series; feeds \
-                   `rpb report`)")
-  in
-  let fast_s =
-    Arg.(value & opt float 60.0
-         & info [ "fast-s" ] ~docv:"SECONDS" ~doc:"fast burn window")
-  in
-  let slow_s =
-    Arg.(value & opt float 3600.0
-         & info [ "slow-s" ] ~docv:"SECONDS" ~doc:"slow burn window")
-  in
-  let page_burn =
-    Arg.(value & opt float 14.4
-         & info [ "page-burn" ] ~docv:"X"
-             ~doc:"both-window burn threshold for page")
-  in
-  let warn_burn =
-    Arg.(value & opt float 6.0
-         & info [ "warn-burn" ] ~docv:"X"
-             ~doc:"both-window burn threshold for warn")
-  in
-  let hysteresis =
-    Arg.(value & opt int 3
-         & info [ "hysteresis" ] ~docv:"N"
-             ~doc:"consecutive calm evaluations before stepping down a \
-                   level")
-  in
-  let socket =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"poll a live server's health verb instead of replaying \
-                   files")
-  in
-  let expect =
-    Arg.(value & opt (some (enum
-           [ ("ok", "ok"); ("degraded", "degraded");
-             ("unhealthy", "unhealthy") ])) None
-         & info [ "expect" ] ~docv:"STATUS"
-             ~doc:"with --socket: poll until the overall status is \
-                   $(docv) (exit 4 when --wait expires first)")
-  in
-  let wait =
-    Arg.(value & opt float 10.0
-         & info [ "wait" ] ~docv:"SECONDS"
-             ~doc:"with --socket: polling deadline for --expect (also the \
-                   connect retry budget)")
-  in
-  let run files spec check json fast_s slow_s page_burn warn_burn hysteresis
-      socket expect wait =
-    if fast_s <= 0. || slow_s <= 0. || fast_s > slow_s then begin
-      Printf.eprintf
-        "slo: --fast-s/--slow-s must be > 0 with fast <= slow (got %g/%g)\n"
-        fast_s slow_s;
-      exit exit_usage
-    end;
-    if hysteresis < 1 then begin
-      Printf.eprintf "slo: --hysteresis must be >= 1 (got %d)\n" hysteresis;
-      exit exit_usage
-    end;
-    match (socket, files) with
-    | Some socket, [] -> exit (slo_live_run ~socket ~expect ~wait)
-    | Some _, _ :: _ ->
-      Printf.eprintf "slo: --socket and replay FILEs are mutually exclusive\n";
-      exit exit_usage
-    | None, [] ->
-      Printf.eprintf
-        "slo: nothing to do: name metrics JSONL FILEs to replay, or \
-         --socket to poll a live server\n";
-      exit exit_usage
-    | None, files ->
-      let params =
-        {
-          Rpb_obs.Slo.fast_s;
-          slow_s;
-          page_burn;
-          warn_burn;
-          hysteresis;
-        }
-      in
-      exit (slo_replay_run ~files ~spec ~params ~check ~json)
-  in
-  Cmd.v (Cmd.info "slo" ~doc)
-    Term.(const run $ files $ spec $ check $ json $ fast_s $ slow_s
-          $ page_burn $ warn_burn $ hysteresis $ socket $ expect $ wait)
-
 let report_run ~files ~out ~md =
   let a = Rpb_obs.Report.load_files files in
   List.iter
@@ -1139,10 +776,10 @@ let report_run ~files ~out ~md =
 
 let report_cmd =
   let doc =
-    "Merge bench/perf, PROFILE, CHECK, FAULT, serve, slo and metrics JSON \
+    "Merge bench/perf, PROFILE, CHECK, FAULT, serve and metrics JSON \
      artifacts into one self-contained HTML dashboard: the paper's Table 1 \
      / Fig. 4 and Fig. 5 ratios per benchmark, work/span/parallelism, \
-     correctness and fault verdicts, serving latency and error budgets."
+     correctness and fault verdicts, serving latency and live metrics."
   in
   let files =
     Arg.(non_empty & pos_all string []
@@ -1178,7 +815,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [ list_cmd; patterns_cmd; run_cmd; stats_cmd; check_cmd; faults_cmd;
-           profile_cmd; serve_cmd; loadgen_cmd; top_cmd; slo_cmd; report_cmd ])
+           profile_cmd; serve_cmd; loadgen_cmd; top_cmd; report_cmd ])
   in
   (* cmdliner reports its own usage errors as 124; fold them into the
      documented usage code so every surface agrees. *)

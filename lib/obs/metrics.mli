@@ -42,7 +42,7 @@
     point-in-time but not atomic across instruments — counters written
     while a snapshot runs may or may not land in it, yet each counter is
     itself monotone across snapshots, which is the invariant the CI
-    metrics-smoke job asserts. *)
+    serve-smoke job asserts. *)
 
 val n_stripes : int
 (** Number of per-domain stripes per counter/histogram (a small power of

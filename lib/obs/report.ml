@@ -3,7 +3,7 @@
    Merges every machine-readable artifact the harness emits — bench/perf
    documents (kind "perf": the paper's Table 1 / Fig. 4 and Fig. 5 ratios),
    PROFILE_*.json (work/span metrics), CHECK_*.json (differential oracle),
-   FAULT_*.json (fault sweep), and the serve, metrics and slo documents —
+   FAULT_*.json (fault sweep), and the serve and metrics documents —
    into one self-contained HTML file: no external assets, inline CSS and SVG
    only, light and dark mode from one set of custom properties.  The same
    table of sections renders the markdown digest.
@@ -52,7 +52,6 @@ type artifacts = {
   faults : J.json list;
   serves : J.json list;
   metrics : J.json list;
-  slos : J.json list;
   sources : source list;
   errors : (string * string) list;  (* path, message *)
 }
@@ -65,7 +64,6 @@ let empty =
     faults = [];
     serves = [];
     metrics = [];
-    slos = [];
     sources = [];
     errors = [];
   }
@@ -131,7 +129,6 @@ let add_doc acc j =
   | "fault" -> { acc with faults = j :: acc.faults }
   | "serve" -> { acc with serves = j :: acc.serves }
   | "metrics" -> { acc with metrics = j :: acc.metrics }
-  | "slo" -> { acc with slos = j :: acc.slos }
   | _ -> raise (J.Parse_error "no reader for this kind")
 
 let add_file acc path =
@@ -168,7 +165,6 @@ let load_files paths =
     faults = List.rev a.faults;
     serves = List.rev a.serves;
     metrics = List.rev a.metrics;
-    slos = List.rev a.slos;
     sources = List.rev a.sources;
     errors = List.rev a.errors;
   }
@@ -176,10 +172,9 @@ let load_files paths =
 let summary a =
   Printf.sprintf
     "%d perf document(s), %d profile(s), %d check report(s), %d fault \
-     report(s), %d serve report(s), %d metrics snapshot(s), %d SLO replay(s)"
+     report(s), %d serve report(s), %d metrics snapshot(s)"
     (List.length a.perfs) (List.length a.profiles) (List.length a.checks)
     (List.length a.faults) (List.length a.serves) (List.length a.metrics)
-    (List.length a.slos)
 
 (* ------------------------------------------------------------------ *)
 (* HTML helpers.                                                       *)
@@ -914,131 +909,6 @@ let metrics_html buf metrics =
     | _ -> ());
     pf "</table></details></div>"
 
-(* SLO & error budget: kind="slo" documents from `rpb slo --json`.  Tiles
-   for the headline verdict, a per-objective table of the final burn
-   state, and one fast-burn chart per artifact over the replayed
-   snapshots (at most the first three objectives, the chart palette's
-   all-pairs limit). *)
-let m_str j name =
-  match J.member_opt name j with Some (J.Str s) -> s | _ -> "?"
-
-let slo_objectives j =
-  match J.member_opt "objectives" j with Some (J.List l) -> l | _ -> []
-
-let slo_series j =
-  match J.member_opt "series" j with Some (J.List l) -> l | _ -> []
-
-let level_badge = function
-  | "ok" -> "<span class=\"badge ok\">ok</span>"
-  | "warn" -> "<span class=\"badge warn\">warn</span>"
-  | s -> Printf.sprintf "<span class=\"badge bad\">%s</span>" (html_escape s)
-
-
-let slos_html buf slos =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun j ->
-      let worst = m_str j "worst" in
-      let violated = get_bool_or "violation" false j in
-      pf "<div class=\"cards\">";
-      pf
-        "<div class=\"card tile\"><div class=\"label\">worst \
-         level</div><div class=\"value\">%s</div><div class=\"hint\">%d \
-         snapshot(s), %d skipped</div></div>"
-        (level_badge worst)
-        (Option.value ~default:0 (get_int_opt "snapshots" j))
-        (Option.value ~default:0 (get_int_opt "skipped" j));
-      pf
-        "<div class=\"card tile\"><div class=\"label\">error \
-         budget</div><div class=\"value\">%s</div><div \
-         class=\"hint\"><code>%s</code></div></div>"
-        (if violated then "<span class=\"badge bad\">violated</span>"
-         else "<span class=\"badge ok\">within budget</span>")
-        (html_escape (m_str j "spec"));
-      pf "</div>";
-      let objectives = slo_objectives j in
-      if objectives <> [] then begin
-        pf
-          "<div class=\"card\"><table><tr><th>objective</th><th \
-           class=\"num\">budget</th><th>level</th><th \
-           class=\"num\">fast burn</th><th class=\"num\">slow \
-           burn</th><th class=\"num\">budget left</th></tr>";
-        List.iter
-          (fun o ->
-            let final = J.member_opt "final" o in
-            let fnum name =
-              match final with
-              | Some f -> m_float f name
-              | None -> 0.
-            in
-            pf
-              "<tr><td class=\"l\"><code>%s</code></td><td \
-               class=\"num\">%.3f</td><td class=\"l\">%s</td><td \
-               class=\"num\">%.2f</td><td class=\"num\">%.2f</td><td \
-               class=\"num\">%.0f%%</td></tr>"
-              (html_escape (m_str o "name"))
-              (m_float o "budget")
-              (level_badge
-                 (match final with Some f -> m_str f "level" | None -> "?"))
-              (fnum "fast_burn") (fnum "slow_burn")
-              (100. *. fnum "budget_remaining"))
-          objectives;
-        pf "</table></div>"
-      end;
-      (* Fast-burn time series, one line per objective (first three). *)
-      let series = slo_series j in
-      let names =
-        List.filteri (fun i _ -> i < 3)
-          (List.map (fun o -> m_str o "name") objectives)
-      in
-      if List.length series >= 2 && names <> [] then begin
-        let burn_series =
-          List.mapi
-            (fun oi name ->
-              let pts =
-                List.mapi
-                  (fun x entry ->
-                    let v =
-                      match J.member_opt "fast" entry with
-                      | Some (J.List l) -> (
-                        match List.nth_opt l oi with
-                        | Some (J.Float f) -> f
-                        | Some (J.Int n) -> float_of_int n
-                        | _ -> 0.)
-                      | _ -> 0.
-                    in
-                    ( x,
-                      ( v,
-                        Printf.sprintf "snapshot %d: fast burn %.2f" x v )
-                    ))
-                  series
-              in
-              (name, pts))
-            names
-        in
-        let y_max =
-          List.fold_left
-            (fun acc (_, pts) ->
-              List.fold_left (fun a (_, (v, _)) -> Float.max a v) acc pts)
-            1.0 burn_series
-        in
-        pf "<div class=\"card\">";
-        pf
-          "<div class=\"t\" style=\"font-size:13px;color:var(--ink)\">fast \
-           burn rate</div><div class=\"sub\">per replayed snapshot</div>";
-        svg_line_chart ~w:620 ~h:190 ~x_label:"snapshot"
-          ~y_max:(y_max *. 1.15) ~series:burn_series buf;
-        pf "<div class=\"legend\">";
-        List.iteri
-          (fun i name ->
-            pf "<span class=\"key\" style=\"background:%s\"></span>%s"
-              (series_var i) (html_escape name))
-          names;
-        pf "</div></div>"
-      end)
-    slos
-
-
 let serves_md buf serves =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf
@@ -1083,38 +953,6 @@ let metrics_md buf metrics =
     pf "; exec p50/p95/p99 = %.2f/%.2f/%.2f ms" p50 p95 p99
   | _ -> ());
   pf "\n"
-
-let slos_md buf slos =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun j ->
-      pf
-        "`%s`: worst level **%s**, budget **%s** (%d snapshot(s))\n\n"
-        (m_str j "spec") (m_str j "worst")
-        (if get_bool_or "violation" false j then "VIOLATED"
-         else "within budget")
-        (Option.value ~default:0 (get_int_opt "snapshots" j));
-      let objectives = slo_objectives j in
-      if objectives <> [] then begin
-        pf
-          "| objective | budget | level | fast burn | slow burn | budget \
-           left |\n";
-        pf "|---|---|---|---|---|---|\n";
-        List.iter
-          (fun o ->
-            let final = J.member_opt "final" o in
-            let fnum name =
-              match final with Some f -> m_float f name | None -> 0.
-            in
-            pf "| %s | %.3f | %s | %.2f | %.2f | %.0f%% |\n"
-              (m_str o "name") (m_float o "budget")
-              (match final with Some f -> m_str f "level" | None -> "?")
-              (fnum "fast_burn") (fnum "slow_burn")
-              (100. *. fnum "budget_remaining"))
-          objectives;
-        pf "\n"
-      end)
-    slos
 
 let profiles_md buf (profiles : Profile.report list) =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -1208,18 +1046,6 @@ let sections =
       shown = (fun a -> a.metrics <> []);
       html = (fun buf a -> metrics_html buf a.metrics);
       md = (fun buf a -> metrics_md buf a.metrics);
-    };
-    {
-      title = "SLO & error budget";
-      blurb =
-        "From <code>rpb slo</code>: multi-window burn rates (windowed error \
-         rate over the error budget) replayed against the metrics stream.  \
-         Burn 1.0 spends exactly the whole budget if sustained; the page/warn \
-         thresholds fire only when both the fast and the slow window agree.";
-      absent = None;
-      shown = (fun a -> a.slos <> []);
-      html = (fun buf a -> slos_html buf a.slos);
-      md = (fun buf a -> slos_md buf a.slos);
     };
     {
       title = "Work / span";

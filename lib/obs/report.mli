@@ -4,7 +4,7 @@
     documents ([kind="perf"], one per workload, or a [BENCH_pr*.json]
     trajectory of them one per line), [PROFILE_*.json] work/span reports,
     [CHECK_*.json] differential-oracle reports, [FAULT_*.json] fault sweeps
-    and the serve, metrics and slo documents — into one self-contained HTML
+    and the serve and metrics documents — into one self-contained HTML
     page (inline CSS and SVG, light/dark from one set of custom properties)
     or a markdown digest suitable for a CI job summary.
 
@@ -13,11 +13,11 @@
     T{_P}/T{_seq} ratios per benchmark) and Fig. 5(a)/(b) (checked/unsafe
     and sync/unsafe).  The other sections carry per-benchmark
     work/span/parallelism from {!Sp_dag}, correctness and fault verdict
-    tiles, serving latency, live metrics and SLO error budgets. *)
+    tiles, serving latency and live metrics. *)
 
 type source = { path : string; kind : string }
 (** One input file and the document kind it classified as:
-    ["perf" | "profile" | "check" | "fault" | "serve" | "metrics" | "slo"],
+    ["perf" | "profile" | "check" | "fault" | "serve" | "metrics"],
     or ["jsonl"] for a multi-line stream. *)
 
 type perf_bench = {
@@ -64,10 +64,6 @@ type artifacts = {
       (** [kind="metrics"] live-metrics snapshots (the [stats] verb /
           [--metrics-json] JSONL format), in stream order — the
           dashboard's time-series section *)
-  slos : Rpb_benchmarks.Bench_json.json list;
-      (** [kind="slo"] burn-rate replays ([rpb slo --json]) — the
-          "SLO & error budget" section's verdict tiles, per-objective
-          table and fast-burn chart *)
   sources : source list;
   errors : (string * string) list;
       (** files skipped as unreadable/unparseable: [(path, message)] *)

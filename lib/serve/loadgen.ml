@@ -25,7 +25,6 @@ type config = {
   backoff_cap_ms : int;
   wait_cap_s : float;
   json_path : string option;
-  quiet : bool;
 }
 
 let default_config ~socket_path =
@@ -47,7 +46,6 @@ let default_config ~socket_path =
     backoff_cap_ms = 200;
     wait_cap_s = 15.0;
     json_path = None;
-    quiet = false;
   }
 
 type result = {
@@ -106,8 +104,7 @@ type client = {
   mutable c_reconnects : int;
   mutable c_sent : int;
   mutable c_max_retry_hint_ms : int;
-      (* largest retry_after_ms any shed carried — rises when the server's
-         SLO engine scales the hint under a burning budget *)
+      (* largest retry_after_ms any shed carried *)
   rng_r : Rng.t;  (* reader-side jitter stream *)
   digests : Mutex.t * (string * string * int, int) Hashtbl.t;  (* shared *)
 }
@@ -524,8 +521,6 @@ let run cfg =
         output_string oc (Bench_json.to_string (result_to_json cfg r));
         output_char oc '\n';
         close_out oc);
-      if not cfg.quiet then
-        List.iter (Printf.eprintf "loadgen: %s\n%!") (summary_lines r);
       Ok r
     end
   end

@@ -35,7 +35,6 @@ type config = {
   backoff_cap_ms : int;
   wait_cap_s : float;  (** max wait for stragglers after the last send *)
   json_path : string option;
-  quiet : bool;
 }
 
 val default_config : socket_path:string -> config
@@ -59,9 +58,7 @@ type result = {
           same (bench, input, mode, scale) — must be 0 *)
   reconnects : int;
   max_retry_hint_ms : int;
-      (** largest [retry_after_ms] hint any shed carried — under a burning
-          SLO budget the server scales the hint, so an overload soak sees
-          this rise above the un-tightened baseline *)
+      (** largest [retry_after_ms] hint any shed carried *)
   latency : Latency.summary;  (** over [ok] requests *)
 }
 

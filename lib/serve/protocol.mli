@@ -46,7 +46,7 @@ type request = {
   id : int;  (** client-chosen; echoed in the reply *)
   verb : string;
       (** ["run"] (implicit on the wire) executes a job; ["stats"] asks for
-          a live metrics snapshot and ["health"] for the SLO verdict — for
+          a live metrics snapshot and ["health"] for a liveness check — for
           both, the reply frame is a raw JSON document ([kind="metrics"] /
           [kind="health"]), not a [key=value] line *)
   bench : string;  (** registry benchmark name, or ["spin"]; ["-"] for
@@ -70,10 +70,9 @@ val stats_request : id:int -> request
 
 val health_request : id:int -> request
 (** A [verb=health] request: the server replies with one frame whose
-    payload is the [kind="health"] SLO verdict document
-    ({!Rpb_obs.Slo.health_json}) — overall [ok|degraded|unhealthy] status,
-    per-objective burn rates, and the current admission tightening.  Like
-    [stats] it bypasses admission and is served even while draining. *)
+    payload is a [kind="health"] document with [status = "ok"] and the
+    server's [max_queue].  Like [stats] it bypasses admission and is served
+    even while draining. *)
 
 val request_line : request -> string
 val parse_request : string -> (request, string) result

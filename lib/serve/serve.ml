@@ -5,7 +5,6 @@
 
 module Pool = Rpb_pool.Pool
 module Metrics = Rpb_obs.Metrics
-module Slo = Rpb_obs.Slo
 open Rpb_benchmarks
 
 type config = {
@@ -21,9 +20,6 @@ type config = {
   metrics_interval_s : float;
   slow_log : int;
   slow_pctl : float;
-  slo : Slo.spec option;
-  slo_fast_s : float;
-  slo_slow_s : float;
 }
 
 let default_config ~socket_path =
@@ -40,9 +36,6 @@ let default_config ~socket_path =
     metrics_interval_s = 1.0;
     slow_log = 8;
     slow_pctl = 99.0;
-    slo = None;
-    slo_fast_s = 60.;
-    slo_slow_s = 3600.;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -106,20 +99,6 @@ type req_record = {
 
 let max_records = 4096
 
-(* One running SLO engine plus its gauge exports.  The engine is fed only
-   from the sampler thread; [last] is read by the [health] verb under
-   [mmutex].  The overall level additionally lives in the process-global
-   [Slo.current_level] register so the admission path reads it with one
-   atomic load. *)
-type slo_state = {
-  engine : Slo.t;
-  g_overall : Metrics.gauge;
-  (* (level, fast_burn, slow_burn, budget_remaining) per objective, in
-     spec order. *)
-  g_objs : (Metrics.gauge * Metrics.gauge * Metrics.gauge * Metrics.gauge) list;
-  mutable last : Slo.verdict list;
-}
-
 (* A prepared instance and what every run of it must reproduce: the
    snapshot of its sequential run, verified once when the instance was
    built, and that snapshot's digest. *)
@@ -161,8 +140,6 @@ type t = {
   metrics_stop : bool Atomic.t;
   mutable slow_docs : Bench_json.json list;  (* newest first, capped *)
   mutable n_slow : int;
-  (* --- SLO engine (sampler thread feeds, health verb reads) --- *)
-  slo : slo_state option;
 }
 
 let socket_path t = t.cfg.socket_path
@@ -425,31 +402,6 @@ let push_slow t doc =
   | None -> ());
   Mutex.unlock t.mmutex
 
-(* One SLO evaluation, on the sampler thread: take a snapshot, feed the
-   engine, export the verdicts as slo.* gauges (so top/--check/report see
-   them through the ordinary snapshot path) and publish the overall level
-   to the global register the admission path reads. *)
-let slo_tick t =
-  match t.slo with
-  | None -> ()
-  | Some s -> (
-    match Slo.feed_snapshot s.engine (Metrics.snapshot ()) with
-    | None -> ()
-    | Some vs ->
-      List.iter2
-        (fun (gl, gf, gs, gb) (v : Slo.verdict) ->
-          Metrics.set_gauge gl (float_of_int (Slo.level_index v.Slo.v_level));
-          Metrics.set_gauge gf v.Slo.v_fast_burn;
-          Metrics.set_gauge gs v.Slo.v_slow_burn;
-          Metrics.set_gauge gb v.Slo.v_budget_remaining)
-        s.g_objs vs;
-      let lvl = Slo.overall vs in
-      Metrics.set_gauge s.g_overall (float_of_int (Slo.level_index lvl));
-      Slo.set_current lvl;
-      Mutex.lock t.mmutex;
-      s.last <- vs;
-      Mutex.unlock t.mmutex)
-
 let executor_loop t =
   let running = ref true in
   while !running do
@@ -560,12 +512,6 @@ let retry_after_ms t occupancy =
   max 1 (min 10_000 (int_of_float hint))
 
 let admit t conn (req : Protocol.request) =
-  (* Budget-aware admission: the SLO engine's level (one atomic load;
-     always Ok without --slo) tightens the effective queue cap and scales
-     the backoff hint deterministically, so a paging server sheds harder
-     and pushes clients further out until the burn drains. *)
-  let level = Slo.current_level () in
-  let cap = Slo.effective_queue_cap level t.cfg.max_queue in
   Mutex.lock t.qmutex;
   if t.draining then begin
     t.c <- { t.c with shutdown_replies = t.c.shutdown_replies + 1 };
@@ -576,16 +522,14 @@ let admit t conn (req : Protocol.request) =
     let occupancy =
       Queue.length t.queue + (match t.inflight with Some _ -> 1 | None -> 0)
     in
-    if occupancy >= cap then begin
+    if occupancy >= t.cfg.max_queue then begin
       t.c <- { t.c with shed = t.c.shed + 1 };
       Metrics.incr m_shed;
-      let hint =
-        min 30_000 (retry_after_ms t occupancy * Slo.admission_scale level)
-      in
+      let hint = retry_after_ms t occupancy in
       Mutex.unlock t.qmutex;
       send conn
         (err ~id:req.id ~retry_after_ms:hint Protocol.Overloaded
-           (Printf.sprintf "queue full (%d of %d)" occupancy cap))
+           (Printf.sprintf "queue full (%d of %d)" occupancy t.cfg.max_queue))
     end
     else begin
       let job =
@@ -625,25 +569,21 @@ let handle_stats t conn (_req : Protocol.request) =
   Metrics.incr m_stats_requests;
   send_payload conn (Bench_json.to_string (Metrics.snapshot ()))
 
-(* [verb=health] is the SLO verdict plane: same admission bypass and
-   drain behaviour as [stats], but the payload is the [kind="health"]
-   document — overall status, per-objective burn rates, and the admission
-   tightening currently in force.  Without --slo it reports an
-   objective-less [ok]. *)
+(* [verb=health] is a liveness check with the same admission bypass and
+   drain behaviour as [stats]: a reply proves the connection thread and
+   the transport are up, whatever the queue holds. *)
 let handle_health t conn (_req : Protocol.request) =
   Metrics.incr m_health_requests;
-  let verdicts =
-    match t.slo with
-    | None -> []
-    | Some s ->
-      Mutex.lock t.mmutex;
-      let vs = s.last in
-      Mutex.unlock t.mmutex;
-      vs
-  in
+  let open Bench_json in
   send_payload conn
-    (Bench_json.to_string
-       (Slo.health_json ~verdicts ~max_queue:t.cfg.max_queue))
+    (to_string
+       (Obj
+          [
+            ("schema_version", Int schema_version);
+            ("kind", Str "health");
+            ("status", Str "ok");
+            ("max_queue", Int t.cfg.max_queue);
+          ]))
 
 let handle_line t conn line =
   match Protocol.parse_request line with
@@ -841,33 +781,6 @@ let start ?(instances = []) cfg =
     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
     Unix.listen listen_fd 64;
     let pool = Pool.create ~num_workers:cfg.threads () in
-    let slo_state =
-      match cfg.slo with
-      | None -> None
-      | Some spec ->
-        let params =
-          {
-            Slo.default_params with
-            Slo.fast_s = cfg.slo_fast_s;
-            slow_s = cfg.slo_slow_s;
-          }
-        in
-        Some
-          {
-            engine = Slo.create ~params spec;
-            g_overall = Metrics.gauge "slo.level";
-            g_objs =
-              List.map
-                (fun (name, _) ->
-                  ( Metrics.gauge ("slo." ^ name ^ ".level"),
-                    Metrics.gauge ("slo." ^ name ^ ".fast_burn"),
-                    Metrics.gauge ("slo." ^ name ^ ".slow_burn"),
-                    Metrics.gauge ("slo." ^ name ^ ".budget_remaining") ))
-                spec;
-            last = [];
-          }
-    in
-    if Option.is_some slo_state then Slo.reset_current ();
     let t =
       {
         cfg;
@@ -897,7 +810,6 @@ let start ?(instances = []) cfg =
         metrics_stop = Atomic.make false;
         slow_docs = [];
         n_slow = 0;
-        slo = slo_state;
       }
     in
     (* A preload that fails (or fails its sequential check) refuses the
@@ -937,33 +849,26 @@ let start ?(instances = []) cfg =
         let n = List.length t.live_conns in
         Mutex.unlock t.cmutex;
         float_of_int n);
+    (* The sampler thread exists only to stream the JSONL. *)
     (match cfg.metrics_path with
     | Some path ->
       let oc = open_out path in
       t.metrics_oc <- Some oc;
       Mutex.lock t.mmutex;
       Metrics.write_snapshot_line oc;
-      Mutex.unlock t.mmutex
-    | None -> ());
-    (* One sampler thread serves both periodic consumers: the SLO
-       evaluation and the JSONL stream.  Either alone still needs the
-       thread; neither means no thread at all. *)
-    if Option.is_some t.metrics_oc || Option.is_some t.slo then
+      Mutex.unlock t.mmutex;
       t.metrics_thread <-
         Some
           (Thread.create
              (fun () ->
                while not (Atomic.get t.metrics_stop) do
                  Unix.sleepf cfg.metrics_interval_s;
-                 slo_tick t;
                  Mutex.lock t.mmutex;
-                 (match t.metrics_oc with
-                 | Some oc -> (
-                   try Metrics.write_snapshot_line oc with Sys_error _ -> ())
-                 | None -> ());
+                 (try Metrics.write_snapshot_line oc with Sys_error _ -> ());
                  Mutex.unlock t.mmutex
                done)
-             ());
+             ())
+    | None -> ());
     t.executor <- Some (Domain.spawn (fun () -> executor_loop t));
     t.accept_thread <- Some (Thread.create accept_loop t);
     log t "listening on %s (threads=%d max_queue=%d)" cfg.socket_path
@@ -1021,9 +926,6 @@ let stop t =
     Atomic.set t.metrics_stop true;
     Option.iter Thread.join t.metrics_thread;
     t.metrics_thread <- None;
-    (* Release the admission register so later servers (or tests) in this
-       process start from Ok. *)
-    if Option.is_some t.slo then Slo.reset_current ();
     Mutex.lock t.mmutex;
     (match t.metrics_oc with
     | Some oc ->

@@ -32,14 +32,6 @@
     depth.  Malformed or unresolvable requests are rejected without
     occupying a queue slot.
 
-    With [slo] set, admission is {e budget-aware}: the SLO engine's
-    current level ({!Rpb_obs.Slo.current_level}, one atomic load) tightens
-    the effective cap to [max_queue / 2] on [Warn] and [max_queue / 4] on
-    [Page] (never below 1) and scales the [retry_after_ms] hint by 2x/4x
-    (clamped to 30 s) — the server sheds harder and pushes clients further
-    out while the budget burns, and restores automatically once the
-    engine's hysteresis steps the level back down.
-
     {2 Cancellation and drain}
 
     A client disconnecting cancels its queued jobs and cooperatively
@@ -72,18 +64,12 @@
     {!Rpb_obs.Sp_dag.analyze} to PROFILE-compatible documents, kept in the
     artifact's [slow_requests] and streamed into the JSONL.
 
-    {2 SLOs and the health plane}
+    {2 Health}
 
-    With [slo] set, the sampler thread also evaluates the objectives each
-    interval ({!Rpb_obs.Slo.feed_snapshot} over a fresh snapshot): the
-    per-objective verdicts are exported as [slo.*] gauges (level, fast and
-    slow burn, budget remaining — visible to [rpb top] and the JSONL
-    stream), the overall level is published to the global admission
-    register, and the [verb=health] protocol request (admission-bypassing,
-    like [stats]) replies with the [kind="health"] document.  The fast and
-    slow burn windows come from [slo_fast_s]/[slo_slow_s], so tests and
-    smoke jobs scale the 1-min/1-hour production windows down to
-    seconds. *)
+    The [verb=health] protocol request bypasses admission like [stats],
+    so it answers even while the queue is at its cap or draining.  Its
+    payload is a small [kind="health"] document: [status = "ok"] and the
+    configured [max_queue].  A reply shows that the server is live. *)
 
 type config = {
   socket_path : string;
@@ -103,19 +89,13 @@ type config = {
       (** keep at most this many slow-request profiles (0 disables) *)
   slow_pctl : float;
       (** exec-time percentile a request must clear to be logged as slow *)
-  slo : Rpb_obs.Slo.spec option;
-      (** objectives evaluated on the sampler thread; [None] disables the
-          SLO engine entirely (admission then never tightens) *)
-  slo_fast_s : float;  (** fast burn window, seconds (default 60) *)
-  slo_slow_s : float;  (** slow burn window, seconds (default 3600) *)
 }
 
 val default_config : socket_path:string -> config
 (** [threads = Domain.recommended_domain_count () - 1] (min 1),
     [max_queue = 16], [drain_grace_s = 2.0], [scale_cap = 6], no preload,
     no artifact, not quiet, no metrics JSONL, [metrics_interval_s = 1.0],
-    [slow_log = 8], [slow_pctl = 99.0], no SLO, 60 s / 3600 s burn
-    windows. *)
+    [slow_log = 8], [slow_pctl = 99.0]. *)
 
 type stats = {
   accepted : int;  (** requests admitted to the queue *)

@@ -70,7 +70,7 @@ let parse_snapshot j =
 (* ------------------------------------------------------------------ *)
 (* Fetch *)
 
-let round_trip ?(retries = 0) ~socket_path req parse =
+let fetch ?(retries = 0) ~socket_path () =
   let rec connect attempt =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
@@ -90,21 +90,16 @@ let round_trip ?(retries = 0) ~socket_path req parse =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
         try
-          Protocol.write_frame fd (Protocol.request_line req);
+          Protocol.write_frame fd
+            (Protocol.request_line (Protocol.stats_request ~id:0));
           let r = Protocol.reader fd in
           match Protocol.read_frame r with
           | None -> Error "server closed the connection before replying"
-          | Some payload -> parse (J.of_string payload)
+          | Some payload -> parse_snapshot (J.of_string payload)
         with
         | Protocol.Malformed msg -> Error ("bad frame: " ^ msg)
         | J.Parse_error msg -> Error ("bad snapshot JSON: " ^ msg)
         | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-
-let fetch ?retries ~socket_path () =
-  round_trip ?retries ~socket_path (Protocol.stats_request ~id:0) parse_snapshot
-
-let fetch_health ?retries ~socket_path () =
-  round_trip ?retries ~socket_path (Protocol.health_request ~id:0) Result.ok
 
 (* ------------------------------------------------------------------ *)
 (* Lookups and deltas *)
@@ -220,38 +215,6 @@ let render ?prev s =
     line "gc         %s   %s   minors %.0f" (part "minor" minor)
       (part "major-slice" major)
       (Option.value (gauge_of s "gc.minor_collections") ~default:0.));
-  (* SLO panel: present only when the server runs with --slo.  Objective
-     names are recovered from the slo.<name>.level gauge family. *)
-  let slo_objectives =
-    List.filter_map
-      (fun (k, _) ->
-        if String.length k > 10
-           && String.sub k 0 4 = "slo."
-           && String.sub k (String.length k - 6) 6 = ".level"
-        then Some (String.sub k 4 (String.length k - 10))
-        else None)
-      s.gauges
-  in
-  (match gauge_of s "slo.level" with
-  | Some lvl when slo_objectives <> [] ->
-    line "";
-    line "slo        overall %s"
-      (Rpb_obs.Slo.status_name
-         (Rpb_obs.Slo.level_of_index (int_of_float lvl)));
-    line "           %-28s %-6s %10s %10s %8s" "objective" "level" "fast burn"
-      "slow burn" "budget";
-    List.iter
-      (fun name ->
-        let g suffix =
-          Option.value (gauge_of s ("slo." ^ name ^ suffix)) ~default:0.
-        in
-        line "           %-28s %-6s %10.2f %10.2f %7.0f%%" name
-          (Rpb_obs.Slo.level_name
-             (Rpb_obs.Slo.level_of_index (int_of_float (g ".level"))))
-          (g ".fast_burn") (g ".slow_burn")
-          (100. *. g ".budget_remaining"))
-      slo_objectives
-  | _ -> ());
   let slow = counter_of s "serve.slow_logged" in
   if slow > 0 then line "slow log   %d request profile(s) captured" slow;
   Buffer.contents b
@@ -327,40 +290,15 @@ let check_invariants ~prev s =
       executor_terminal "ok+stalled+cancelled+failed"
   in
   (* A histogram's bucket counts must sum to its count slot. *)
-  let* () =
-    List.fold_left
-      (fun acc (name, h) ->
-        let* () = acc in
-        let total = Array.fold_left ( + ) 0 h.buckets in
-        if total <> h.count then
-          fail "histogram %s buckets sum to %d, count says %d" name total
-            h.count
-        else Ok ())
-      (Ok ()) s.hists
-  in
-  (* SLO gauges, when exported, carry a valid level encoding and
-     non-negative burn rates. *)
   List.fold_left
-    (fun acc (name, v) ->
+    (fun acc (name, h) ->
       let* () = acc in
-      let has_suffix suf =
-        String.length name >= String.length suf
-        && String.sub name
-             (String.length name - String.length suf)
-             (String.length suf)
-           = suf
-      in
-      if String.length name >= 4 && String.sub name 0 4 = "slo." then
-        if has_suffix ".level" || name = "slo.level" then
-          if v <> 0. && v <> 1. && v <> 2. then
-            fail "gauge %s is not a level encoding (%g)" name v
-          else Ok ()
-        else if has_suffix ".fast_burn" || has_suffix ".slow_burn" then
-          if v < 0. then fail "gauge %s is a negative burn rate (%g)" name v
-          else Ok ()
-        else Ok ()
+      let total = Array.fold_left ( + ) 0 h.buckets in
+      if total <> h.count then
+        fail "histogram %s buckets sum to %d, count says %d" name total
+          h.count
       else Ok ())
-    (Ok ()) s.gauges
+    (Ok ()) s.hists
 
 (* ------------------------------------------------------------------ *)
 (* Entry point *)

@@ -17,7 +17,7 @@
     from the fresh incarnation.
 
     [--check] mode replaces the display with snapshot-invariant assertions
-    (the CI metrics-smoke contract): every counter is monotone across
+    (the CI serve-smoke contract): every counter is monotone across
     consecutive snapshots, [serve.exec_ms].count reconciles with the
     [serve.ok] counter, [serve.check_ms].count lies between [serve.ok] and
     [serve.ok + serve.failed] (a failed request may have failed the check
@@ -25,9 +25,7 @@
     executor-terminal counters.  Reconciliation allows a histogram total
     to lead its counters by at most the one in-flight request (the
     executor observes the histogram, then bumps the counter; a snapshot
-    may land between), and never to trail them.  When the server exports
-    [slo.*] gauges, [--check] also asserts every level gauge is a valid
-    [0|1|2] encoding and every burn-rate gauge is non-negative. *)
+    may land between), and never to trail them. *)
 
 type hist = {
   count : int;
@@ -51,14 +49,6 @@ val fetch : ?retries:int -> socket_path:string -> unit -> (snap, string) result
 (** One round-trip: connect, [stats], parse.  [retries] (default 0)
     re-attempts the connect at 200 ms intervals, for racing a server that
     is still binding its socket. *)
-
-val fetch_health :
-  ?retries:int ->
-  socket_path:string ->
-  unit ->
-  (Rpb_benchmarks.Bench_json.json, string) result
-(** One [verb=health] round-trip: the raw [kind="health"] document
-    ({!Rpb_obs.Slo.health_json}) — what [rpb slo --socket] polls. *)
 
 val render : ?prev:snap -> snap -> string
 (** The full-screen view (ANSI clear + cursor home prefix). *)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Boot a backgrounded rpb server, wait for its socket, run a drive
 # command against it, then drain the server with SIGTERM and propagate
-# the worst exit status.  Shared by the metrics-smoke and slo-smoke make
-# targets so every smoke job boots and drains servers the same way.
+# the worst exit status.  The serve-smoke make target boots and drains
+# its server through it.
 #
 # Usage: with_server.sh SOCKET 'SERVER_EXTRA_ARGS' 'DRIVE_SHELL'
 #

@@ -25,28 +25,9 @@ expect_code 2 serve --metrics-interval 0
 expect_code 2 serve --metrics-interval -1
 expect_code 2 serve --slow-pctl 0
 expect_code 2 serve --slow-pctl 101
-expect_code 2 serve --slo garbage
-expect_code 2 serve --slo 'latency:h:p95<5' --slo-fast-s 60 --slo-slow-s 30
-expect_code 2 slo
-expect_code 2 slo /nonexistent-metrics.jsonl
-expect_code 2 slo --socket /tmp/nope.sock extra.jsonl
-expect_code 2 slo some.jsonl --slo 'avail:2'
-expect_code 2 slo some.jsonl --fast-s 0
-expect_code 2 slo some.jsonl --hysteresis 0
-
-# rpb slo replay: a clean stream passes --check (exit 0); one that pages
-# the objective exits 4.  Two synthetic snapshots are enough: 100 requests
-# with none failed, then the same with half failed.
-slo_tmp=${TMPDIR:-/tmp}/rpb-cli-slo-$$.jsonl
 kind_tmp=${TMPDIR:-/tmp}/rpb-cli-kind-$$.json
 trace_tmp=${TMPDIR:-/tmp}/rpb-cli-trace-$$.json
-trap 'rm -f "$slo_tmp" "$kind_tmp" "$trace_tmp"' 0
-{
-  printf '{"kind":"metrics","seq":1,"ts_s":1.0,"started_s":0.0,"counters":{"serve.ok":100,"serve.failed":0},"gauges":{},"histograms":{}}\n'
-  printf '{"kind":"metrics","seq":2,"ts_s":2.0,"started_s":0.0,"counters":{"serve.ok":150,"serve.failed":50},"gauges":{},"histograms":{}}\n'
-} > "$slo_tmp"
-expect_code 4 slo "$slo_tmp" --slo avail:0.99 --fast-s 1 --slow-s 10 --check
-expect_code 0 slo "$slo_tmp" --slo avail:0.0001 --fast-s 1 --slow-s 10 --check
+trap 'rm -f "$kind_tmp" "$trace_tmp"' 0
 
 # rpb report skips a document of a kind it cannot read instead of
 # crashing; with nothing else parsed that is exit 2.  A bench/perf document
@@ -64,6 +45,13 @@ expect_code 2 profile --policy default
 expect_code 2 serve --policy default
 expect_code 2 loadgen --policy default
 expect_code 2 serve --minor-heap-kb 1
+
+# The retired SLO surface: the slo subcommand, the serve flags that fed
+# it and the loadgen in-process server are gone, so each is a usage error.
+expect_code 2 slo
+expect_code 2 serve --slo x
+expect_code 2 serve --slo-fast-s 1
+expect_code 2 loadgen --boot
 
 # A worker count below 1 and an output path that cannot be written are
 # usage errors, not uncaught exceptions.

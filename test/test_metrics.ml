@@ -321,7 +321,7 @@ let test_latency_edge_cases () =
   let merged = Latency.merge one eq in
   Alcotest.(check int) "merge count" 101 (Latency.count merged)
 
-(* ---------- top: restart re-baselining and SLO gauge checks ---------- *)
+(* ---------- top: restart re-baselining ---------- *)
 
 module Top = Rpb_serve.Top
 
@@ -350,26 +350,6 @@ let test_top_restart_rebaseline () =
   (match Top.check_invariants ~prev:(Some p) bad with
   | Ok () -> Alcotest.fail "a mid-run counter drop must be flagged"
   | Error _ -> ())
-
-let test_top_slo_gauge_invariants () =
-  let ok_snap =
-    mk_snap
-      ~gauges:
-        [ ("slo.availability.fast_burn", 2.5);
-          ("slo.availability.level", 1.); ("slo.level", 2.) ]
-      ()
-  in
-  (match Top.check_invariants ~prev:None ok_snap with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("valid slo gauges rejected: " ^ e));
-  let bad_level = mk_snap ~gauges:[ ("slo.level", 3.) ] () in
-  (match Top.check_invariants ~prev:None bad_level with
-  | Ok () -> Alcotest.fail "level gauge 3 is not a valid encoding"
-  | Error _ -> ());
-  let bad_burn = mk_snap ~gauges:[ ("slo.x.slow_burn", -0.5) ] () in
-  match Top.check_invariants ~prev:None bad_burn with
-  | Ok () -> Alcotest.fail "negative burn gauge must be flagged"
-  | Error _ -> ()
 
 (* ---------- one percentile definition across the codebase ---------- *)
 
@@ -485,8 +465,6 @@ let () =
         [
           Alcotest.test_case "restart re-baseline" `Quick
             test_top_restart_rebaseline;
-          Alcotest.test_case "slo gauge invariants" `Quick
-            test_top_slo_gauge_invariants;
         ] );
       ( "timer",
         [

@@ -53,6 +53,16 @@ let rpc (fd, r) req =
 
 let close_conn (fd, _) = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* The health reply is a raw JSON frame, not a reply line. *)
+let health t =
+  let ((fd, r) as conn) = connect t in
+  Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+  Protocol.write_frame fd
+    (Protocol.request_line (Protocol.health_request ~id:0));
+  match Protocol.read_frame r with
+  | Some payload -> J.of_string payload
+  | None -> Alcotest.fail "health: no reply"
+
 let err_kind = function
   | Protocol.Err_reply { kind; _ } -> Some kind
   | Protocol.Ok_reply _ -> None
@@ -283,7 +293,6 @@ let test_serve_overload_shed () =
           burst = 10;
           max_retries = 2;
           backoff_base_ms = 10;
-          quiet = true;
         }
       in
       match Loadgen.run cfg with
@@ -517,91 +526,54 @@ let test_serve_unverified_instance_refused () =
     Alcotest.fail "an instance failing verify was accepted"
   | Error _ -> ()
 
-(* ---------- the health verb and budget-aware admission ---------- *)
+(* ---------- the health verb ---------- *)
 
 let test_serve_health_verb () =
-  (* Without --slo the health plane answers an objective-less ok with
-     untightened admission. *)
-  with_server (fun t ->
-      match Top.fetch_health ~socket_path:(Serve.socket_path t) () with
-      | Error e -> Alcotest.fail ("health: " ^ e)
-      | Ok j ->
-        Alcotest.(check string) "status" "ok"
+  let max_queue = 2 in
+  with_server ~max_queue (fun t ->
+      let socket_path = Serve.socket_path t in
+      let check_health label =
+        let j = health t in
+        Alcotest.(check string) (label ^ ": kind") "health"
+          (J.get_str (J.member "kind" j));
+        Alcotest.(check string) (label ^ ": status") "ok"
           (J.get_str (J.member "status" j));
-        Alcotest.(check int) "no objectives" 0
-          (List.length (J.get_list (J.member "objectives" j)));
-        let adm = J.member "admission" j in
-        Alcotest.(check int) "full cap" 16
-          (J.get_int (J.member "effective_max_queue" adm));
-        Alcotest.(check int) "unit retry scale" 1
-          (J.get_int (J.member "retry_scale" adm)))
-
-let test_serve_health_degrades () =
-  (* A deliberately impossible latency objective (p95 < 1 us) with
-     sub-second burn windows: every request is budget burn, so the health
-     verb must degrade to unhealthy and report quartered admission while
-     load keeps arriving. *)
-  let slo =
-    match Rpb_obs.Slo.parse_spec "latency:serve.exec_ms:p95<0.001" with
-    | Stdlib.Ok s -> s
-    | Stdlib.Error e -> Alcotest.fail e
-  in
-  let cfg =
-    {
-      (Serve.default_config ~socket_path:(fresh_sock ())) with
-      threads = 2;
-      max_queue = 16;
-      drain_grace_s = 5.0;
-      quiet = true;
-      metrics_interval_s = 0.1;
-      slo = Some slo;
-      slo_fast_s = 0.5;
-      slo_slow_s = 2.0;
-    }
-  in
-  match Serve.start cfg with
-  | Error e -> Alcotest.fail ("server start: " ^ e)
-  | Ok t ->
-    Fun.protect ~finally:(fun () -> Serve.stop t) @@ fun () ->
-    let conn = connect t in
-    Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
-    let deadline = Unix.gettimeofday () +. 20.0 in
-    let rec drive i =
-      (* keep the burn alive while polling: one request, one health probe *)
-      (match rpc conn (Protocol.request ~id:i ~bench:"spin" ~spin_ms:2 ()) with
-      | Protocol.Ok_reply _ | Protocol.Err_reply _ -> ());
-      match Top.fetch_health ~socket_path:(Serve.socket_path t) () with
-      | Error e -> Alcotest.fail ("health: " ^ e)
-      | Ok j ->
-        if J.get_str (J.member "status" j) = "unhealthy" then j
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "server never degraded to unhealthy"
-        else begin
-          Unix.sleepf 0.05;
-          drive (i + 1)
-        end
-    in
-    let j = drive 1 in
-    Alcotest.(check int) "level encoding" 2 (J.get_int (J.member "level" j));
-    let adm = J.member "admission" j in
-    Alcotest.(check int) "admission quartered under Page" 4
-      (J.get_int (J.member "effective_max_queue" adm));
-    Alcotest.(check int) "retry hints scaled 4x" 4
-      (J.get_int (J.member "retry_scale" adm));
-    (match J.get_list (J.member "objectives" j) with
-    | [ o ] ->
-      Alcotest.(check string) "objective paged" "page"
-        (J.get_str (J.member "level" o));
-      Alcotest.(check bool) "burns reported positive" true
-        (J.get_float (J.member "fast_burn" o) > 0.)
-    | os -> Alcotest.failf "expected one objective, got %d" (List.length os));
-    (* the slo.* gauges pass the rpb top --check invariants live *)
-    (match Top.fetch ~socket_path:(Serve.socket_path t) () with
-    | Error e -> Alcotest.fail ("stats: " ^ e)
-    | Ok s -> (
-      match Top.check_invariants ~prev:None s with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail ("slo gauge invariant: " ^ msg)))
+        Alcotest.(check int) (label ^ ": max_queue") max_queue
+          (J.get_int (J.member "max_queue" j))
+      in
+      let occupancy_and_shed () =
+        match Top.fetch ~socket_path () with
+        | Error e -> Alcotest.fail ("stats: " ^ e)
+        | Ok s ->
+          ( List.assoc "serve.occupancy" s.Top.gauges,
+            (Serve.stats t).Serve.shed )
+      in
+      check_health "idle";
+      (* A burst of long spins: one in flight, one queued (the cap), the
+         rest shed.  Health must still answer while the queue is full,
+         without taking a slot or being shed itself. *)
+      let conn = connect t in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let fd, _ = conn in
+      for id = 1 to 4 do
+        Protocol.write_frame fd
+          (Protocol.request_line
+             (Protocol.request ~spin_ms:3000 ~id ~bench:"spin" ()))
+      done;
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while (Serve.stats t).Serve.shed < 2 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the burst was never shed";
+        Unix.sleepf 0.01
+      done;
+      let occ_before, shed_before = occupancy_and_shed () in
+      check_health "queue at cap";
+      let occ_after, shed_after = occupancy_and_shed () in
+      Alcotest.(check (float 0.)) "queue at cap before" (float_of_int max_queue)
+        occ_before;
+      Alcotest.(check (float 0.)) "queue at cap after" (float_of_int max_queue)
+        occ_after;
+      Alcotest.(check int) "health was not shed" shed_before shed_after)
 
 (* ---------- the seeded overload/fault soak ---------- *)
 
@@ -635,7 +607,6 @@ let test_serve_fault_soak () =
             kill_every = 7;
             max_retries = 3;
             backoff_base_ms = 5;
-            quiet = true;
           }
         in
         Loadgen.run cfg
@@ -731,10 +702,7 @@ let () =
             test_serve_unverified_instance_refused;
           Alcotest.test_case "stats verb reconciles" `Quick
             test_serve_stats_verb;
-          Alcotest.test_case "health verb without slo" `Quick
-            test_serve_health_verb;
-          Alcotest.test_case "health degrades and tightens admission" `Quick
-            test_serve_health_degrades;
+          Alcotest.test_case "health verb" `Quick test_serve_health_verb;
         ] );
       ( "soak",
         [
