@@ -139,6 +139,7 @@ report-smoke:
 	  -o REPORT_smoke.html --md REPORT_smoke.md
 	test -s REPORT_smoke.html
 
+# CI build-test job, after dune runtest: every example runs to completion.
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/fear_spectrum.exe

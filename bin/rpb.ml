@@ -758,21 +758,23 @@ let report_run ~files ~out ~md =
   List.iter
     (fun (path, msg) -> Printf.eprintf "report: skipping %s: %s\n" path msg)
     a.Rpb_obs.Report.errors;
-  Rpb_obs.Report.write_html ~path:out a;
-  Printf.printf "wrote %s (%s)\n" out (Rpb_obs.Report.summary a);
-  (match md with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> output_string oc (Rpb_obs.Report.to_markdown a));
-     Printf.printf "wrote %s\n" path);
   if a.Rpb_obs.Report.sources = [] then begin
     Printf.eprintf "report: no artifact parsed\n";
     exit_usage
   end
-  else exit_ok
+  else begin
+    Rpb_obs.Report.write_html ~path:out a;
+    Printf.printf "wrote %s (%s)\n" out (Rpb_obs.Report.summary a);
+    (match md with
+     | None -> ()
+     | Some path ->
+       let oc = open_out path in
+       Fun.protect
+         ~finally:(fun () -> close_out oc)
+         (fun () -> output_string oc (Rpb_obs.Report.to_markdown a));
+       Printf.printf "wrote %s\n" path);
+    exit_ok
+  end
 
 let report_cmd =
   let doc =

@@ -32,20 +32,3 @@ let () =
   Printf.printf "final mesh: %d real triangles, min angle %.2f deg, valid: %b\n"
     stats.Refine.final_real_triangles stats.Refine.final_min_angle
     (Mesh.validate mesh = Ok ());
-
-  (* The rest of the geometry kit on the same point set. *)
-  let hull = Quickhull.convex_hull pool points in
-  Printf.printf "convex hull: %d of %d points (valid: %b)\n" (Array.length hull)
-    n
-    (Quickhull.is_convex_hull points hull);
-  let tree = Quadtree.build pool points in
-  let queries = Pointgen.uniform_square ~n:5 ~seed:78 in
-  Array.iter
-    (fun (q : Point.t) ->
-      match Quadtree.nearest tree q with
-      | Some i ->
-        Printf.printf "nearest to (%.2f, %.2f): point %d at distance %.3f\n"
-          q.Point.x q.Point.y i
-          (Point.dist q points.(i))
-      | None -> ())
-    queries

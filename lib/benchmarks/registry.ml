@@ -37,8 +37,3 @@ let access_distribution () =
     (fun (p, c) ->
       (p, c, if total = 0 then 0.0 else 100.0 *. float_of_int c /. float_of_int total))
     counts
-
-let benchmarks_with p =
-  List.filter_map
-    (fun e -> if List.mem p e.Common.patterns then Some e.Common.name else None)
-    all

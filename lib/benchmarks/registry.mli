@@ -13,6 +13,3 @@ val names : string list
 
 val access_distribution : unit -> (Pattern.access * int * float) list
 (** Per-pattern (site count, percentage) across the suite — Fig. 3. *)
-
-val benchmarks_with : Pattern.access -> string list
-(** Which benchmarks use a pattern — Table 1 column. *)

@@ -91,7 +91,6 @@ let add c n =
 let incr c = add c 1
 
 let set_gauge g v = if Atomic.get enabled_flag then g.g_value <- v
-let gauge_value g = g.g_value
 
 let counter_value c =
   Array.fold_left (fun acc s -> acc + s.(0)) 0 c.c_stripes

@@ -74,7 +74,6 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val probe : string -> (unit -> float) -> unit
 (** Register (or replace) a polled gauge: the closure is evaluated at each

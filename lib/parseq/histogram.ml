@@ -88,11 +88,6 @@ let stats_merge into from =
 
 type stats_mode = Stats_seq | Stats_mutex | Stats_private
 
-let stats_mode_name = function
-  | Stats_seq -> "seq"
-  | Stats_mutex -> "mutex"
-  | Stats_private -> "private"
-
 let histogram_stats ~mode pool ~keys ~values ~buckets =
   if Array.length keys <> Array.length values then
     invalid_arg "Histogram.histogram_stats: keys/values length mismatch";

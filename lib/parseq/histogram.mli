@@ -37,8 +37,6 @@ val stats_equal : stats -> stats -> bool
 
 type stats_mode = Stats_seq | Stats_mutex | Stats_private
 
-val stats_mode_name : stats_mode -> string
-
 val histogram_stats :
   mode:stats_mode -> Pool.t -> keys:int array -> values:int array ->
   buckets:int -> stats array

@@ -10,8 +10,6 @@ open Rpb_pool
 val pack : Pool.t -> ('a -> bool) -> 'a array -> 'a array
 (** Elements satisfying the predicate, in their original order. *)
 
-val packi : Pool.t -> (int -> 'a -> bool) -> 'a array -> 'a array
-
 val pack_index : Pool.t -> (int -> bool) -> int -> int array
 (** [pack_index pool p n] is the sorted array of indices in [\[0, n)]
     satisfying [p]. *)

@@ -15,9 +15,6 @@ val rank_by_key : Pool.t -> keys:int array -> buckets:int -> int array
 val counting_sort : Pool.t -> buckets:int -> int array -> int array
 (** Stable sorted copy of an array of small non-negative integers. *)
 
-val counting_sort_by : Pool.t -> key:('a -> int) -> buckets:int -> 'a array -> 'a array
-(** Stable counting sort of arbitrary elements by a small integer key. *)
-
 val radix_sort : Pool.t -> int array -> int array
 (** Sorted copy of an array of non-negative integers (LSD radix, 8-bit
     digits, as many passes as the maximum key requires). *)

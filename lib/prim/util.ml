@@ -12,11 +12,6 @@ let ilog2 n =
   let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
 
-let array_swap a i j =
-  let t = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- t
-
 let array_for_all_i p a =
   let n = Array.length a in
   let rec go i = i >= n || (p i a.(i) && go (i + 1)) in
@@ -33,5 +28,3 @@ let is_strictly_increasing a =
   n <= 1 || go 1
 
 let array_sum a = Array.fold_left ( + ) 0 a
-let minf (a : float) b = if a < b then a else b
-let maxf (a : float) b = if a > b then a else b

@@ -9,8 +9,6 @@ val ceil_pow2 : int -> int
 val ilog2 : int -> int
 (** Floor of log2 for positive integers. *)
 
-val array_swap : 'a array -> int -> int -> unit
-
 val array_for_all_i : (int -> 'a -> bool) -> 'a array -> bool
 
 val is_sorted : ?cmp:('a -> 'a -> int) -> 'a array -> bool
@@ -20,6 +18,3 @@ val is_sorted : ?cmp:('a -> 'a -> int) -> 'a array -> bool
 val is_strictly_increasing : int array -> bool
 
 val array_sum : int array -> int
-
-val minf : float -> float -> float
-val maxf : float -> float -> float

@@ -27,7 +27,16 @@ expect_code 2 serve --slow-pctl 0
 expect_code 2 serve --slow-pctl 101
 kind_tmp=${TMPDIR:-/tmp}/rpb-cli-kind-$$.json
 trace_tmp=${TMPDIR:-/tmp}/rpb-cli-trace-$$.json
-trap 'rm -f "$kind_tmp" "$trace_tmp"' 0
+html_tmp=${TMPDIR:-/tmp}/rpb-cli-report-$$.html
+md_tmp=${TMPDIR:-/tmp}/rpb-cli-report-$$.md
+trap 'rm -f "$kind_tmp" "$trace_tmp" "$html_tmp" "$md_tmp"' 0
+
+# A report run that parses nothing writes no output, so it cannot
+# overwrite an earlier dashboard.
+rm -f "$html_tmp" "$md_tmp"
+expect_code 2 report /nonexistent-artifact.json -o "$html_tmp" --md "$md_tmp"
+[ ! -e "$html_tmp" ] || fail "rpb report wrote $html_tmp with nothing parsed"
+[ ! -e "$md_tmp" ] || fail "rpb report wrote $md_tmp with nothing parsed"
 
 # rpb report skips a document of a kind it cannot read instead of
 # crashing; with nothing else parsed that is exit 2.  A bench/perf document

@@ -258,191 +258,6 @@ let refine_cap_cases =
         [ ("sequential", Refine.Sequential); ("reserving", Refine.Reserving) ])
     [ (1600, 115); (3200, 3) ]
 
-(* ---------- Quickhull ---------- *)
-
-let hull_point_set pts hull =
-  List.sort_uniq compare (Array.to_list (Array.map (fun i -> pts.(i)) hull))
-
-let test_quickhull_square () =
-  in_pool (fun pool ->
-      let pts = [| pt 0. 0.; pt 1. 0.; pt 1. 1.; pt 0. 1.; pt 0.5 0.5 |] in
-      let hull = Quickhull.convex_hull pool pts in
-      Alcotest.(check int) "4 corners" 4 (Array.length hull);
-      Alcotest.(check bool) "valid hull" true (Quickhull.is_convex_hull pts hull);
-      Alcotest.(check bool) "interior point excluded" true
-        (not (Array.mem 4 hull)))
-
-let test_quickhull_matches_monotone_chain () =
-  in_pool (fun pool ->
-      List.iter
-        (fun seed ->
-          let pts = Pointgen.uniform_square ~n:500 ~seed in
-          let par = Quickhull.convex_hull pool pts in
-          let seq = Quickhull.convex_hull_seq pts in
-          Alcotest.(check bool) "par hull valid" true
-            (Quickhull.is_convex_hull pts par);
-          Alcotest.(check bool) "same vertex set as monotone chain" true
-            (hull_point_set pts par = hull_point_set pts seq))
-        [ 11; 12; 13 ])
-
-let test_quickhull_kuzmin () =
-  in_pool (fun pool ->
-      let pts = Pointgen.kuzmin ~n:800 ~seed:14 in
-      let hull = Quickhull.convex_hull pool pts in
-      Alcotest.(check bool) "valid" true (Quickhull.is_convex_hull pts hull))
-
-let test_quickhull_tiny () =
-  in_pool (fun pool ->
-      Alcotest.(check bool) "single point" true
-        (Quickhull.convex_hull pool [| pt 3. 4. |] = [| 0 |]);
-      let two = Quickhull.convex_hull pool [| pt 0. 0.; pt 1. 1. |] in
-      Alcotest.(check int) "two points" 2 (Array.length two);
-      let tri = Quickhull.convex_hull pool [| pt 0. 0.; pt 2. 0.; pt 1. 1. |] in
-      Alcotest.(check int) "triangle" 3 (Array.length tri))
-
-let prop_quickhull_valid =
-  QCheck.Test.make ~name:"quickhull valid on random clouds" ~count:15
-    QCheck.small_nat
-    (fun seed ->
-      let pts = Pointgen.uniform_square ~n:200 ~seed:(seed + 100) in
-      with_pool 2 (fun pool ->
-          Pool.run pool (fun () ->
-              Quickhull.is_convex_hull pts (Quickhull.convex_hull pool pts))))
-
-(* ---------- Quadtree / kNN ---------- *)
-
-let test_quadtree_build_shape () =
-  in_pool (fun pool ->
-      let pts = Pointgen.uniform_square ~n:1000 ~seed:41 in
-      let t = Quadtree.build pool pts in
-      Alcotest.(check int) "size" 1000 (Quadtree.size t);
-      Alcotest.(check bool) "bounded depth" true (Quadtree.depth t < 20))
-
-let test_quadtree_nearest_matches_naive () =
-  in_pool (fun pool ->
-      let pts = Pointgen.uniform_square ~n:800 ~seed:42 in
-      let t = Quadtree.build pool pts in
-      let queries = Pointgen.uniform_square ~n:200 ~seed:43 in
-      Array.iter
-        (fun q ->
-          let got = Quadtree.nearest t q in
-          let expected = Quadtree.nearest_naive pts q in
-          match (got, expected) with
-          | Some g, Some e ->
-            (* Equal distances admit either index. *)
-            Alcotest.(check (float 1e-12)) "same distance"
-              (Point.dist2 q pts.(e))
-              (Point.dist2 q pts.(g))
-          | _ -> Alcotest.fail "nearest missing")
-        queries)
-
-let test_quadtree_k_nearest_ordering () =
-  in_pool (fun pool ->
-      let pts = Pointgen.uniform_square ~n:500 ~seed:44 in
-      let t = Quadtree.build pool pts in
-      let q = Point.make 0.5 0.5 in
-      let knn = Quadtree.k_nearest t ~k:10 q in
-      Alcotest.(check int) "k returned" 10 (Array.length knn);
-      for i = 1 to 9 do
-        Alcotest.(check bool) "nearest-first order" true
-          (Point.dist2 q pts.(knn.(i - 1)) <= Point.dist2 q pts.(knn.(i)))
-      done;
-      (* The k-th distance must not exceed any non-member's distance. *)
-      let members = Array.to_list knn in
-      let kth = Point.dist2 q pts.(knn.(9)) in
-      Array.iteri
-        (fun i p ->
-          if not (List.mem i members) then
-            Alcotest.(check bool) "no closer outsider" true
-              (Point.dist2 q p >= kth -. 1e-12))
-        pts)
-
-let test_quadtree_degenerate () =
-  in_pool (fun pool ->
-      let empty = Quadtree.build pool [||] in
-      Alcotest.(check (option int)) "empty" None (Quadtree.nearest empty (pt 0. 0.));
-      (* All-identical points must not loop forever. *)
-      let same = Array.make 100 (pt 1. 1.) in
-      let t = Quadtree.build pool same in
-      Alcotest.(check bool) "identical points" true
-        (Quadtree.nearest t (pt 0. 0.) <> None);
-      Alcotest.(check int) "k bigger than n" 100
-        (Array.length (Quadtree.k_nearest t ~k:500 (pt 0. 0.))))
-
-let test_quadtree_parallel_queries () =
-  in_pool (fun pool ->
-      let pts = Pointgen.kuzmin ~n:600 ~seed:45 in
-      let t = Quadtree.build pool pts in
-      let queries = Pointgen.kuzmin ~n:300 ~seed:46 in
-      let got = Quadtree.nearest_neighbors pool t queries in
-      Alcotest.(check int) "answer per query" 300 (Array.length got);
-      Array.iteri
-        (fun i j ->
-          let expected = Option.get (Quadtree.nearest_naive pts queries.(i)) in
-          Alcotest.(check (float 1e-12)) "distance parity"
-            (Point.dist2 queries.(i) pts.(expected))
-            (Point.dist2 queries.(i) pts.(j)))
-        got)
-
-(* ---------- Nbody (Barnes–Hut) ---------- *)
-
-let test_nbody_theta_zero_is_exact () =
-  in_pool (fun pool ->
-      let b = Nbody.random_bodies ~n:300 ~seed:51 in
-      let bh = Nbody.forces ~theta:0.0 pool b in
-      let direct = Nbody.forces_direct pool b in
-      Alcotest.(check bool)
-        (Printf.sprintf "rms %.2e" (Nbody.rms_error bh direct))
-        true
-        (Nbody.rms_error bh direct < 1e-9))
-
-let test_nbody_approximation_quality () =
-  in_pool (fun pool ->
-      let b = Nbody.random_bodies ~n:600 ~seed:52 in
-      let bh = Nbody.forces ~theta:0.5 pool b in
-      let direct = Nbody.forces_direct pool b in
-      let err = Nbody.rms_error bh direct in
-      Alcotest.(check bool)
-        (Printf.sprintf "theta=0.5 rms error small (%.3f)" err)
-        true (err < 0.05))
-
-let test_nbody_two_body_symmetry () =
-  in_pool (fun pool ->
-      let b =
-        Nbody.
-          {
-            px = [| 0.0; 1.0 |];
-            py = [| 0.0; 0.0 |];
-            vx = [| 0.0; 0.0 |];
-            vy = [| 0.0; 0.0 |];
-            mass = [| 1.0; 1.0 |];
-          }
-      in
-      let ax, ay = Nbody.forces_direct pool b in
-      Alcotest.(check (float 1e-9)) "opposite ax" (-.ax.(0)) ax.(1);
-      Alcotest.(check (float 1e-9)) "ay zero" 0.0 ay.(0);
-      Alcotest.(check bool) "attraction" true (ax.(0) > 0.0 && ax.(1) < 0.0))
-
-let test_nbody_momentum_nearly_conserved () =
-  in_pool (fun pool ->
-      (* With exact forces (theta = 0) equal-and-opposite pairs cancel, so
-         total momentum stays ~0 from a cold start. *)
-      let b = Nbody.random_bodies ~n:200 ~seed:53 in
-      Nbody.simulate ~theta:0.0 ~dt:0.001 ~steps:10 pool b;
-      let px, py = Nbody.total_momentum b in
-      Alcotest.(check bool)
-        (Printf.sprintf "momentum drift small (%.2e, %.2e)" px py)
-        true
-        (Float.abs px < 1e-6 && Float.abs py < 1e-6))
-
-let test_nbody_simulation_runs () =
-  in_pool (fun pool ->
-      let b = Nbody.random_bodies ~n:150 ~seed:54 in
-      Nbody.simulate ~steps:5 pool b;
-      Alcotest.(check bool) "positions finite" true
-        (Array.for_all Float.is_finite b.Nbody.px
-         && Array.for_all Float.is_finite b.Nbody.py))
-
 let () =
   Alcotest.run "rpb_geom"
     [
@@ -467,35 +282,6 @@ let () =
           Alcotest.test_case "uniform 300" `Quick test_delaunay_uniform;
           Alcotest.test_case "kuzmin 300" `Quick test_delaunay_kuzmin;
           Alcotest.test_case "near-collinear" `Quick test_delaunay_collinearish;
-        ] );
-      ( "nbody",
-        [
-          Alcotest.test_case "theta 0 exact" `Quick test_nbody_theta_zero_is_exact;
-          Alcotest.test_case "approximation quality" `Quick
-            test_nbody_approximation_quality;
-          Alcotest.test_case "two-body symmetry" `Quick test_nbody_two_body_symmetry;
-          Alcotest.test_case "momentum conserved" `Quick
-            test_nbody_momentum_nearly_conserved;
-          Alcotest.test_case "simulation runs" `Quick test_nbody_simulation_runs;
-        ] );
-      ( "quadtree",
-        [
-          Alcotest.test_case "build shape" `Quick test_quadtree_build_shape;
-          Alcotest.test_case "nearest = naive" `Quick
-            test_quadtree_nearest_matches_naive;
-          Alcotest.test_case "k-nearest ordering" `Quick
-            test_quadtree_k_nearest_ordering;
-          Alcotest.test_case "degenerate" `Quick test_quadtree_degenerate;
-          Alcotest.test_case "parallel queries" `Quick test_quadtree_parallel_queries;
-        ] );
-      ( "quickhull",
-        [
-          Alcotest.test_case "square" `Quick test_quickhull_square;
-          Alcotest.test_case "matches monotone chain" `Quick
-            test_quickhull_matches_monotone_chain;
-          Alcotest.test_case "kuzmin" `Quick test_quickhull_kuzmin;
-          Alcotest.test_case "tiny" `Quick test_quickhull_tiny;
-          QCheck_alcotest.to_alcotest prop_quickhull_valid;
         ] );
       ( "refine",
         [

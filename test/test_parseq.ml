@@ -325,63 +325,6 @@ let prop_histogram_matches_seq =
               Histogram.histogram pool ~keys ~buckets:32 = expected
               && Histogram.histogram_atomic pool ~keys ~buckets:32 = expected)))
 
-(* ---------- Stencil ---------- *)
-
-let test_stencil_matches_seq () =
-  in_pool (fun pool ->
-      let a = Array.init 500 (fun i -> float_of_int (Rpb_prim.Rng.hash64 i mod 100)) in
-      let par = Stencil.jacobi_1d pool ~iterations:25 a in
-      let seq = Stencil.jacobi_1d_seq ~iterations:25 a in
-      Alcotest.(check bool) "parallel = sequential" true (par = seq))
-
-let test_stencil_steady_state () =
-  in_pool (fun pool ->
-      (* With fixed endpoints 0 and 1, Jacobi converges to the linear ramp. *)
-      let n = 32 in
-      let a = Array.make n 0.0 in
-      a.(n - 1) <- 1.0;
-      let r = Stencil.jacobi_1d pool ~iterations:20_000 a in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let expected = float_of_int i /. float_of_int (n - 1) in
-        if Float.abs (r.(i) -. expected) > 1e-6 then ok := false
-      done;
-      Alcotest.(check bool) "converges to linear ramp" true !ok)
-
-let test_stencil_preserves_boundary () =
-  in_pool (fun pool ->
-      let a = [| 5.0; 1.0; 2.0; 3.0; 9.0 |] in
-      let r = Stencil.jacobi_1d pool ~iterations:7 a in
-      Alcotest.(check (float 0.0)) "left fixed" 5.0 r.(0);
-      Alcotest.(check (float 0.0)) "right fixed" 9.0 r.(4);
-      Alcotest.(check bool) "input untouched" true (a.(1) = 1.0))
-
-let test_stencil_2d_symmetry () =
-  in_pool (fun pool ->
-      (* A symmetric initial grid stays symmetric. *)
-      let rows = 17 and cols = 17 in
-      let grid =
-        Array.init (rows * cols) (fun i ->
-            let r = i / cols and c = i mod cols in
-            let dr = abs (r - 8) and dc = abs (c - 8) in
-            float_of_int (dr + dc))
-      in
-      let out = Stencil.jacobi_2d pool ~iterations:9 ~rows ~cols grid in
-      let ok = ref true in
-      for r = 0 to rows - 1 do
-        for c = 0 to cols - 1 do
-          let m = out.(((rows - 1 - r) * cols) + (cols - 1 - c)) in
-          if Float.abs (out.((r * cols) + c) -. m) > 1e-12 then ok := false
-        done
-      done;
-      Alcotest.(check bool) "180-degree symmetry preserved" true !ok)
-
-let test_stencil_2d_shape_checks () =
-  in_pool (fun pool ->
-      match Stencil.jacobi_2d pool ~iterations:1 ~rows:4 ~cols:4 (Array.make 7 0.0) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "size mismatch accepted")
-
 let () =
   Alcotest.run "rpb_parseq"
     [
@@ -427,14 +370,6 @@ let () =
           Alcotest.test_case "radix sort" `Quick test_radix_sort;
           Alcotest.test_case "radix_sort_by stable" `Quick test_radix_sort_by_stable;
           Alcotest.test_case "negative rejected" `Quick test_radix_rejects_negative;
-        ] );
-      ( "stencil",
-        [
-          Alcotest.test_case "par = seq" `Quick test_stencil_matches_seq;
-          Alcotest.test_case "steady state" `Quick test_stencil_steady_state;
-          Alcotest.test_case "boundary fixed" `Quick test_stencil_preserves_boundary;
-          Alcotest.test_case "2d symmetry" `Quick test_stencil_2d_symmetry;
-          Alcotest.test_case "2d shape checks" `Quick test_stencil_2d_shape_checks;
         ] );
       ( "histogram",
         [

@@ -162,6 +162,19 @@ let prop_bwt_roundtrip =
       with_pool 2 (fun pool ->
           Pool.run pool (fun () -> Bwt.decode pool (Bwt.encode pool s) = s)))
 
+(* ---------- Bwt benign race ---------- *)
+
+let test_distinct_chars_modes_agree () =
+  in_pool (fun pool ->
+      let s = Rpb_text.Text_gen.wiki ~size:5_000 ~seed:23 in
+      let racy = Rpb_text.Bwt.distinct_chars `Racy pool s in
+      let atomic = Rpb_text.Bwt.distinct_chars `Atomic pool s in
+      Alcotest.(check bool) "benign race = atomic result" true (racy = atomic);
+      (* Oracle. *)
+      let expected = Array.make 256 false in
+      String.iter (fun c -> expected.(Char.code c) <- true) s;
+      Alcotest.(check bool) "matches oracle" true (atomic = expected))
+
 (* ---------- Text_gen ---------- *)
 
 let test_text_gen_properties () =
@@ -251,6 +264,11 @@ let () =
             test_bwt_decode_requires_sentinel;
           Alcotest.test_case "LF permutation" `Quick test_lf_mapping_is_permutation;
           QCheck_alcotest.to_alcotest prop_bwt_roundtrip;
+        ] );
+      ( "bwt_parallel",
+        [
+          Alcotest.test_case "benign race distinct chars" `Quick
+            test_distinct_chars_modes_agree;
         ] );
       ( "word_count",
         [
