@@ -12,36 +12,51 @@ open Rpb_pool
    lock per slot region instead of CAS, the paper's "replace unsafe/lock-free
    with locking" configuration.  Each stripe's lock word has a padded
    [Atomic_array] row of its own. *)
-let dedup_mutex pool data =
-  let slots_n = Rpb_prim.Util.ceil_pow2 (2 * Array.length data) in
-  let mask = slots_n - 1 in
-  let slots = Array.make slots_n (-1) in
-  let stripes = 256 in
-  let row = Rpb_prim.Atomic_array.cells_per_line in
-  let locks = Rpb_prim.Atomic_array.make (row * stripes) 0 in
+type locked_table = { slots : int array; locks : Rpb_prim.Atomic_array.t }
+
+let stripes = 256
+let row = Rpb_prim.Atomic_array.cells_per_line
+
+let locked_table n =
+  {
+    slots = Array.make (Rpb_prim.Util.ceil_pow2 (2 * n)) (-1);
+    locks = Rpb_prim.Atomic_array.make (row * stripes) 0;
+  }
+
+(* Linear probing from slot [idx]; a top-level function, as
+   [Chash.insert]'s, so an insert allocates no closure. *)
+let rec locked_insert t k idx =
+  let l = row * (idx land (stripes - 1)) in
+  Rpb_prim.Atomic_array.lock t.locks l;
+  let cur = t.slots.(idx) in
+  if cur = -1 then begin
+    t.slots.(idx) <- k;
+    Rpb_prim.Atomic_array.unlock t.locks l
+  end
+  else begin
+    Rpb_prim.Atomic_array.unlock t.locks l;
+    if cur <> k then locked_insert t k ((idx + 1) land (Array.length t.slots - 1))
+  end
+
+(* Both tables are allocated once per prepared input and cleared between
+   runs, so neither build pays a per-run allocation, as the paper's
+   (intrusive, C-style) table does not.  The lock words are reset with the
+   slots, so every run starts from the state of a fresh table. *)
+let dedup_mutex pool t data =
+  Pool.parallel_for ~start:0 ~finish:(Array.length t.slots)
+    ~body:(fun i -> Array.unsafe_set t.slots i (-1))
+    pool;
+  for i = 0 to Rpb_prim.Atomic_array.length t.locks - 1 do
+    Rpb_prim.Atomic_array.set t.locks i 0
+  done;
+  let mask = Array.length t.slots - 1 in
   Pool.parallel_for ~start:0 ~finish:(Array.length data)
     ~body:(fun i ->
       let k = data.(i) in
-      let rec probe idx =
-        let l = row * (idx land (stripes - 1)) in
-        Rpb_prim.Atomic_array.lock locks l;
-        let cur = slots.(idx) in
-        if cur = -1 then begin
-          slots.(idx) <- k;
-          Rpb_prim.Atomic_array.unlock locks l
-        end
-        else begin
-          Rpb_prim.Atomic_array.unlock locks l;
-          if cur <> k then probe ((idx + 1) land mask)
-        end
-      in
-      probe (Rpb_prim.Rng.hash64 k land mask))
+      locked_insert t k (Rpb_prim.Rng.hash64 k land mask))
     pool;
-  Rpb_parseq.Pack.pack pool (fun x -> x <> -1) slots
+  Rpb_parseq.Pack.pack pool (fun x -> x <> -1) t.slots
 
-(* The table is allocated once per prepared input and cleared between runs,
-   so the lock-free build pays no per-run allocation, as the paper's
-   (intrusive, C-style) table does not. *)
 let dedup_cas pool table data =
   Rpb_chash.Chash.clear pool table;
   Pool.parallel_for ~start:0 ~finish:(Array.length data)
@@ -68,6 +83,7 @@ let entry : Common.entry =
           Array.of_list (List.sort_uniq compare (Array.to_list data))
         in
         let table = Rpb_chash.Chash.create ~capacity:n in
+        let locked = locked_table n in
         let last = ref [||] in
         {
           Common.size = Printf.sprintf "%d keys (%d distinct)" n (Array.length expected);
@@ -81,7 +97,7 @@ let entry : Common.entry =
               last :=
                 match mode with
                 | Mode.Unsafe | Mode.Checked -> dedup_cas pool table data
-                | Mode.Synchronized -> dedup_mutex pool data);
+                | Mode.Synchronized -> dedup_mutex pool locked data);
           verify =
             (fun () ->
               let got = Array.copy !last in

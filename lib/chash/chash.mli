@@ -25,7 +25,8 @@ val slots : t -> int
 
 val insert : t -> int -> bool
 (** [insert t k] adds [k]; returns [true] iff [k] was not already present.
-    Safe to call concurrently from any number of domains. *)
+    Safe to call concurrently from any number of domains.  Allocates
+    nothing. *)
 
 val mem : t -> int -> bool
 
@@ -33,7 +34,8 @@ val count : t -> int
 (** Number of distinct elements inserted.  Exact when quiescent. *)
 
 val elements : Rpb_pool.Pool.t -> t -> int array
-(** Snapshot of the distinct elements, in unspecified order.  Must not run
-    concurrently with inserts. *)
+(** The distinct elements, in slot order (unspecified), packed straight
+    from the slots with no intermediate copy.  Must not run concurrently
+    with inserts. *)
 
 val clear : Rpb_pool.Pool.t -> t -> unit

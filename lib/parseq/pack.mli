@@ -1,9 +1,14 @@
-(** Parallel pack/filter — flags, a scan, and an indirect write.
+(** Parallel pack/filter — PBBS-style blocked passes.
 
-    Pack is the paper's "pack" algorithmic pattern (Sec. 7.1 coverage list);
-    its write phase is a SngInd whose offsets come from a prefix sum and are
-    therefore unique by construction — precisely the situation where the
-    programmer "knows" the scatter is safe but the type system cannot. *)
+    Pack is the paper's "pack" algorithmic pattern (Sec. 7.1 coverage list).
+    One pass evaluates the predicate once per element into a byte flag and
+    counts each block's hits; a sequential prefix over the block counts
+    gives every block its output offset; a second pass copies each block's
+    flagged elements into its own contiguous output range.  The write is a
+    per-block range (RngInd), disjoint by construction: each block writes
+    exactly the hits it counted from the stored flags, so it stays inside
+    its range even when the predicate is impure.  Beyond the output, a pack
+    of [n] elements allocates [n] flag bytes and one offset per block. *)
 
 open Rpb_pool
 

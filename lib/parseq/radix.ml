@@ -1,17 +1,23 @@
 open Rpb_pool
 
-let num_blocks pool n =
-  let target = 8 * Pool.size pool in
-  max 1 (min target (Rpb_prim.Util.ceil_div n 1024))
+(* Up to 8 blocks per worker, each of at least 1024 keys.  A block owns a
+   row of [buckets] counters, so the block count is also capped at
+   [n / buckets] (nb * buckets <= n where possible), though never below one
+   block per worker. *)
+let num_blocks pool n ~buckets =
+  let p = Pool.size pool in
+  let nb = min (8 * p) (Rpb_prim.Util.ceil_div n 1024) in
+  max 1 (min nb (max p (n / buckets)))
 
 let rank_by_key pool ~keys ~buckets =
   assert (buckets > 0);
   let n = Array.length keys in
   let dest = Array.make n 0 in
   if n > 0 then begin
-    let nb = num_blocks pool n in
+    let nb = num_blocks pool n ~buckets in
     let bsize = Rpb_prim.Util.ceil_div n nb in
-    (* counts.(b * buckets + k): occurrences of key k in block b. *)
+    (* counts.(b * buckets + k): occurrences of key k in block b, then the
+       next rank block b writes for key k. *)
     let counts = Array.make (nb * buckets) 0 in
     Pool.parallel_for ~grain:1 ~start:0 ~finish:nb
       ~body:(fun b ->
@@ -19,30 +25,32 @@ let rank_by_key pool ~keys ~buckets =
         let base = b * buckets in
         for i = lo to hi - 1 do
           let k = Array.unsafe_get keys i in
+          if k < 0 || k >= buckets then invalid_arg "Radix.rank_by_key: key out of range";
           counts.(base + k) <- counts.(base + k) + 1
         done)
       pool;
-    (* Global stable order: key-major, then block-major.  Column-major scan
-       of the counts matrix gives each (key, block) its start position. *)
-    let col = Array.make (nb * buckets) 0 in
-    Pool.parallel_for ~start:0 ~finish:(nb * buckets)
-      ~body:(fun j ->
-        let k = j / nb and b = j mod nb in
-        col.(j) <- counts.((b * buckets) + k))
-      pool;
-    let _total = Scan.exclusive_inplace_int pool col in
+    (* Global stable order: key-major, then block-major.  An exclusive
+       prefix in that order turns each count into its (block, key) pair's
+       first rank. *)
+    let acc = ref 0 in
+    for k = 0 to buckets - 1 do
+      for b = 0 to nb - 1 do
+        let j = (b * buckets) + k in
+        let c = Array.unsafe_get counts j in
+        Array.unsafe_set counts j !acc;
+        acc := !acc + c
+      done
+    done;
+    (* Each block advances its own row; the keys were range-checked above. *)
     Pool.parallel_for ~grain:1 ~start:0 ~finish:nb
       ~body:(fun b ->
         let lo = b * bsize and hi = min n ((b + 1) * bsize) in
-        (* Per-block running cursor for each key. *)
-        let cursor = Array.make buckets 0 in
-        for k = 0 to buckets - 1 do
-          cursor.(k) <- col.((k * nb) + b)
-        done;
+        let base = b * buckets in
         for i = lo to hi - 1 do
-          let k = Array.unsafe_get keys i in
-          Array.unsafe_set dest i cursor.(k);
-          cursor.(k) <- cursor.(k) + 1
+          let j = base + Array.unsafe_get keys i in
+          let r = counts.(j) in
+          Array.unsafe_set dest i r;
+          counts.(j) <- r + 1
         done)
       pool
   end;

@@ -61,6 +61,3 @@ let inclusive pool f id a =
 
 let exclusive_int pool a = exclusive pool ( + ) 0 a
 let inclusive_int pool a = inclusive pool ( + ) 0 a
-
-let exclusive_inplace_int pool a =
-  block_scan pool ( + ) 0 a ~emit:(fun i acc _x -> Array.unsafe_set a i acc)

@@ -21,6 +21,3 @@ val exclusive_int : Pool.t -> int array -> int array * int
 (** Specialized integer [(+)] exclusive scan. *)
 
 val inclusive_int : Pool.t -> int array -> int array
-
-val exclusive_inplace_int : Pool.t -> int array -> int
-(** In-place exclusive integer scan; returns the total. *)

@@ -102,6 +102,38 @@ let run_benchmark_all_modes name =
 let bench_case name =
   Alcotest.test_case name `Quick (fun () -> run_benchmark_all_modes name)
 
+(* dedup keeps its CAS table and its locked table across runs and clears
+   them per run.  One prepared instance runs every build in turn, each
+   snapshot against the sequential one; then both kernels alternate between
+   two inputs, so a slot left over from the other input would show. *)
+let test_dedup_reuse () =
+  in_pool (fun pool ->
+      let e = Option.get (Registry.find "dedup") in
+      let p = e.Common.prepare pool ~input:"exponential" ~scale:0 in
+      p.Common.run_seq ();
+      let expected = p.Common.snapshot () in
+      List.iteri
+        (fun i mode ->
+          p.Common.run_par mode;
+          Alcotest.(check bool)
+            (Printf.sprintf "run %d %s = seq" i (Mode.name mode))
+            true
+            (p.Common.snapshot () = expected))
+        Mode.[ Unsafe; Synchronized; Synchronized; Checked; Unsafe ];
+      let n = 2_000 in
+      let inputs = [| Array.init n (fun i -> i mod 300); Array.init n (fun i -> 1_000 + (i mod 50)) |] in
+      let distinct a = List.sort_uniq compare (Array.to_list a) in
+      let table = Rpb_chash.Chash.create ~capacity:n in
+      let locked = Bench_dedup.locked_table n in
+      for r = 0 to 3 do
+        let data = inputs.(r mod 2) in
+        let sorted a = List.sort compare (Array.to_list a) in
+        Alcotest.(check (list int)) (Printf.sprintf "cas run %d" r) (distinct data)
+          (sorted (Bench_dedup.dedup_cas pool table data));
+        Alcotest.(check (list int)) (Printf.sprintf "sync run %d" r) (distinct data)
+          (sorted (Bench_dedup.dedup_mutex pool locked data))
+      done)
+
 let test_mode_names () =
   List.iter
     (fun m ->
@@ -136,6 +168,7 @@ let () =
         [
           bench_case "sort";
           bench_case "dedup";
+          Alcotest.test_case "dedup reuse" `Quick test_dedup_reuse;
           bench_case "hist";
           bench_case "isort";
         ] );

@@ -117,6 +117,19 @@ let test_parallel_dedup_usage () =
             (Array.length got);
           Alcotest.(check bool) "distinct values" true (got = expected)))
 
+(* An insert probes through a top-level function, so it allocates no
+   closure: under one minor word per insert, amortized. *)
+let test_insert_allocation () =
+  let n = 50_000 in
+  let t = Rpb_chash.Chash.create ~capacity:n in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Rpb_chash.Chash.insert t (i * 7)))
+  done;
+  let per_insert = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_insert >= 1.0 then
+    Alcotest.failf "insert allocates %.2f minor words per call" per_insert
+
 let prop_set_semantics =
   QCheck.Test.make ~name:"chash = Set over random workloads" ~count:40
     QCheck.(list (int_bound 500))
@@ -146,6 +159,7 @@ let () =
           Alcotest.test_case "concurrent exactly-once" `Quick
             test_concurrent_insert_exactly_once;
           Alcotest.test_case "dedup usage" `Quick test_parallel_dedup_usage;
+          Alcotest.test_case "insert allocation" `Quick test_insert_allocation;
           QCheck_alcotest.to_alcotest prop_set_semantics;
         ] );
     ]

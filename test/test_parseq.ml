@@ -19,6 +19,36 @@ let seq_exclusive_scan a =
   done;
   (out, !acc)
 
+(* The executors a kernel property runs under: the work-stealing pool at 1,
+   2 and 4 workers, and the shuffled deterministic executor. *)
+let executors =
+  [
+    ("P=1", fun () -> Pool.create ~num_workers:1 ());
+    ("P=2", fun () -> Pool.create ~num_workers:2 ());
+    ("P=4", fun () -> Pool.create ~num_workers:4 ());
+    ("seq_det", fun () -> Pool.create_deterministic ~seed:5 ~shuffle:true ());
+  ]
+
+let on_executor make f =
+  let pool = make () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+      Pool.run pool (fun () -> f pool))
+
+(* Lengths on both sides of the 1024-element block edge, and one with many
+   blocks. *)
+let block_edge_sizes = [ 0; 1; 1023; 1024; 1025; 50_000 ]
+
+(* Words allocated by [f ()] on the calling domain: minor words from
+   [Gc.minor_words] (the minor part of [Gc.counters] lags on OCaml 5.1) plus
+   direct major words.  The minor heap is emptied first, so no older block
+   is promoted inside the window. *)
+let words_allocated f =
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 (* ---------- Scan ---------- *)
 
 let test_scan_exclusive_int () =
@@ -41,13 +71,6 @@ let test_scan_empty_and_single () =
       Alcotest.(check bool) "empty" true (out = [||] && total = 0);
       let out, total = Scan.exclusive_int pool [| 5 |] in
       Alcotest.(check bool) "single" true (out = [| 0 |] && total = 5))
-
-let test_scan_inplace () =
-  in_pool (fun pool ->
-      let a = [| 2; 4; 8; 16 |] in
-      let total = Scan.exclusive_inplace_int pool a in
-      Alcotest.(check int) "total" 30 total;
-      Alcotest.(check bool) "in place" true (a = [| 0; 2; 6; 14 |]))
 
 let test_scan_generic_monoid () =
   in_pool (fun pool ->
@@ -108,6 +131,41 @@ let prop_pack_matches_filter =
       with_pool 2 (fun pool ->
           Pool.run pool (fun () ->
               Array.to_list (Pack.pack pool p a) = List.filter p xs)))
+
+let test_pack_block_edges make () =
+  List.iter
+    (fun n ->
+      let rng = Rpb_prim.Rng.create (n + 1) in
+      let a = Array.init n (fun _ -> Rpb_prim.Rng.int rng 1000) in
+      let xs = Array.to_list a in
+      List.iter
+        (fun (what, p) ->
+          let got, idx =
+            on_executor make (fun pool ->
+                (Pack.pack pool p a, Pack.pack_index pool (fun i -> p a.(i)) n))
+          in
+          if Array.to_list got <> List.filter p xs then
+            Alcotest.failf "pack %s n=%d differs from List.filter" what n;
+          if Array.to_list idx <> List.filter (fun i -> p a.(i)) (List.init n Fun.id)
+          then Alcotest.failf "pack_index %s n=%d differs from List.filter" what n)
+        [
+          ("mod 3", fun x -> x mod 3 = 1);
+          ("all", fun _ -> true);
+          ("none", fun _ -> false);
+        ])
+    block_edge_sizes
+
+(* Pack keeps one flag byte per element and one offset per block: beyond
+   the output it allocates about n/8 words, not an int per element. *)
+let test_pack_allocation () =
+  with_pool 1 (fun pool ->
+      Pool.run pool (fun () ->
+          let n = 50_000 in
+          let a = Array.init n Fun.id in
+          let out, words = words_allocated (fun () -> Pack.pack pool (fun x -> x land 1 = 0) a) in
+          let bound = Array.length out + (n / 8) + 1_000 in
+          if words > float_of_int bound then
+            Alcotest.failf "pack of %d allocates %.0f words, more than %d" n words bound))
 
 (* ---------- Merge ---------- *)
 
@@ -270,6 +328,69 @@ let test_radix_rejects_negative () =
         (Invalid_argument "Radix.radix_sort_by: negative key") (fun () ->
           ignore (Radix.radix_sort pool [| 1; -2; 3 |])))
 
+(* A sequential stable counting sort: the rank of element i. *)
+let seq_rank keys buckets =
+  let starts = Array.make buckets 0 in
+  Array.iter (fun k -> starts.(k) <- starts.(k) + 1) keys;
+  let acc = ref 0 in
+  for k = 0 to buckets - 1 do
+    let c = starts.(k) in
+    starts.(k) <- !acc;
+    acc := !acc + c
+  done;
+  Array.map
+    (fun k ->
+      let r = starts.(k) in
+      starts.(k) <- r + 1;
+      r)
+    keys
+
+let test_rank_block_edges make () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun buckets ->
+          let rng = Rpb_prim.Rng.create (n + buckets) in
+          let keys = Array.init n (fun _ -> Rpb_prim.Rng.int rng buckets) in
+          let got = on_executor make (fun pool -> Radix.rank_by_key pool ~keys ~buckets) in
+          if got <> seq_rank keys buckets then
+            Alcotest.failf "rank_by_key n=%d buckets=%d differs from counting sort" n
+              buckets)
+        [ 1; 256; n + 1 ])
+    block_edge_sizes
+
+let test_rank_rejects_out_of_range () =
+  List.iter
+    (fun (make_name, make) ->
+      List.iter
+        (fun bad ->
+          let keys = Array.init 5_000 (fun i -> i mod 7) in
+          keys.(4_321) <- bad;
+          Alcotest.check_raises
+            (Printf.sprintf "key %d at %s" bad make_name)
+            (Invalid_argument "Radix.rank_by_key: key out of range")
+            (fun () ->
+              ignore (on_executor make (fun pool -> Radix.rank_by_key pool ~keys ~buckets:7))))
+        [ -1; 7 ])
+    executors
+
+(* With n+1 buckets (the suffix array's rounds) one worker ranks in one
+   block: the ranks plus one row of counters, nothing else of size n. *)
+let test_rank_allocation () =
+  with_pool 1 (fun pool ->
+      Pool.run pool (fun () ->
+          let n = 50_000 in
+          let rng = Rpb_prim.Rng.create 12 in
+          let keys = Array.init n (fun _ -> Rpb_prim.Rng.int rng (n + 1)) in
+          let _, words =
+            words_allocated (fun () -> Radix.rank_by_key pool ~keys ~buckets:(n + 1))
+          in
+          let nb = Pool.size pool in
+          let bound = n + (nb * (n + 1)) + 1_000 in
+          if words > float_of_int bound then
+            Alcotest.failf "rank_by_key n=%d allocates %.0f words, more than %d" n words
+              bound))
+
 (* ---------- Histogram ---------- *)
 
 let test_histogram_modes_agree () =
@@ -333,7 +454,6 @@ let () =
           Alcotest.test_case "exclusive int" `Quick test_scan_exclusive_int;
           Alcotest.test_case "inclusive int" `Quick test_scan_inclusive_int;
           Alcotest.test_case "empty/single" `Quick test_scan_empty_and_single;
-          Alcotest.test_case "inplace" `Quick test_scan_inplace;
           Alcotest.test_case "generic monoid" `Quick test_scan_generic_monoid;
           QCheck_alcotest.to_alcotest prop_scan_matches_sequential;
         ] );
@@ -344,7 +464,13 @@ let () =
           Alcotest.test_case "index/partition" `Quick test_pack_index_and_partition;
           Alcotest.test_case "flatten" `Quick test_flatten;
           QCheck_alcotest.to_alcotest prop_pack_matches_filter;
-        ] );
+          Alcotest.test_case "allocation" `Quick test_pack_allocation;
+        ]
+        @ List.map
+            (fun (name, make) ->
+              Alcotest.test_case ("pack block edges " ^ name) `Quick
+                (test_pack_block_edges make))
+            executors );
       ( "merge",
         [
           Alcotest.test_case "basic" `Quick test_merge_basic;
@@ -370,7 +496,14 @@ let () =
           Alcotest.test_case "radix sort" `Quick test_radix_sort;
           Alcotest.test_case "radix_sort_by stable" `Quick test_radix_sort_by_stable;
           Alcotest.test_case "negative rejected" `Quick test_radix_rejects_negative;
-        ] );
+          Alcotest.test_case "rank out of range" `Quick test_rank_rejects_out_of_range;
+          Alcotest.test_case "rank allocation" `Quick test_rank_allocation;
+        ]
+        @ List.map
+            (fun (name, make) ->
+              Alcotest.test_case ("rank_by_key " ^ name) `Quick
+                (test_rank_block_edges make))
+            executors );
       ( "histogram",
         [
           Alcotest.test_case "modes agree" `Quick test_histogram_modes_agree;
