@@ -123,11 +123,11 @@ let test_dedup_reuse () =
       let n = 2_000 in
       let inputs = [| Array.init n (fun i -> i mod 300); Array.init n (fun i -> 1_000 + (i mod 50)) |] in
       let distinct a = List.sort_uniq compare (Array.to_list a) in
+      let sorted a = List.sort compare (Array.to_list a) in
       let table = Rpb_chash.Chash.create ~capacity:n in
       let locked = Bench_dedup.locked_table n in
       for r = 0 to 3 do
         let data = inputs.(r mod 2) in
-        let sorted a = List.sort compare (Array.to_list a) in
         Alcotest.(check (list int)) (Printf.sprintf "cas run %d" r) (distinct data)
           (sorted (Bench_dedup.dedup_cas pool table data));
         Alcotest.(check (list int)) (Printf.sprintf "sync run %d" r) (distinct data)
